@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -97,16 +98,22 @@ def _write_csv(path: Path, header: str, rows) -> None:
 
 
 def parse_rational(text: str):
-    """'p/q' -> exact Fraction; decimal literals -> float."""
+    """'p/q' -> exact Fraction; decimal literals -> float.  Values with no
+    finite float (inf, nan, too large) are rejected."""
     text = text.strip()
     try:
         if "/" in text:
-            return Fraction(text)
-        if "." in text or "e" in text.lower():
-            return float(text)
-        return Fraction(int(text))
-    except (ValueError, ZeroDivisionError) as exc:
+            value = Fraction(text)
+        elif "." in text or "e" in text.lower():
+            value = float(text)
+        else:
+            value = Fraction(int(text))
+        finite = math.isfinite(float(value))
+    except (ValueError, ZeroDivisionError, OverflowError) as exc:
         raise UsageError(f"cannot parse rational {text!r}: {exc}") from exc
+    if not finite:
+        raise UsageError(f"{text!r} is not a finite number")
+    return value
 
 
 def parse_config(path) -> dict:

@@ -15,9 +15,8 @@ from dataclasses import dataclass, field as dc_field
 from typing import Callable, Optional
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
+from .elliptic import KroneckerSolver
 from .gridio import ScalarField2D
 from .rigidity import WindowVerdict, window_classify
 
@@ -94,6 +93,14 @@ class CylGrid:
 
 @dataclass
 class CylState:
+    """Scaled fields at time t.
+
+    Invariant: psi1 == PoissonSolver(grid).solve(omega1).  `step` uses
+    psi1 for its first stage without solving again, so a caller that
+    builds a state passes the solved stream function (or zeros with zero
+    omega1), and `step` returns states that keep the invariant.
+    """
+
     u1: np.ndarray
     omega1: np.ndarray
     psi1: np.ndarray
@@ -129,58 +136,31 @@ def d_z(f: np.ndarray, grid: CylGrid) -> np.ndarray:
 
 
 class PoissonSolver:
-    """Direct factorization of -(d_rr + (3/r) d_r + d_zz) with psi = 0 on
-    both r edges and the configured z treatment."""
-
-    _cache: dict = {}
+    """-(d_rr + (3/r) d_r + d_zz) psi = omega1 with psi = 0 on both r edges
+    and the configured z treatment, by fast diagonalization."""
 
     def __init__(self, grid: CylGrid):
         self.grid = grid
-        key = (grid.nr, grid.nz, grid.r_min, grid.z_len, grid.z_bc)
-        if key not in PoissonSolver._cache:
-            PoissonSolver._cache[key] = self._factorize(grid)
-        self._lu = PoissonSolver._cache[key]
-
-    @staticmethod
-    def _factorize(grid: CylGrid):
-        hr, hz = grid.hr, grid.hz
+        hr = grid.hr
         r = grid.r()[1:-1]
-        ni = grid.nr - 2
         # -(d_rr + (3/r) d_r) on the Dirichlet interior
-        main = np.full(ni, 2.0 / hr ** 2)
         lower = -1.0 / hr ** 2 + 3.0 / (2 * hr * r[1:])
         upper = -1.0 / hr ** 2 - 3.0 / (2 * hr * r[:-1])
-        Mr = sp.diags([lower, main, upper], [-1, 0, 1])
-        if grid.z_bc == "periodic":
-            nj = grid.nz
-            e = np.ones(nj)
-            Mz = sp.diags([2 * e, -e[1:], -e[1:]], [0, -1, 1], format="lil")
-            Mz[0, -1] = -1.0
-            Mz[-1, 0] = -1.0
-            Mz = (Mz / hz ** 2).tocsr()
-        else:
-            nj = grid.nz - 2
-            e = np.ones(nj)
-            Mz = sp.diags([2 * e, -e[1:], -e[1:]], [0, -1, 1]) / hz ** 2
-        L = sp.kron(Mr, sp.eye(nj)) + sp.kron(sp.eye(ni), Mz)
-        return spla.splu(L.tocsc())
+        # z unknowns: every column (periodic) or all but the two ends
+        self._z = slice(None) if grid.z_bc == "periodic" else slice(1, -1)
+        nz = grid.nz if grid.z_bc == "periodic" else grid.nz - 2
+        self._solver = KroneckerSolver(lower, np.full(r.size, 2.0 / hr ** 2),
+                                       upper, nz, grid.hz, grid.z_bc)
 
     def solve(self, omega1: np.ndarray) -> np.ndarray:
-        grid = self.grid
         psi = np.zeros_like(omega1)
-        if grid.z_bc == "periodic":
-            rhs = omega1[1:-1, :]
-            psi[1:-1, :] = self._lu.solve(rhs.ravel()).reshape(rhs.shape)
-        else:
-            rhs = omega1[1:-1, 1:-1]
-            psi[1:-1, 1:-1] = self._lu.solve(rhs.ravel()).reshape(rhs.shape)
+        psi[1:-1, self._z] = self._solver.solve(omega1[1:-1, self._z])
         return psi
 
     def residual(self, psi: np.ndarray, omega1: np.ndarray) -> float:
         lap = apply_operator(psi, self.grid)
-        if self.grid.z_bc == "periodic":
-            return float(np.max(np.abs(lap[1:-1, :] - omega1[1:-1, :])))
-        return float(np.max(np.abs(lap[1:-1, 1:-1] - omega1[1:-1, 1:-1])))
+        return float(np.max(np.abs(lap[1:-1, self._z]
+                                   - omega1[1:-1, self._z])))
 
 
 def apply_operator(psi: np.ndarray, grid: CylGrid) -> np.ndarray:
@@ -228,41 +208,50 @@ def convert_physical(u1: np.ndarray, omega1: np.ndarray, psi1: np.ndarray,
 # time stepping
 
 
-def _rhs(u1, omega1, t, grid: CylGrid, solver: PoissonSolver, forcing):
-    psi = solver.solve(omega1)
+def _rhs(u1, omega1, psi, grid: CylGrid, forcing_values):
     ur, uz = reconstruct_velocity(psi, grid)
     du = -ur * d_r(u1, grid) - uz * d_z(u1, grid) + 2.0 * u1 * d_z(psi, grid)
     dom = -ur * d_r(omega1, grid) - uz * d_z(omega1, grid) + d_z(u1 ** 2, grid)
-    if forcing is not None:
-        f_u, f_om = forcing
-        R, Zm = grid.mesh()
-        du = du + f_u(R, Zm, t)
-        dom = dom + f_om(R, Zm, t)
+    if forcing_values is not None:
+        f_u, f_om = forcing_values
+        du = du + f_u
+        dom = dom + f_om
     if grid.z_bc == "dirichlet":
         du[:, 0] = du[:, -1] = 0.0
         dom[:, 0] = dom[:, -1] = 0.0
-    return du, dom, psi, ur, uz
+    return du, dom, ur, uz
 
 
 def step(state: CylState, dt: float, grid: CylGrid,
          forcing=None, solver: Optional[PoissonSolver] = None,
          cfl: float = 0.5) -> CylState:
-    """One explicit RK4 step with an elliptic re-solve per substage."""
+    """One explicit RK4 step with an elliptic re-solve per later substage.
+
+    Stage k1 takes state.psi1 as it is, so a step does 4 solves: three
+    substages and the new state's psi1.  The forcing is evaluated once
+    per distinct stage time (t, t + dt/2, t + dt).
+    """
     solver = solver or PoissonSolver(grid)
     u, om = state.u1, state.omega1
     t = state.t
+    if forcing is None:
+        f0 = f_half = f1 = None
+    else:
+        R, Zm = grid.mesh()
+        f0, f_half, f1 = ([fn(R, Zm, tt) for fn in forcing]
+                          for tt in (t, t + 0.5 * dt, t + dt))
 
-    k1u, k1o, psi, ur, uz = _rhs(u, om, t, grid, solver, forcing)
+    k1u, k1o, ur, uz = _rhs(u, om, state.psi1, grid, f0)
     vmax = max(float(np.max(np.abs(ur))), float(np.max(np.abs(uz))), 1e-12)
     if dt > cfl * min(grid.hr, grid.hz) / vmax:
         raise CFLViolation(
             f"dt={dt:.3e} exceeds {cfl:.2f}*h/max|u| with max|u|={vmax:.3e}")
-    k2u, k2o, *_ = _rhs(u + 0.5 * dt * k1u, om + 0.5 * dt * k1o,
-                        t + 0.5 * dt, grid, solver, forcing)
-    k3u, k3o, *_ = _rhs(u + 0.5 * dt * k2u, om + 0.5 * dt * k2o,
-                        t + 0.5 * dt, grid, solver, forcing)
-    k4u, k4o, *_ = _rhs(u + dt * k3u, om + dt * k3o,
-                        t + dt, grid, solver, forcing)
+    u2, om2 = u + 0.5 * dt * k1u, om + 0.5 * dt * k1o
+    k2u, k2o, *_ = _rhs(u2, om2, solver.solve(om2), grid, f_half)
+    u3, om3 = u + 0.5 * dt * k2u, om + 0.5 * dt * k2o
+    k3u, k3o, *_ = _rhs(u3, om3, solver.solve(om3), grid, f_half)
+    u4, om4 = u + dt * k3u, om + dt * k3o
+    k4u, k4o, *_ = _rhs(u4, om4, solver.solve(om4), grid, f1)
     u_new = u + dt / 6.0 * (k1u + 2 * k2u + 2 * k3u + k4u)
     om_new = om + dt / 6.0 * (k1o + 2 * k2o + 2 * k3o + k4o)
     if not (np.all(np.isfinite(u_new)) and np.all(np.isfinite(om_new))):
@@ -520,36 +509,35 @@ def demo_1d(bc: str, n: int, t_end: float, amplitude: Optional[float] = None,
     stride = sample_every
     # the run is allowed to overflow between samples once blow-up starts;
     # the finiteness check below turns that into a clean abort
-    np_err = np.seterr(all="ignore")
-    for istep in range(nsteps):
-        if bc == "periodic":
-            up = np.roll(u, -1)
-            um = np.roll(u, 1)
-            ux = (up - um) / (2 * h)
-            u = u + dt * ((up - 2 * u + um) / h ** 2 - ux ** 4)
-        else:
-            uxx = (u[2:] - 2 * u[1:-1] + u[:-2]) / h ** 2
-            ux = (u[2:] - u[:-2]) / (2 * h)
-            u[1:-1] += dt * (uxx - ux ** 4)
-        t += dt
-        if istep % stride == 0 or istep == nsteps - 1:
-            if not np.all(np.isfinite(u)):
-                aborted = True
-                if crossing is None:
+    with np.errstate(all="ignore"):
+        for istep in range(nsteps):
+            if bc == "periodic":
+                up = np.roll(u, -1)
+                um = np.roll(u, 1)
+                ux = (up - um) / (2 * h)
+                u = u + dt * ((up - 2 * u + um) / h ** 2 - ux ** 4)
+            else:
+                uxx = (u[2:] - 2 * u[1:-1] + u[:-2]) / h ** 2
+                ux = (u[2:] - u[:-2]) / (2 * h)
+                u[1:-1] += dt * (uxx - ux ** 4)
+            t += dt
+            if istep % stride == 0 or istep == nsteps - 1:
+                if not np.all(np.isfinite(u)):
+                    aborted = True
+                    if crossing is None:
+                        crossing = t
+                    break
+                g = grad_max(u)
+                if history and g > 1.2 * history[-1]:
+                    # growth is outrunning the sampling cadence: sample every
+                    # step so the threshold crossing is resolved in time
+                    stride = 1
+                times.append(t)
+                history.append(g)
+                if crossing is None and g >= threshold:
                     crossing = t
-                break
-            g = grad_max(u)
-            if history and g > 1.2 * history[-1]:
-                # growth is outrunning the sampling cadence: sample every
-                # step so the threshold crossing is resolved in time
-                stride = 1
-            times.append(t)
-            history.append(g)
-            if crossing is None and g >= threshold:
-                crossing = t
-            if crossing is not None and g >= 10 * threshold:
-                break
-    np.seterr(**np_err)
+                if crossing is not None and g >= 10 * threshold:
+                    break
     return Demo1DReport(
         bc=bc,
         n=n,

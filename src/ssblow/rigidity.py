@@ -15,9 +15,8 @@ from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
+from .elliptic import KroneckerSolver
 from .gridio import ScalarField2D, gradient, trapezoid_2d
 
 SCHEMA = "rigidity/1"
@@ -421,30 +420,22 @@ class PsiEndgameReport:
 
 
 def _laplace_solve(grid: HalfPlaneGrid, boundary: Callable) -> ScalarField2D:
-    """Dirichlet Laplace solve on the truncated half-plane."""
-    nR, nZ = grid.nR, grid.nZ
+    """Dirichlet Laplace solve on the truncated half-plane: the boundary
+    values are lifted into the right-hand side of -Delta on the interior."""
     hR, hZ = grid.hR, grid.hZ
     R, Z = grid.mesh()
     psi = np.asarray(boundary(R, Z), dtype=float).copy()
 
-    ni, nj = nR - 2, nZ - 2
-    main = -2.0 / hR ** 2 - 2.0 / hZ ** 2
-    Ar = sp.diags([np.full(ni - 1, 1.0 / hR ** 2)] * 2, [-1, 1],
-                  shape=(ni, ni))
-    Az = sp.diags([np.full(nj - 1, 1.0 / hZ ** 2)] * 2, [-1, 1],
-                  shape=(nj, nj))
-    L = sp.kron(sp.eye(ni), Az) + sp.kron(Ar, sp.eye(nj)) \
-        + main * sp.eye(ni * nj)
-    rhs = np.zeros((ni, nj))
-    rhs[0, :] -= psi[0, 1:-1] / hR ** 2
-    rhs[-1, :] -= psi[-1, 1:-1] / hR ** 2
-    rhs[:, 0] -= psi[1:-1, 0] / hZ ** 2
-    rhs[:, -1] -= psi[1:-1, -1] / hZ ** 2
-    sol = spla.spsolve(L.tocsc(), rhs.ravel())
-    interior = sol.reshape(ni, nj)
-    out = psi.copy()
-    out[1:-1, 1:-1] = interior
-    return ScalarField2D(out, hR, hZ, grid.R_min, grid.Z_min)
+    rhs = np.zeros((grid.nR - 2, grid.nZ - 2))
+    rhs[0, :] += psi[0, 1:-1] / hR ** 2
+    rhs[-1, :] += psi[-1, 1:-1] / hR ** 2
+    rhs[:, 0] += psi[1:-1, 0] / hZ ** 2
+    rhs[:, -1] += psi[1:-1, -1] / hZ ** 2
+    off = np.full(grid.nR - 3, -1.0 / hR ** 2)
+    solver = KroneckerSolver(off, np.full(grid.nR - 2, 2.0 / hR ** 2), off,
+                             grid.nZ - 2, hZ, "dirichlet")
+    psi[1:-1, 1:-1] = solver.solve(rhs)
+    return ScalarField2D(psi, hR, hZ, grid.R_min, grid.Z_min)
 
 
 def psi_endgame(omega_is_zero: bool, grid: HalfPlaneGrid,

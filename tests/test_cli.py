@@ -34,6 +34,13 @@ def test_parse_rational():
         cli.parse_rational("abc")
 
 
+@pytest.mark.parametrize("text", ["1e400", "-1e400", "1" + "0" * 400],
+                         ids=["1e400", "-1e400", "integer-10**400"])
+def test_parse_rational_rejects_non_finite(text):
+    with pytest.raises(cli.UsageError):
+        cli.parse_rational(text)
+
+
 def test_parse_config(tmp_path):
     p = tmp_path / "cfg.txt"
     p.write_text("# comment\nnr = 33\n\nz_bc = periodic # inline\n")
@@ -114,6 +121,15 @@ def test_verify_gamma_two(monkeypatch, tmp_path):
 def test_verify_invalid_gamma(monkeypatch, tmp_path, capsys):
     assert run(["verify", "--gamma", "0"], monkeypatch, tmp_path) == 2
     assert run(["verify", "--gamma", "-1/2"], monkeypatch, tmp_path) == 2
+
+
+@pytest.mark.parametrize("command", ["verify", "scaling", "identity"])
+def test_non_finite_gamma_is_usage_error(command, monkeypatch, tmp_path,
+                                         capsys):
+    assert run([command, "--gamma", "1e400"], monkeypatch, tmp_path) == 2
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["error"] == "usage"
+    assert not (tmp_path / "manifest.json").exists()
 
 
 # -- identity ---------------------------------------------------------------

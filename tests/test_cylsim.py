@@ -67,6 +67,76 @@ def test_apply_operator_consistent_with_solver():
     assert solver.residual(psi, om) <= 1e-10
 
 
+
+def stencil_factors(grid):
+    """Radial and axial factors A, Z of -(d_rr + (3/r) d_r + d_zz) on the
+    solver's unknowns, (A (x) I + I (x) Z), written row by row from the
+    stencil."""
+    hr, hz = grid.hr, grid.hz
+    r = grid.r()[1:-1]
+    m = r.size
+    A = np.zeros((m, m))
+    for i in range(m):
+        A[i, i] = 2.0 / hr ** 2
+        if i > 0:
+            A[i, i - 1] = -1.0 / hr ** 2 + 3.0 / (2.0 * hr * r[i])
+        if i < m - 1:
+            A[i, i + 1] = -1.0 / hr ** 2 - 3.0 / (2.0 * hr * r[i])
+    n = grid.nz if grid.z_bc == "periodic" else grid.nz - 2
+    Z = np.zeros((n, n))
+    for j in range(n):
+        Z[j, j] = 2.0 / hz ** 2
+        for k in (j - 1, j + 1):
+            if grid.z_bc == "periodic":
+                Z[j, k % n] -= 1.0 / hz ** 2
+            elif 0 <= k < n:
+                Z[j, k] = -1.0 / hz ** 2
+    return A, Z
+
+
+@pytest.mark.parametrize("z_bc", ["periodic", "dirichlet"])
+@pytest.mark.parametrize("r_min", [0.05, 0.5, 0.9])
+@pytest.mark.parametrize("nr,nz", [(5, 5), (9, 8), (7, 11)])
+def test_poisson_matches_dense_solve(z_bc, r_min, nr, nz):
+    grid = cs.CylGrid(nr, nz, r_min=r_min, z_bc=z_bc)
+    rng = np.random.default_rng(nr * nz)
+    om = rng.standard_normal((nr, nz))
+    zs = slice(None) if z_bc == "periodic" else slice(1, -1)
+    A, Z = stencil_factors(grid)
+    L = np.kron(A, np.eye(len(Z))) + np.kron(np.eye(len(A)), Z)
+    want = np.linalg.solve(L, om[1:-1, zs].ravel())
+    got = cs.PoissonSolver(grid).solve(om)
+    assert np.max(np.abs(got[1:-1, zs].ravel() - want)) \
+        <= 1e-12 * np.max(np.abs(want))
+    # psi = 0 on both r edges and, for Dirichlet z, on both z ends
+    assert np.all(got[[0, -1], :] == 0.0)
+    if z_bc == "dirichlet":
+        assert np.all(got[:, [0, -1]] == 0.0)
+
+
+@pytest.mark.parametrize("z_bc", ["periodic", "dirichlet"])
+@pytest.mark.parametrize("nr,nz", [(65, 128), (129, 256)])
+def test_poisson_residual_against_sparse_lu(z_bc, nr, nz):
+    import scipy.sparse as sps
+    import scipy.sparse.linalg as spla
+
+    grid = cs.CylGrid(nr, nz, z_bc=z_bc)
+    rng = np.random.default_rng(nr)
+    om = rng.standard_normal((nr, nz))
+    zs = slice(None) if z_bc == "periodic" else slice(1, -1)
+    solver = cs.PoissonSolver(grid)
+    resid = solver.residual(solver.solve(om), om)
+    A, Z = stencil_factors(grid)
+    L = sps.kron(sps.csr_matrix(A), sps.eye(len(Z))) \
+        + sps.kron(sps.eye(len(A)), sps.csr_matrix(Z))
+    lu = spla.splu(L.tocsc())
+    ref = np.zeros_like(om)
+    ref[1:-1, zs] = lu.solve(om[1:-1, zs].ravel()).reshape(
+        om[1:-1, zs].shape)
+    resid_lu = solver.residual(ref, om)
+    assert resid <= 1e-11 * np.max(np.abs(om))
+    assert resid <= 10.0 * resid_lu, (resid, resid_lu)
+
 # -- velocity reconstruction ------------------------------------------------
 
 
@@ -235,6 +305,55 @@ def test_stepper_mms_convergence():
     assert math.log2(e1 / e2) >= 1.9, (e1, e2)
 
 
+
+def parity_state(grid, solver):
+    r, z = grid.mesh()
+    shape = (1 - r) * (r - grid.r_min)
+    zs = np.pi * z / grid.z_len
+    om = shape * np.sin(zs)
+    return cs.CylState(shape * np.cos(zs), om, solver.solve(om), 0.0)
+
+
+@pytest.mark.parametrize("z_bc", ["periodic", "dirichlet"])
+def test_step_reuses_psi1_with_four_solves(z_bc, monkeypatch):
+    grid = cs.CylGrid(17, 16, z_bc=z_bc)
+    solver = cs.PoissonSolver(grid)
+    state = cs.step(parity_state(grid, solver), 1e-3, grid, solver=solver)
+    fresh = cs.CylState(state.u1, state.omega1, solver.solve(state.omega1),
+                        state.t)
+    assert np.array_equal(state.psi1, fresh.psi1)
+
+    calls = []
+    solve = solver.solve
+    monkeypatch.setattr(solver, "solve",
+                        lambda om: calls.append(1) or solve(om))
+    carried = cs.step(state, 1e-3, grid, solver=solver)
+    assert len(calls) == 4
+    resolved = cs.step(fresh, 1e-3, grid, solver=solver)
+    for name in ("u1", "omega1", "psi1"):
+        assert np.array_equal(getattr(carried, name),
+                              getattr(resolved, name)), name
+
+
+def test_step_forcing_once_per_stage_time():
+    grid = cs.CylGrid(17, 16)
+    solver = cs.PoissonSolver(grid)
+    state = parity_state(grid, solver)
+    times = {"u": [], "om": []}
+
+    def force(name):
+        def f(R, Z, t):
+            times[name].append(t)
+            return np.zeros_like(R)
+        return f
+
+    t0, dt = 0.25, 1e-3
+    state.t = t0
+    cs.step(state, dt, grid, forcing=(force("u"), force("om")),
+            solver=solver)
+    for name in ("u", "om"):
+        assert sorted(times[name]) == [t0, t0 + 0.5 * dt, t0 + dt], name
+
 # -- blow-up diagnostics ----------------------------------------------------
 
 
@@ -382,6 +501,18 @@ def test_demo_csv(tmp_path):
     rows = np.loadtxt(path, delimiter=",", skiprows=1)
     assert rows.shape[1] == 2
 
+
+
+def test_demo_1d_restores_error_state_on_exception(monkeypatch):
+    before = np.geterr()
+
+    def boom(*args, **kwargs):
+        raise RuntimeError("stop inside the time loop")
+
+    monkeypatch.setattr(cs.np, "roll", boom)
+    with pytest.raises(RuntimeError, match="time loop"):
+        cs.demo_1d("periodic", 16, 0.01)
+    assert np.geterr() == before
 
 # -- grid guards ------------------------------------------------------------
 

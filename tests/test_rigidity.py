@@ -292,6 +292,25 @@ def test_psi_endgame_affine():
     assert rep.fit_residual <= 1e-8
 
 
+@pytest.mark.parametrize("grid", [
+    rg.HalfPlaneGrid(),
+    rg.HalfPlaneGrid(-3.0, 0.0, -2.0, 5.0, 30, 17),
+    rg.HalfPlaneGrid(-1.0, 0.0, -1.0, 1.0, 3, 3),
+    rg.HalfPlaneGrid(-1.0, 0.0, -1.0, 1.0, 3, 4),
+], ids=["default", "uneven", "one-point", "two-point"])
+def test_laplace_solve_reproduces_discrete_harmonic(grid):
+    # second differences of a quadratic are exact, so this Psi is
+    # harmonic for the 5-point stencil as well as in the continuum
+    def harmonic(R, Z):
+        return R ** 2 - Z ** 2 + 2.0 * R + 1.0
+
+    psi = rg._laplace_solve(grid, harmonic)
+    R, Z = grid.mesh()
+    want = harmonic(R, Z)
+    # relative: |Psi| reaches 1600 on the default grid
+    assert np.max(np.abs(psi.values - want)) <= 1e-12 * np.max(np.abs(want))
+
+
 def test_psi_endgame_rejects_z_dependent_boundary():
     grid = rg.HalfPlaneGrid(-10.0, 0.0, -10.0, 10.0, 81, 161)
     with pytest.raises(rg.BoundaryViolation):
