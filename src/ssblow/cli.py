@@ -116,6 +116,21 @@ def parse_rational(text: str):
     return value
 
 
+def parse_gamma(text: str):
+    """--gamma: a positive rational whose reciprocal is a finite float as
+    well, since the reports give degrees such as k - 1/gamma as floats."""
+    gamma = parse_rational(text)
+    if gamma <= 0:
+        raise UsageError("--gamma must be positive")
+    try:
+        finite = math.isfinite(float(1 / gamma))
+    except OverflowError:
+        finite = False
+    if not finite:
+        raise UsageError(f"--gamma {text!r}: 1/gamma is not a finite number")
+    return gamma
+
+
 def parse_config(path) -> dict:
     """key = value lines; '#' comments; values kept as strings."""
     cfg = {}
@@ -195,9 +210,7 @@ def cmd_derive(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    gamma = parse_rational(args.gamma)
-    if gamma <= 0:
-        raise UsageError("--gamma must be positive")
+    gamma = parse_gamma(args.gamma)
     if args.kmax < 0:
         raise UsageError("--kmax must be >= 0")
     out = _out_dir(args)
@@ -262,9 +275,7 @@ def _identity_fields(preset: str, grid: rigidity.HalfPlaneGrid,
 
 
 def cmd_identity(args) -> int:
-    gamma = float(parse_rational(args.gamma))
-    if gamma <= 0:
-        raise UsageError("--gamma must be positive")
+    gamma = float(parse_gamma(args.gamma))
     out = _out_dir(args)
     started = time.monotonic()
     grid = rigidity.HalfPlaneGrid()
@@ -405,28 +416,28 @@ def cmd_demo_1d(args) -> int:
     manifest = RunManifest("demo-1d", {
         "bc": args.bc, "n": args.n, "t_end": t_end,
         "amplitude": args.amplitude})
+    # a run that overflows before its first sample has no gradient samples
+    max_gradient = float(np.max(report.max_ux)) if len(report.max_ux) \
+        else None
     report.to_csv(manifest.add(out / "demo1d.csv", "demo1d/csv"))
     _write_json(manifest.add(out / "demo1d.json"), {
         "bc": report.bc, "n": report.n,
         "blowup_suspected": report.blowup_suspected,
         "crossing_time": report.crossing_time,
         "aborted": report.aborted,
-        "max_gradient": float(np.max(report.max_ux)) if len(report.max_ux)
-        else None,
+        "max_gradient": max_gradient,
     })
     manifest.write(out, started)
-    print(f"bc={report.bc} n={report.n} "
-          f"max|u_x|={np.max(report.max_ux):.6g} "
-          f"blowup_suspected={report.blowup_suspected}"
+    print(f"bc={report.bc} n={report.n} max|u_x|="
+          + (f"{max_gradient:.6g}" if max_gradient is not None else "none")
+          + f" blowup_suspected={report.blowup_suspected}"
           + (f" crossing_time={report.crossing_time:.6g}"
              if report.crossing_time is not None else ""))
     return EXIT_OK
 
 
 def cmd_scaling(args) -> int:
-    gamma = float(parse_rational(args.gamma))
-    if gamma <= 0:
-        raise UsageError("--gamma must be positive")
+    gamma = float(parse_gamma(args.gamma))
     out = _out_dir(args)
     started = time.monotonic()
     lengths = tuple(float(s) for s in args.lengths.split(",")) \

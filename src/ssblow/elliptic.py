@@ -19,8 +19,6 @@ together at set-up.
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
-from scipy.linalg.lapack import dpttrf, dpttrs
 
 
 class KroneckerSolver:
@@ -32,6 +30,11 @@ class KroneckerSolver:
     """
 
     def __init__(self, lower, diag, upper, nz: int, hz: float, z_bc: str):
+        # scipy.linalg takes longer to import than most CLI commands take
+        # to run, and only this set-up needs it
+        from scipy.linalg import eigh_tridiagonal
+        from scipy.linalg.lapack import dpttrf, dpttrs
+
         lower, diag, upper = (np.asarray(a, dtype=float)
                               for a in (lower, diag, upper))
         if np.any(lower >= 0) or np.any(upper >= 0):
@@ -71,6 +74,7 @@ class KroneckerSolver:
                 main, off.ravel()[:max(main.size - 1, 1)])
             if info:
                 raise ValueError("operator is not positive definite")
+            self._dpttrs = dpttrs
         else:
             raise ValueError(f"unknown z boundary tag {z_bc!r}")
 
@@ -80,6 +84,6 @@ class KroneckerSolver:
             y = np.fft.irfft(np.fft.rfft(c, axis=1) / self._denom,
                              n=c.shape[1], axis=1)
         else:
-            y = dpttrs(self._d, self._e, c.ravel(),
-                       overwrite_b=True)[0].reshape(c.shape)
+            y = self._dpttrs(self._d, self._e, c.ravel(),
+                             overwrite_b=True)[0].reshape(c.shape)
         return self._from_modes @ y

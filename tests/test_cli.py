@@ -2,11 +2,16 @@
 output files."""
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ssblow
 from ssblow import __version__
 from ssblow import cli
 
@@ -132,6 +137,17 @@ def test_non_finite_gamma_is_usage_error(command, monkeypatch, tmp_path,
     assert not (tmp_path / "manifest.json").exists()
 
 
+@pytest.mark.parametrize("command", ["verify", "scaling", "identity"])
+def test_gamma_with_overflowing_reciprocal_is_usage_error(
+        command, monkeypatch, tmp_path, capsys):
+    # 1/gamma = 10**400 has no float; verify reports degrees k - 1/gamma
+    assert run([command, "--gamma", "1/1" + "0" * 400],
+               monkeypatch, tmp_path) == 2
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["error"] == "usage"
+    assert not (tmp_path / "manifest.json").exists()
+
+
 # -- identity ---------------------------------------------------------------
 
 
@@ -208,6 +224,29 @@ def test_demo_1d_periodic(monkeypatch, tmp_path, capsys):
     assert rows.shape[1] == 2
 
 
+@pytest.mark.parametrize("flags", [["--t-end", "inf"], ["--t-end", "-1"],
+                                   ["--amplitude", "nan"]],
+                         ids=["t_end-inf", "t_end-negative", "amplitude-nan"])
+def test_demo_1d_bad_input_is_usage_error(flags, monkeypatch, tmp_path,
+                                          capsys):
+    assert run(["demo-1d", "--n", "32", *flags], monkeypatch, tmp_path) == 2
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["error"] == "usage"
+    assert "finite" in err["message"]
+    assert not (tmp_path / "manifest.json").exists()
+
+
+def test_demo_1d_overflow_before_first_sample(monkeypatch, tmp_path,
+                                              capsys):
+    code = run(["demo-1d", "--bc", "dirichlet", "--n", "32",
+                "--amplitude", "1e200"], monkeypatch, tmp_path)
+    assert code == 0
+    payload = json.loads((tmp_path / "demo1d.json").read_text())
+    assert payload["aborted"] and payload["blowup_suspected"]
+    assert payload["max_gradient"] is None
+    assert "max|u_x|=none" in capsys.readouterr().out
+
+
 def test_scaling_reference_gamma(monkeypatch, tmp_path, capsys):
     code = run(["scaling", "--gamma", "2.91"], monkeypatch, tmp_path)
     assert code == 0
@@ -267,3 +306,13 @@ def test_deterministic_reruns(monkeypatch, tmp_path):
                          "--depth", "2"]) == 0
     assert (a / "hierarchy.json").read_text() == \
         (b / "hierarchy.json").read_text()
+
+
+def test_import_leaves_scipy_linalg_unloaded():
+    # only the elliptic solver's set-up needs scipy.linalg, which costs
+    # more to import than the symbolic commands take to run
+    env = {**os.environ,
+           "PYTHONPATH": str(Path(ssblow.__file__).resolve().parents[1])}
+    probe = "import sys, ssblow.cli; sys.exit('scipy.linalg' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", probe], env=env,
+                          timeout=60).returncode == 0

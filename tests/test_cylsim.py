@@ -509,10 +509,94 @@ def test_demo_1d_restores_error_state_on_exception(monkeypatch):
     def boom(*args, **kwargs):
         raise RuntimeError("stop inside the time loop")
 
-    monkeypatch.setattr(cs.np, "roll", boom)
+    monkeypatch.setattr(cs.np, "isfinite", boom)
     with pytest.raises(RuntimeError, match="time loop"):
         cs.demo_1d("periodic", 16, 0.01)
     assert np.geterr() == before
+
+
+def reference_demo_1d(bc, n, t_end, u0=None, threshold=1e3,
+                      sample_every=50):
+    """The np.roll / ** 4 formulation of demo_1d's loop, one allocating
+    expression per stencil, with the same sampling and stopping rules."""
+    amplitude = 0.25 if bc == "periodic" else 2.0
+    h = 1.0 / n
+    if bc == "periodic":
+        u = np.asarray(u0, float).copy()
+    else:
+        x = np.linspace(0.0, 1.0, n + 1)
+        s = 0.05
+        u = amplitude * (np.sqrt(x + s) - math.sqrt(s)) \
+            / (math.sqrt(1 + s) - math.sqrt(s))
+        u[0], u[-1] = 0.0, amplitude
+    dt = 0.4 * h * h
+    nsteps = int(math.ceil(t_end / dt))
+    times, history, crossing, aborted = [], [], None, False
+    t, stride = 0.0, sample_every
+    with np.errstate(all="ignore"):
+        for istep in range(nsteps):
+            if bc == "periodic":
+                up, um = np.roll(u, -1), np.roll(u, 1)
+                ux = (up - um) / (2 * h)
+                u = u + dt * ((up - 2 * u + um) / h ** 2 - ux ** 4)
+            else:
+                uxx = (u[2:] - 2 * u[1:-1] + u[:-2]) / h ** 2
+                ux = (u[2:] - u[:-2]) / (2 * h)
+                u[1:-1] += dt * (uxx - ux ** 4)
+            t += dt
+            if istep % stride == 0 or istep == nsteps - 1:
+                if not np.all(np.isfinite(u)):
+                    aborted = True
+                    crossing = t if crossing is None else crossing
+                    break
+                d = np.diff(u) if bc == "dirichlet" else u - np.roll(u, 1)
+                g = float(np.max(np.abs(d))) / h
+                if history and g > 1.2 * history[-1]:
+                    stride = 1
+                times.append(t)
+                history.append(g)
+                if crossing is None and g >= threshold:
+                    crossing = t
+                if crossing is not None and g >= 10 * threshold:
+                    break
+    return np.asarray(times), np.asarray(history), crossing, aborted
+
+
+@pytest.mark.parametrize("bc,n,t_end", [("periodic", 48, 0.2),
+                                        ("dirichlet", 300, 0.05)])
+def test_demo_1d_matches_roll_reference(bc, n, t_end):
+    # n is not a power of two, so 1/h^2 and 1/(2h) are inexact
+    x = np.arange(n) / n
+    u0 = 0.15 * np.sin(2 * np.pi * x) + 0.02 * np.cos(6 * np.pi * x) \
+        if bc == "periodic" else None
+    times, max_ux, crossing, aborted = reference_demo_1d(bc, n, t_end, u0)
+    rep = cs.demo_1d(bc, n, t_end, u0=u0)
+    assert np.array_equal(rep.times, times)
+    assert rep.crossing_time == crossing
+    assert rep.aborted == aborted
+    assert rep.blowup_suspected == (crossing is not None or aborted)
+    assert rep.blowup_suspected == (bc == "dirichlet")
+    below = max_ux < 1e3
+    assert below.sum() > 10
+    np.testing.assert_allclose(rep.max_ux[below], max_ux[below],
+                               rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"t_end": math.inf}, {"t_end": math.nan}, {"t_end": 0.0},
+    {"t_end": -1.0}, {"amplitude": math.nan}, {"amplitude": math.inf},
+    {"u0": np.full(32, np.nan)}, {"u0": np.zeros(33)},
+    {"bc": "dirichlet", "u0": np.zeros(32)},
+    {"bc": "dirichlet", "u0": np.r_[0.0, np.inf, np.zeros(31)]},
+    {"n": 1},
+], ids=["t_end-inf", "t_end-nan", "t_end-zero", "t_end-negative",
+        "amplitude-nan", "amplitude-inf", "u0-nan", "u0-periodic-length",
+        "u0-dirichlet-length", "u0-dirichlet-inf", "n-one"])
+def test_demo_1d_rejects_bad_input(kwargs):
+    args = {"bc": "periodic", "n": 32, "t_end": 0.01, **kwargs}
+    with pytest.raises(ValueError):
+        cs.demo_1d(**args)
+
 
 # -- grid guards ------------------------------------------------------------
 
