@@ -17,7 +17,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass, field as dc_field
+from dataclasses import asdict, dataclass, field as dc_field
 from fractions import Fraction
 from pathlib import Path
 from typing import Optional
@@ -58,27 +58,21 @@ class RunManifest:
             self.schemas[path.name] = schema
         return path
 
-    def to_json(self) -> dict:
-        return {
-            "command": self.command,
-            "config": self.config,
-            "version": self.version,
-            "wall_time": self.wall_time,
-            "outputs": self.outputs,
-            "schemas": self.schemas,
-        }
-
     def write(self, out_dir: Path, started: float) -> Path:
         self.wall_time = time.monotonic() - started
         path = out_dir / "manifest.json"
-        path.write_text(json.dumps(self.to_json(), indent=2) + "\n")
+        path.write_text(json.dumps(asdict(self), indent=2) + "\n")
         return path
 
 
 def _out_dir(args) -> Path:
     d = os.environ.get("SSBLOW_OUT_DIR") or args.out
     path = Path(d)
-    path.mkdir(parents=True, exist_ok=True)
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise UsageError(f"cannot create output directory {d!r}: {exc}") \
+            from exc
     return path
 
 
@@ -213,14 +207,16 @@ def cmd_verify(args) -> int:
     gamma = parse_gamma(args.gamma)
     if args.kmax < 0:
         raise UsageError("--kmax must be >= 0")
-    out = _out_dir(args)
     started = time.monotonic()
     decay = not args.no_decay
+    # before the output directory exists: a gamma too large for --kmax
+    # raises ValueError here
     rows = []
     for k in range(args.kmax + 1):
         for field in ("U", "Omega"):
             rows.append(rigidity.classify_triviality(
                 gamma, k, field, decay_at_infinity=decay))
+    out = _out_dir(args)
     threshold = 1.0 / float(gamma)
     payload = {
         "schema": rigidity.SCHEMA,
@@ -315,6 +311,11 @@ def cmd_simulate(args) -> int:
     amplitude = _cfg_get(cfg_raw, "amplitude", float, 1.0)
     if t_end <= 0 or cadence < 1 or cfl <= 0:
         raise UsageError("need t_end > 0, cadence >= 1, cfl > 0")
+    # RK4 is stable on the imaginary axis up to |lambda dt| = 2 sqrt(2), and
+    # the centred advection terms have |lambda| <= 2 max|u| / h_min
+    if not cfl <= math.sqrt(2.0):
+        raise UsageError(f"cfl = {cfl} exceeds the RK4 stability bound "
+                         "sqrt(2)")
 
     out = _out_dir(args)
     started = time.monotonic()

@@ -17,7 +17,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .elliptic import KroneckerSolver
-from .gridio import ScalarField2D
+from .gridio import ScalarField2D, diff1, diff2
 from .rigidity import WindowVerdict, window_classify
 
 #: blow-up rate reported at high resolution elsewhere; a reference value
@@ -112,23 +112,11 @@ class CylState:
 
 
 def d_r(f: np.ndarray, grid: CylGrid) -> np.ndarray:
-    h = grid.hr
-    out = np.empty_like(f)
-    out[1:-1] = (f[2:] - f[:-2]) / (2 * h)
-    out[0] = (-3 * f[0] + 4 * f[1] - f[2]) / (2 * h)
-    out[-1] = (3 * f[-1] - 4 * f[-2] + f[-3]) / (2 * h)
-    return out
+    return diff1(f, grid.hr, 0)
 
 
 def d_z(f: np.ndarray, grid: CylGrid) -> np.ndarray:
-    h = grid.hz
-    if grid.z_bc == "periodic":
-        return (np.roll(f, -1, axis=1) - np.roll(f, 1, axis=1)) / (2 * h)
-    out = np.empty_like(f)
-    out[:, 1:-1] = (f[:, 2:] - f[:, :-2]) / (2 * h)
-    out[:, 0] = (-3 * f[:, 0] + 4 * f[:, 1] - f[:, 2]) / (2 * h)
-    out[:, -1] = (3 * f[:, -1] - 4 * f[:, -2] + f[:, -3]) / (2 * h)
-    return out
+    return diff1(f, grid.hz, 1, grid.z_bc == "periodic")
 
 
 # ---------------------------------------------------------------------------
@@ -164,21 +152,14 @@ class PoissonSolver:
 
 
 def apply_operator(psi: np.ndarray, grid: CylGrid) -> np.ndarray:
-    """-(d_rr + (3/r) d_r + d_zz) psi with the solver's interior stencil."""
-    hr, hz = grid.hr, grid.hz
+    """-(d_rr + (3/r) d_r + d_zz) psi with the solver's interior stencil.
+
+    Only the interior is defined: the r edges and, for Dirichlet z, the z
+    ends hold no operator value.
+    """
     r = grid.r()[:, None]
-    out = np.zeros_like(psi)
-    drr = np.zeros_like(psi)
-    drr[1:-1, :] = (psi[2:, :] - 2 * psi[1:-1, :] + psi[:-2, :]) / hr ** 2
-    dr = np.zeros_like(psi)
-    dr[1:-1, :] = (psi[2:, :] - psi[:-2, :]) / (2 * hr)
-    if grid.z_bc == "periodic":
-        dzz = (np.roll(psi, -1, 1) - 2 * psi + np.roll(psi, 1, 1)) / hz ** 2
-    else:
-        dzz = np.zeros_like(psi)
-        dzz[:, 1:-1] = (psi[:, 2:] - 2 * psi[:, 1:-1] + psi[:, :-2]) / hz ** 2
-    out = -(drr + 3.0 / r * dr + dzz)
-    return out
+    return -(diff2(psi, grid.hr, 0) + 3.0 / r * d_r(psi, grid)
+             + diff2(psi, grid.hz, 1, grid.z_bc == "periodic"))
 
 
 def poisson_solve(omega1: np.ndarray, grid: CylGrid) -> np.ndarray:

@@ -1,6 +1,6 @@
-"""Discretized scalar fields on uniform rectangular grids, plus the
-binary and CSV interchange formats shared by the verification and
-simulation modules.
+"""Discretized scalar fields on uniform rectangular grids, the binary and
+CSV interchange formats, and the difference stencils shared by the
+verification and simulation modules.
 
 Binary layout: a header of six float64 values (n1, n2, h1, h2, x1_0,
 x2_0) followed by the row-major float64 field data, axis 0 first.
@@ -94,18 +94,35 @@ class ScalarField2D:
 
 def gradient(field: ScalarField2D):
     """Centered interior / one-sided 2nd-order boundary differences."""
-    d1 = _diff(field.values, field.h1, axis=0)
-    d2 = _diff(field.values, field.h2, axis=1)
-    return d1, d2
+    return diff1(field.values, field.h1, 0), diff1(field.values, field.h2, 1)
 
 
-def _diff(v: np.ndarray, h: float, axis: int) -> np.ndarray:
+def diff1(v: np.ndarray, h: float, axis: int,
+          periodic: bool = False) -> np.ndarray:
+    """Centered first difference along `axis` with spacing h: wrapped when
+    periodic, otherwise second-order one-sided at the two ends."""
+    if periodic:
+        return (np.roll(v, -1, axis=axis) - np.roll(v, 1, axis=axis)) / (2 * h)
     d = np.empty_like(v)
     v = np.moveaxis(v, axis, 0)
     out = np.moveaxis(d, axis, 0)
     out[1:-1] = (v[2:] - v[:-2]) / (2 * h)
     out[0] = (-3 * v[0] + 4 * v[1] - v[2]) / (2 * h)
     out[-1] = (3 * v[-1] - 4 * v[-2] + v[-3]) / (2 * h)
+    return d
+
+
+def diff2(v: np.ndarray, h: float, axis: int,
+          periodic: bool = False) -> np.ndarray:
+    """Second difference along `axis` with spacing h: wrapped when
+    periodic, otherwise on the interior with zero end slices."""
+    if periodic:
+        return (np.roll(v, -1, axis=axis) - 2 * v
+                + np.roll(v, 1, axis=axis)) / h ** 2
+    d = np.zeros_like(v)
+    v = np.moveaxis(v, axis, 0)
+    out = np.moveaxis(d, axis, 0)
+    out[1:-1] = (v[2:] - 2 * v[1:-1] + v[:-2]) / h ** 2
     return d
 
 

@@ -34,7 +34,6 @@ from .sscalc import (
     lattice_base,
     prof,
     term,
-    tau_pow,
 )
 
 EQ_NAMES = ("u", "omega", "psi")
@@ -64,26 +63,12 @@ class AnsatzSpec:
 
 
 # ---------------------------------------------------------------------------
-# the physical system (registry) and the substituted equations
+# the physical system and the substituted equations
 
 
-#: LaTeX statements of the transformed system; the builders below implement
-#: exactly these relations, which is checked by the zero-ansatz tests.
-SYSTEM_REGISTRY = {
-    "u": "\\partial_t u_1 + u^r \\partial_r u_1 + u^z \\partial_z u_1 "
-         "= 2 u_1 \\partial_z \\psi_1",
-    "omega": "\\partial_t \\omega_1 + u^r \\partial_r \\omega_1 "
-             "+ u^z \\partial_z \\omega_1 = \\partial_z (u_1^2)",
-    "psi": "-( \\partial_r^2 + \\tfrac{3}{r} \\partial_r + \\partial_z^2 )"
-           " \\psi_1 = \\omega_1",
-    "conv": "u^r = -r \\partial_z \\psi_1, \\quad "
-            "u^z = 2 \\psi_1 + r \\partial_r \\psi_1",
-}
-
-
-def _series(field: str, leading: SsExponent, kmax: int) -> SymExpr:
+def _series(field: str, leading: SsExponent, indices) -> SymExpr:
     out = SymExpr.zero()
-    for k in range(kmax + 1):
+    for k in indices:
         out = out + term(
             factors=(ProfileRef(field, k),),
             tau=leading + exponent(0, k),
@@ -91,28 +76,43 @@ def _series(field: str, leading: SsExponent, kmax: int) -> SymExpr:
     return out
 
 
-def ansatz_fields(a: AnsatzSpec):
-    """(u1, omega1, psi1) as symbolic expressions in (R, Z, tau)."""
-    kmax = a.kmax
+def _fields(a: AnsatzSpec, indices) -> tuple:
+    """(u1, omega1, psi1) summed over the given series indices."""
     return (
-        _series("U", a.u1_exp, kmax),
-        _series("Omega", a.omega1_exp, kmax),
-        _series("Psi", a.psi1_exp, kmax),
+        _series("U", a.u1_exp, indices),
+        _series("Omega", a.omega1_exp, indices),
+        _series("Psi", a.psi1_exp, indices),
     )
 
 
-def _r_factor() -> SymExpr:
-    # r = 1 + tau^gamma R
-    return term(1) + term(r=1, tau=exponent(0, 1))
+def ansatz_fields(a: AnsatzSpec):
+    """(u1, omega1, psi1) as symbolic expressions in (R, Z, tau)."""
+    return _fields(a, range(a.kmax + 1))
+
+
+def _velocities(psi1: SymExpr):
+    # u^r = -r d_z psi1, u^z = 2 psi1 + r d_r psi1 with r = 1 + tau^gamma R
+    r = term(1) + term(r=1, tau=exponent(0, 1))
+    return -(r * diff_z(psi1)), 2 * psi1 + r * diff_r(psi1)
+
+
+def _system(u1: SymExpr, om1: SymExpr, psi1: SymExpr, M: int) -> list:
+    """lhs of the u, omega and psi equations (lhs = 0 form), with the 3/r
+    factor of the psi equation expanded to geometric order M."""
+    u_r, u_z = _velocities(psi1)
+    return [
+        diff_tau(u1) + u_r * diff_r(u1) + u_z * diff_z(u1)
+        - 2 * u1 * diff_z(psi1),
+        diff_tau(om1) + u_r * diff_r(om1) + u_z * diff_z(om1)
+        - diff_z(u1 * u1),
+        -(diff_r(diff_r(psi1)) + diff_z(diff_z(psi1)))
+        - 3 * geometric_expand(M) * diff_r(psi1) - om1,
+    ]
 
 
 def build_velocities(a: AnsatzSpec):
     """(u^r, u^z) from the stream-function reconstruction with r = 1 + tau^g R."""
-    _, _, psi1 = ansatz_fields(a)
-    r = _r_factor()
-    u_r = -(r * diff_z(psi1))
-    u_z = 2 * psi1 + r * diff_r(psi1)
-    return u_r, u_z
+    return _velocities(ansatz_fields(a)[2])
 
 
 def substitute(a: AnsatzSpec, M: Optional[int] = None):
@@ -126,21 +126,9 @@ def substitute(a: AnsatzSpec, M: Optional[int] = None):
         M = max(a.depth, 1)
     if M < a.depth:
         raise ValueError("geometric truncation order must cover the depth")
-    u1, om1, psi1 = ansatz_fields(a)
-    u_r, u_z = build_velocities(a)
-
-    eq_u = diff_tau(u1) + u_r * diff_r(u1) + u_z * diff_z(u1) \
-        - 2 * u1 * diff_z(psi1)
-    eq_om = diff_tau(om1) + u_r * diff_r(om1) + u_z * diff_z(om1) \
-        - diff_z(u1 * u1)
-    eq_psi = -(diff_r(diff_r(psi1)) + diff_z(diff_z(psi1))) \
-        - 3 * geometric_expand(M) * diff_r(psi1) - om1
-
-    return [
-        SymEquation(canonicalize(eq_u), "u"),
-        SymEquation(canonicalize(eq_om), "omega"),
-        SymEquation(canonicalize(eq_psi), "psi"),
-    ]
+    eqs = _system(*ansatz_fields(a), M)
+    return [SymEquation(canonicalize(e), name)
+            for name, e in zip(EQ_NAMES, eqs)]
 
 
 # ---------------------------------------------------------------------------
@@ -176,56 +164,41 @@ def _one_minus_k_gamma(k: int) -> SymExpr:
 
 def reference_equations(mode: str) -> dict:
     """{(eq_name, order): SymExpr} reference forms for orders 0 and 1."""
-    if mode == "single":
-        k0 = 0
-        refs = {
-            ("u", 0): _scaling_part("U", k0, _one_minus_half_gamma())
-            + _grad_dot(k0, "U", k0),
-            ("omega", 0): _scaling_part("Omega", k0, term(1))
-            + _grad_dot(k0, "Omega", k0)
-            - 2 * prof("U", k0) * prof("U", k0, dZ=1),
-            ("psi", 0): -prof("Psi", k0, dR=2) - prof("Psi", k0, dZ=2)
-            - prof("Omega", k0),
-            ("u", 1): term(r=1) * _grad_dot(k0, "U", k0)
-            + 2 * prof("Psi", k0) * prof("U", k0, dZ=1)
-            - 2 * prof("U", k0) * prof("Psi", k0, dZ=1),
-            ("omega", 1): term(r=1) * _grad_dot(k0, "Omega", k0)
-            + 2 * prof("Psi", k0) * prof("Omega", k0, dZ=1),
-            ("psi", 1): prof("Psi", k0, dR=1),
-        }
-        return {k: canonicalize(v) for k, v in refs.items()}
-
+    if mode not in ("single", "generalized"):
+        raise ValueError(f"unknown mode {mode!r}")
+    refs = {
+        ("u", 0): _scaling_part("U", 0, _one_minus_half_gamma())
+        + _grad_dot(0, "U", 0),
+        ("omega", 0): _scaling_part("Omega", 0, term(1))
+        + _grad_dot(0, "Omega", 0)
+        - 2 * prof("U", 0) * prof("U", 0, dZ=1),
+        ("psi", 0): -prof("Psi", 0, dR=2) - prof("Psi", 0, dZ=2)
+        - prof("Omega", 0),
+        # order 1 of the index-0 profiles: the r = 1 + tau^gamma R
+        # corrections of the order-0 forms
+        ("u", 1): term(r=1) * _grad_dot(0, "U", 0)
+        + 2 * prof("Psi", 0) * prof("U", 0, dZ=1)
+        - 2 * prof("U", 0) * prof("Psi", 0, dZ=1),
+        ("omega", 1): term(r=1) * _grad_dot(0, "Omega", 0)
+        + 2 * prof("Psi", 0) * prof("Omega", 0, dZ=1),
+        # stated next-order stream-function term; the machine derivation
+        # disagrees on this d_R Psi_0 coefficient and the report must
+        # surface that diff rather than resolve it
+        ("psi", 1): prof("Psi", 0, dR=1),
+    }
     if mode == "generalized":
-        refs = {
-            ("u", 0): _scaling_part("U", 0, _one_minus_half_gamma())
-            + _grad_dot(0, "U", 0),
-            ("omega", 0): _scaling_part("Omega", 0, term(1))
-            + _grad_dot(0, "Omega", 0)
-            - 2 * prof("U", 0) * prof("U", 0, dZ=1),
-            ("psi", 0): -prof("Psi", 0, dR=2) - prof("Psi", 0, dZ=2)
-            - prof("Omega", 0),
-            ("u", 1): _scaling_part("U", 1, _one_minus_half_gamma(1))
-            + _grad_dot(0, "U", 1)
-            + _grad_dot(1, "U", 0)
-            + term(r=1) * _grad_dot(0, "U", 0)
-            + 2 * prof("Psi", 0) * prof("U", 0, dZ=1)
-            - 2 * prof("U", 0) * prof("Psi", 0, dZ=1),
-            ("omega", 1): _scaling_part("Omega", 1, _one_minus_k_gamma(1))
-            + _grad_dot(0, "Omega", 1)
-            + _grad_dot(1, "Omega", 0)
-            + term(r=1) * _grad_dot(0, "Omega", 0)
-            + 2 * prof("Psi", 0) * prof("Omega", 0, dZ=1)
-            - 2 * prof("U", 0) * prof("U", 1, dZ=1)
-            - 2 * prof("U", 1) * prof("U", 0, dZ=1),
-            # stated next-order stream-function equation; the machine
-            # derivation disagrees on the d_R Psi_0 coefficient and the
-            # report must surface that diff rather than resolve it
-            ("psi", 1): -prof("Psi", 1, dR=2) - prof("Psi", 1, dZ=2)
-            + prof("Psi", 0, dR=1) - prof("Omega", 1),
-        }
-        return {k: canonicalize(v) for k, v in refs.items()}
-
-    raise ValueError(f"unknown mode {mode!r}")
+        # the index-1 profiles enter order 1 linearly and through their
+        # coupling with the index-0 profiles
+        refs["u", 1] += (_scaling_part("U", 1, _one_minus_half_gamma(1))
+                         + _grad_dot(0, "U", 1) + _grad_dot(1, "U", 0))
+        refs["omega", 1] += (_scaling_part("Omega", 1, _one_minus_k_gamma(1))
+                             + _grad_dot(0, "Omega", 1)
+                             + _grad_dot(1, "Omega", 0)
+                             - 2 * prof("U", 0) * prof("U", 1, dZ=1)
+                             - 2 * prof("U", 1) * prof("U", 0, dZ=1))
+        refs["psi", 1] += (-prof("Psi", 1, dR=2) - prof("Psi", 1, dZ=2)
+                           - prof("Omega", 1))
+    return {k: canonicalize(v) for k, v in refs.items()}
 
 
 def reference_induction(k: int) -> list:
@@ -352,19 +325,7 @@ def induction_system(a: AnsatzSpec, k: int,
         raise ValueError("induction system applies to the generalized ansatz")
     if k < 1:
         raise ValueError("k must be >= 1")
-    shift = exponent(0, k)
-    u1 = term(factors=(ProfileRef("U", k),), tau=a.u1_exp + shift)
-    om1 = term(factors=(ProfileRef("Omega", k),), tau=a.omega1_exp + shift)
-    psi1 = term(factors=(ProfileRef("Psi", k),), tau=a.psi1_exp + shift)
-    r = _r_factor()
-    u_r = -(r * diff_z(psi1))
-    u_z = 2 * psi1 + r * diff_r(psi1)
-    eqs = [
-        diff_tau(u1) + u_r * diff_r(u1) + u_z * diff_z(u1) - 2 * u1 * diff_z(psi1),
-        diff_tau(om1) + u_r * diff_r(om1) + u_z * diff_z(om1) - diff_z(u1 * u1),
-        -(diff_r(diff_r(psi1)) + diff_z(diff_z(psi1)))
-        - 3 * geometric_expand(k + 1) * diff_r(psi1) - om1,
-    ]
+    eqs = _system(*_fields(a, (k,)), k + 1)
     out = []
     for name, e in zip(EQ_NAMES, eqs):
         orders = collect_orders(SymEquation(canonicalize(e), name))

@@ -27,36 +27,6 @@ class ExpProfile:
         return self.c * self.a ** m * self.b ** n * math.exp(self.a * R + self.b * Z)
 
 
-@dataclass(frozen=True)
-class PolyProfile:
-    """c * R^p Z^q with exact power-rule derivatives."""
-
-    p: int
-    q: int
-    c: float = 1.0
-
-    def deriv(self, m: int, n: int, R: float, Z: float) -> float:
-        if m > self.p or n > self.q:
-            return 0.0
-        cp = math.perm(self.p, m) * math.perm(self.q, n)
-        return self.c * cp * R ** (self.p - m) * Z ** (self.q - n)
-
-
-@dataclass(frozen=True)
-class TrigProfile:
-    """c * sin(a R + b Z + phase); derivatives cycle through sin/cos."""
-
-    a: float
-    b: float
-    c: float = 1.0
-    phase: float = 0.0
-
-    def deriv(self, m: int, n: int, R: float, Z: float) -> float:
-        amp = self.c * self.a ** m * self.b ** n
-        arg = self.a * R + self.b * Z + self.phase + (m + n) * math.pi / 2
-        return amp * math.sin(arg)
-
-
 class ProfileBindings:
     """Maps (field, series_index) -> profile; callable on ProfileRef."""
 

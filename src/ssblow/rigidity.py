@@ -10,14 +10,14 @@ classifier.  Everything here is a numerical diagnostic, not a proof.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .elliptic import KroneckerSolver
-from .gridio import ScalarField2D, gradient, trapezoid_2d
+from .gridio import ScalarField2D, diff2, gradient, trapezoid_2d
 
 SCHEMA = "rigidity/1"
 
@@ -95,8 +95,11 @@ class TransportEq:
 # homogeneity / triviality classification
 
 
-def _coefficient(gamma: Fraction, k: int, field: str) -> Fraction:
-    gamma = Fraction(gamma)
+def _coefficient(gamma, k: int, field: str):
+    """Transport coefficient c of the index-k profile: 1 - gamma/2 - k gamma
+    (U) or 1 - k gamma (Omega), exact for a Fraction gamma."""
+    if gamma <= 0:
+        raise ValueError("gamma must be positive")
     if field == "U":
         return 1 - gamma / 2 - k * gamma
     if field == "Omega":
@@ -107,19 +110,10 @@ def _coefficient(gamma: Fraction, k: int, field: str) -> Fraction:
 def homogeneity_degree(gamma, k: int, field: str):
     """Degree d = -c/gamma of ray-homogeneous kernel solutions.
 
-    U-type: k + 1/2 - 1/gamma; Omega-type: k - 1/gamma.
+    U-type: k + 1/2 - 1/gamma; Omega-type: k - 1/gamma.  Exact unless
+    gamma is a float.
     """
-    if isinstance(gamma, float):
-        if gamma <= 0:
-            raise ValueError("gamma must be positive")
-        if field == "U":
-            return k + 0.5 - 1.0 / gamma
-        if field == "Omega":
-            return k - 1.0 / gamma
-        raise ValueError(f"no transport coefficient for field {field!r}")
-    g = Fraction(gamma)
-    if g <= 0:
-        raise ValueError("gamma must be positive")
+    g = gamma if isinstance(gamma, float) else Fraction(gamma)
     return -_coefficient(g, k, field) / g
 
 
@@ -134,16 +128,7 @@ class TrivialityVerdict:
     gamma: float = 0.0
 
     def to_json(self) -> dict:
-        return {
-            "schema": SCHEMA,
-            "case": self.case,
-            "degree": self.degree,
-            "coefficient": self.coefficient,
-            "conclusion": self.conclusion,
-            "field": self.field,
-            "k": self.k,
-            "gamma": self.gamma,
-        }
+        return {"schema": SCHEMA, **asdict(self)}
 
 
 def classify_triviality(gamma, k: int, field: str,
@@ -154,23 +139,25 @@ def classify_triviality(gamma, k: int, field: str,
     at infinity (d > 0) or at the origin (d < 0), so decay plus
     continuity forces F = 0.  Zero c: F is constant along rays and decay
     forces F = 0.  Without the decay hypothesis nothing follows.
+
+    c is zero exactly for a rational gamma and within 1e-12 for a float
+    one.  Raises ValueError when c or d has no finite float.
     """
     exact = not isinstance(gamma, float)
     g = Fraction(gamma) if exact else gamma
-    if (g if exact else float(g)) <= 0:
-        raise ValueError("gamma must be positive")
-    if exact:
-        c = _coefficient(g, k, field)
-        d = -c / g
-        czero = c == 0
-    else:
-        c = (1 - g / 2 - k * g) if field == "U" else (1 - k * g)
-        d = -c / g
-        czero = abs(c) < 1e-12
+    c = _coefficient(g, k, field)
+    d = -c / g
+    try:
+        c_f, d_f = float(c), float(d)
+    except OverflowError:  # an exact c or d beyond the float range
+        c_f = d_f = math.inf
+    if not (math.isfinite(c_f) and math.isfinite(d_f)):
+        raise ValueError(f"gamma={gamma}, k={k}: the coefficient or the "
+                         "degree is not a finite float")
+    czero = c == 0 if exact else abs(c) < 1e-12
     case = "zero_coefficient_ray_constant" if czero else "nonzero_coefficient"
     conclusion = "trivial_under_decay" if decay_at_infinity else "inconclusive"
-    return TrivialityVerdict(case, float(d), float(c), conclusion,
-                             field, k, float(g))
+    return TrivialityVerdict(case, d_f, c_f, conclusion, field, k, float(g))
 
 
 def ray_solution(gamma: float, c: float, trace: Callable, Y) -> float:
@@ -236,24 +223,7 @@ class MaxPrincipleReport:
     minimum: Optional[ExtremumReport] = None
 
     def to_json(self) -> dict:
-        def conv(e):
-            if e is None:
-                return None
-            return {
-                "location": list(e.location),
-                "value": e.value,
-                "on_boundary": e.on_boundary,
-                "transport_residual": e.transport_residual,
-                "dZ_at_point": e.dZ_at_point,
-                "drift_normal": e.drift_normal,
-            }
-
-        return {
-            "schema": SCHEMA,
-            "nonzero_extremum": self.nonzero_extremum,
-            "maximum": conv(self.maximum),
-            "minimum": conv(self.minimum),
-        }
+        return {"schema": SCHEMA, **asdict(self)}
 
 
 def max_principle_scan(F: ScalarField2D, Psi: ScalarField2D, gamma: float,
@@ -323,14 +293,7 @@ class IbpResult:
     transport_term: float
 
     def to_json(self) -> dict:
-        return {
-            "schema": SCHEMA,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "boundary_term": self.boundary_term,
-            "cutoff_term": self.cutoff_term,
-            "transport_term": self.transport_term,
-        }
+        return {"schema": SCHEMA, **asdict(self)}
 
 
 def ibp_identity_check(U: ScalarField2D, Psi: ScalarField2D, gamma: float,
@@ -408,15 +371,7 @@ class PsiEndgameReport:
     dZ_interior: tuple = ()  # ((half_width, max |d_Z Psi| in the core), ...)
 
     def to_json(self) -> dict:
-        return {
-            "schema": SCHEMA,
-            "a": self.a,
-            "b": self.b,
-            "fit_residual": self.fit_residual,
-            "bc_residual": self.bc_residual,
-            "solver_residual": self.solver_residual,
-            "dZ_interior": [list(x) for x in self.dZ_interior],
-        }
+        return {"schema": SCHEMA, **asdict(self)}
 
 
 def _laplace_solve(grid: HalfPlaneGrid, boundary: Callable) -> ScalarField2D:
@@ -459,7 +414,7 @@ def psi_endgame(omega_is_zero: bool, grid: HalfPlaneGrid,
             f"far-field data varies along R=0 (max |d_Z| ~ {bc_residual:.3e})")
 
     psi = _laplace_solve(grid, far_field)
-    lap = _discrete_laplacian(psi)
+    lap = diff2(psi.values, psi.h1, 0) + diff2(psi.values, psi.h2, 1)
     solver_residual = float(np.max(np.abs(lap[1:-1, 1:-1])))
 
     R, Z = grid.mesh()
@@ -489,16 +444,6 @@ def psi_endgame_1d(z: np.ndarray, end_values: tuple) -> PsiEndgameReport:
     return PsiEndgameReport(float(a), float(b), 0.0, 0.0, 0.0)
 
 
-def _discrete_laplacian(f: ScalarField2D) -> np.ndarray:
-    v = f.values
-    lap = np.zeros_like(v)
-    lap[1:-1, 1:-1] = (
-        (v[2:, 1:-1] - 2 * v[1:-1, 1:-1] + v[:-2, 1:-1]) / f.h1 ** 2
-        + (v[1:-1, 2:] - 2 * v[1:-1, 1:-1] + v[1:-1, :-2]) / f.h2 ** 2
-    )
-    return lap
-
-
 # ---------------------------------------------------------------------------
 # self-similar window classification
 
@@ -510,12 +455,7 @@ class WindowVerdict:
     delta_decays: bool = True
 
     def to_json(self) -> dict:
-        return {
-            "schema": SCHEMA,
-            "tag": self.tag,
-            "ratio_slope": self.ratio_slope,
-            "delta_decays": self.delta_decays,
-        }
+        return {"schema": SCHEMA, **asdict(self)}
 
 
 def window_classify(delta_samples, T: float, gamma: float,

@@ -148,6 +148,21 @@ def test_gamma_with_overflowing_reciprocal_is_usage_error(
     assert not (tmp_path / "manifest.json").exists()
 
 
+def test_verify_gamma_too_large_for_kmax_is_usage_error(monkeypatch, tmp_path,
+                                                       capsys):
+    # gamma = 10**308 and 1/gamma are finite floats, but the coefficient
+    # 1 - k gamma is not once k = 2
+    out = tmp_path / "out"
+    monkeypatch.setenv("SSBLOW_OUT_DIR", str(out))
+    gamma = "1" + "0" * 308
+    assert cli.main(["verify", "--gamma", gamma, "--kmax", "2"]) == 2
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["error"] == "usage"
+    assert not out.exists()
+    assert cli.main(["verify", "--gamma", gamma, "--kmax", "0"]) == 0
+    assert (out / "triviality.json").exists()
+
+
 # -- identity ---------------------------------------------------------------
 
 
@@ -209,6 +224,20 @@ def test_simulate_bad_preset(monkeypatch, tmp_path, capsys):
     cfg = tmp_path / "cfg.txt"
     cfg.write_text("preset = vortex_ring\nt_end = 0.1\n")
     assert run(["simulate", "--config", str(cfg)], monkeypatch, tmp_path) == 2
+
+
+@pytest.mark.parametrize("cfl", ["50", "1.5", "nan"])
+def test_simulate_rejects_unstable_cfl(cfl, monkeypatch, tmp_path, capsys):
+    # the automatic dt is 0.9 cfl h / max|u|, which RK4 keeps stable for
+    # cfl up to sqrt(2) only
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(f"nr = 9\nnz = 9\nt_end = 0.1\ncfl = {cfl}\n")
+    assert run(["simulate", "--config", str(cfg)], monkeypatch, tmp_path) == 2
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["error"] == "usage"
+    assert not (tmp_path / "manifest.json").exists()
+    cfg.write_text("nr = 9\nnz = 9\nt_end = 0.1\n")
+    assert run(["simulate", "--config", str(cfg)], monkeypatch, tmp_path) == 0
 
 
 # -- demo-1d and scaling ----------------------------------------------------
@@ -286,6 +315,18 @@ def test_out_dir_env_override(monkeypatch, tmp_path):
     monkeypatch.setenv("SSBLOW_OUT_DIR", str(target))
     assert cli.main(["scaling", "--gamma", "1", "--out", "ignored"]) == 0
     assert (target / "manifest.json").exists()
+
+
+def test_out_dir_under_a_regular_file_is_usage_error(monkeypatch, tmp_path,
+                                                    capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    monkeypatch.delenv("SSBLOW_OUT_DIR", raising=False)
+    assert cli.main(["scaling", "--gamma", "2",
+                     "--out", str(blocker / "sub")]) == 2
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["error"] == "usage"
+    assert blocker.read_text() == ""
 
 
 def test_manifest_lists_real_files(monkeypatch, tmp_path):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from ssblow.gridio import ScalarField2D, gradient, trapezoid_2d
+from ssblow.gridio import ScalarField2D, diff1, diff2, gradient, trapezoid_2d
 
 
 def make_field(rng, n1=7, n2=9):
@@ -64,6 +64,52 @@ def test_gradient_second_order():
     h = x[1] - x[0]
     assert np.max(np.abs(d1 - np.cos(X) * np.cos(Y))) < 5 * h ** 2
     assert np.max(np.abs(d2 + np.sin(X) * np.sin(Y))) < 5 * (y[1] - y[0]) ** 2
+
+
+def _along(axis, values):
+    # a 2-D field that varies along `axis` only, with 4 copies across it
+    v = np.asarray(values, dtype=float)
+    return np.tile(v[:, None], (1, 4)) if axis == 0 else np.tile(v, (4, 1))
+
+
+@pytest.mark.parametrize("axis", [0, 1])
+def test_diff1_exact_on_quadratics(axis):
+    # the centered and both one-sided second-order formulas are exact
+    x = -0.5 + 0.25 * np.arange(9)
+    d = diff1(_along(axis, 3.0 - 2.0 * x + 5.0 * x ** 2), 0.25, axis)
+    assert np.allclose(d, _along(axis, -2.0 + 10.0 * x), rtol=0,
+                       atol=1e-12)
+
+
+@pytest.mark.parametrize("axis", [0, 1])
+def test_diff2_exact_on_cubics_with_zero_ends(axis):
+    x = -0.5 + 0.25 * np.arange(9)
+    d = diff2(_along(axis, 1.0 + x - 2.0 * x ** 2 + 4.0 * x ** 3), 0.25, axis)
+    want = _along(axis, -4.0 + 24.0 * x)
+    inner = (slice(1, -1), slice(None)) if axis == 0 else \
+        (slice(None), slice(1, -1))
+    assert np.allclose(d[inner], want[inner], rtol=0, atol=1e-11)
+    ends = np.moveaxis(d, axis, 0)[[0, -1]]
+    assert np.all(ends == 0.0)
+
+
+@pytest.mark.parametrize("axis", [0, 1])
+def test_periodic_differences_match_closed_forms(axis):
+    # on sin(2 pi x) the wrapped stencils are exact multiples of the
+    # derivatives: sin(2 pi h)/h cos(2 pi x) and -(2 sin(pi h)/h)^2 sin(2 pi x)
+    n = 16
+    h = 1.0 / n
+    x = h * np.arange(n)
+    f = _along(axis, np.sin(2 * np.pi * x))
+    d1 = diff1(f, h, axis, periodic=True)
+    d2 = diff2(f, h, axis, periodic=True)
+    assert np.allclose(
+        d1, _along(axis, np.sin(2 * np.pi * h) / h * np.cos(2 * np.pi * x)),
+        rtol=0, atol=1e-12)
+    assert np.allclose(
+        d2, _along(axis, -(2 * np.sin(np.pi * h) / h) ** 2
+                   * np.sin(2 * np.pi * x)),
+        rtol=0, atol=1e-10)
 
 
 def test_trapezoid_exact_on_bilinear():

@@ -49,6 +49,15 @@ def test_classify_rejects_nonpositive_gamma():
         rg.classify_triviality(-1.0, 0, "U")
 
 
+@pytest.mark.parametrize("gamma", [Fraction(10 ** 308), 1e308],
+                         ids=["exact", "float"])
+def test_classify_rejects_coefficient_beyond_float_range(gamma):
+    # gamma and 1/gamma are finite floats; c = 1 - 2 gamma is not
+    assert math.isfinite(rg.classify_triviality(gamma, 1, "Omega").coefficient)
+    with pytest.raises(ValueError):
+        rg.classify_triviality(gamma, 2, "Omega")
+
+
 def test_classify_degenerate_omega_rates():
     # 1 - k*gamma = 0 at gamma = 1/k routes to the ray-constant branch
     for k in (1, 2, 3):
