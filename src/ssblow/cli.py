@@ -309,6 +309,10 @@ def cmd_simulate(args) -> int:
     snapshots = _cfg_get(cfg_raw, "snapshot_every", int, 0)
     preset = cfg_raw.get("preset", "swirl_bump")
     amplitude = _cfg_get(cfg_raw, "amplitude", float, 1.0)
+    for key, value in (("t_end", t_end), ("dt", dt_cfg), ("r_min", r_min),
+                       ("z_len", z_len), ("amplitude", amplitude)):
+        if not math.isfinite(value):
+            raise UsageError(f"config key {key!r} must be finite, got {value}")
     if t_end <= 0 or cadence < 1 or cfl <= 0:
         raise UsageError("need t_end > 0, cadence >= 1, cfl > 0")
     # RK4 is stable on the imaginary axis up to |lambda dt| = 2 sqrt(2), and
@@ -317,9 +321,10 @@ def cmd_simulate(args) -> int:
         raise UsageError(f"cfl = {cfl} exceeds the RK4 stability bound "
                          "sqrt(2)")
 
+    grid = cylsim.CylGrid(nr, nz, r_min, z_len, z_bc)
+
     out = _out_dir(args)
     started = time.monotonic()
-    grid = cylsim.CylGrid(nr, nz, r_min, z_len, z_bc)
     u1, om = initial_data(preset, grid, amplitude)
     solver = cylsim.PoissonSolver(grid)
     state = cylsim.CylState(u1, om, solver.solve(om), 0.0)

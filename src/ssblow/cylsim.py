@@ -60,6 +60,8 @@ class CylGrid:
     def __post_init__(self):
         if not (0.0 < self.r_min < 1.0):
             raise ValueError("need 0 < r_min < 1")
+        if not (0.0 < self.z_len < math.inf):
+            raise ValueError("need a finite z_len > 0")
         if self.z_bc not in ("periodic", "dirichlet"):
             raise ValueError(f"unknown z boundary tag {self.z_bc!r}")
         if self.nr < 5 or self.nz < 5:
@@ -171,9 +173,16 @@ def reconstruct_velocity(psi1: np.ndarray, grid: CylGrid):
 
     psi is identically zero along r = 1, so u^r vanishes there exactly.
     """
+    return _velocity(psi1, d_z(psi1, grid), grid)
+
+
+def _velocity(psi1, dz_psi, grid: CylGrid):
+    # the velocity formula of reconstruct_velocity, from a given d_z psi
     r = grid.r()[:, None]
-    ur = -r * d_z(psi1, grid)
-    uz = 2.0 * psi1 + r * d_r(psi1, grid)
+    ur = -r * dz_psi
+    uz = d_r(psi1, grid)
+    np.multiply(r, uz, uz)
+    np.add(2.0 * psi1, uz, uz)
     return ur, uz
 
 
@@ -190,13 +199,36 @@ def convert_physical(u1: np.ndarray, omega1: np.ndarray, psi1: np.ndarray,
 
 
 def _rhs(u1, omega1, psi, grid: CylGrid, forcing_values):
-    ur, uz = reconstruct_velocity(psi, grid)
-    du = -ur * d_r(u1, grid) - uz * d_z(u1, grid) + 2.0 * u1 * d_z(psi, grid)
-    dom = -ur * d_r(omega1, grid) - uz * d_z(omega1, grid) + d_z(u1 ** 2, grid)
+    """d_t u1 and d_t omega1 of the transport equations, and the velocity.
+
+    The products and sums are formed in place, in the order of
+    du = (-ur d_r u1 - uz d_z u1) + (2 u1) d_z psi and
+    dom = (-ur d_r om - uz d_z om) + d_z(u1^2), so the results carry the
+    bits of those expressions; -(ur x) equals (-ur) x exactly.
+    """
+    dz_psi = d_z(psi, grid)
+    ur, uz = _velocity(psi, dz_psi, grid)
+
+    def transport(f):
+        # -ur d_r f - uz d_z f, formed in the two derivative arrays
+        a, b = d_r(f, grid), d_z(f, grid)
+        np.multiply(ur, a, a)
+        np.negative(a, a)
+        np.multiply(uz, b, b)
+        return np.subtract(a, b, a)
+
+    du = transport(u1)
+    src = np.multiply(2.0, u1)
+    np.multiply(src, dz_psi, src)
+    del dz_psi
+    np.add(du, src, du)
+    del src
+    dom = transport(omega1)
+    np.add(dom, d_z(np.square(u1), grid), dom)
     if forcing_values is not None:
         f_u, f_om = forcing_values
-        du = du + f_u
-        dom = dom + f_om
+        np.add(du, f_u, du)
+        np.add(dom, f_om, dom)
     if grid.z_bc == "dirichlet":
         du[:, 0] = du[:, -1] = 0.0
         dom[:, 0] = dom[:, -1] = 0.0
@@ -227,12 +259,17 @@ def step(state: CylState, dt: float, grid: CylGrid,
     if dt > cfl * min(grid.hr, grid.hz) / vmax:
         raise CFLViolation(
             f"dt={dt:.3e} exceeds {cfl:.2f}*h/max|u| with max|u|={vmax:.3e}")
-    u2, om2 = u + 0.5 * dt * k1u, om + 0.5 * dt * k1o
-    k2u, k2o, *_ = _rhs(u2, om2, solver.solve(om2), grid, f_half)
-    u3, om3 = u + 0.5 * dt * k2u, om + 0.5 * dt * k2o
-    k3u, k3o, *_ = _rhs(u3, om3, solver.solve(om3), grid, f_half)
-    u4, om4 = u + dt * k3u, om + dt * k3o
-    k4u, k4o, *_ = _rhs(u4, om4, solver.solve(om4), grid, f1)
+    del ur, uz
+
+    def rates(c, ku, ko, f):
+        # the stage fields u + c k, om + c k and their stream function live
+        # only while their rates are formed
+        us, oms = u + c * ku, om + c * ko
+        return _rhs(us, oms, solver.solve(oms), grid, f)[:2]
+
+    k2u, k2o = rates(0.5 * dt, k1u, k1o, f_half)
+    k3u, k3o = rates(0.5 * dt, k2u, k2o, f_half)
+    k4u, k4o = rates(dt, k3u, k3o, f1)
     u_new = u + dt / 6.0 * (k1u + 2 * k2u + 2 * k3u + k4u)
     om_new = om + dt / 6.0 * (k1o + 2 * k2o + 2 * k3o + k4o)
     if not (np.all(np.isfinite(u_new)) and np.all(np.isfinite(om_new))):
@@ -317,7 +354,9 @@ def track_blowup(series: BlowupSeries, grid: Optional[CylGrid] = None,
 
     T is found by golden-section search on the residual of the fixed-rate
     log fit; gamma then comes from log-log regression of the window
-    width.  Needs at least 6 strictly growing vorticity samples.
+    width.  Needs at least 6 strictly growing vorticity samples, and
+    raises FitRejected when the search ends at t_last + 10 span, the far
+    end of its bracket.
     """
     t = np.asarray(series.t, dtype=float)
     M = np.asarray(series.max_omega1, dtype=float)
@@ -327,6 +366,7 @@ def track_blowup(series: BlowupSeries, grid: Optional[CylGrid] = None,
         raise FitRejected("vorticity maximum must grow monotonically")
 
     span = t[-1] - t[0]
+    tol = 1e-9
     lo = t[-1] + 1e-12 * max(1.0, abs(t[-1]))
     hi = t[-1] + 10.0 * span
 
@@ -334,7 +374,10 @@ def track_blowup(series: BlowupSeries, grid: Optional[CylGrid] = None,
         y = np.log(M) + rate * np.log(T - t)
         return float(np.var(y))
 
-    T_fit = _golden_min(resid, lo, hi)
+    T_fit = _golden_min(resid, lo, hi, tol)
+    if hi - T_fit <= tol:
+        # the search never moved the upper end: T lies beyond the bracket
+        raise FitRejected(f"blow-up time lies beyond t_last + 10*span = {hi}")
     x = np.log(T_fit - t)
     amp = math.exp(float(np.mean(np.log(M) + rate * x)))
 

@@ -100,29 +100,42 @@ def gradient(field: ScalarField2D):
 def diff1(v: np.ndarray, h: float, axis: int,
           periodic: bool = False) -> np.ndarray:
     """Centered first difference along `axis` with spacing h: wrapped when
-    periodic, otherwise second-order one-sided at the two ends."""
-    if periodic:
-        return (np.roll(v, -1, axis=axis) - np.roll(v, 1, axis=axis)) / (2 * h)
+    periodic, otherwise second-order one-sided at the two ends.  Returns
+    floats for any real input."""
+    v = np.asarray(v, dtype=float)
     d = np.empty_like(v)
-    v = np.moveaxis(v, axis, 0)
-    out = np.moveaxis(d, axis, 0)
-    out[1:-1] = (v[2:] - v[:-2]) / (2 * h)
-    out[0] = (-3 * v[0] + 4 * v[1] - v[2]) / (2 * h)
-    out[-1] = (3 * v[-1] - 4 * v[-2] + v[-3]) / (2 * h)
+    v, out = np.moveaxis(v, axis, 0), np.moveaxis(d, axis, 0)
+    # numerators in place, then one divide by 2h: a multiply by the
+    # reciprocal would round differently unless h is a power of two
+    np.subtract(v[2:], v[:-2], out[1:-1])
+    if periodic:
+        np.subtract(v[1], v[-1], out[0])
+        np.subtract(v[0], v[-2], out[-1])
+    else:
+        out[0] = -3 * v[0] + 4 * v[1] - v[2]
+        out[-1] = 3 * v[-1] - 4 * v[-2] + v[-3]
+    np.divide(d, 2 * h, d)
     return d
 
 
 def diff2(v: np.ndarray, h: float, axis: int,
           periodic: bool = False) -> np.ndarray:
     """Second difference along `axis` with spacing h: wrapped when
-    periodic, otherwise on the interior with zero end slices."""
+    periodic, otherwise on the interior with zero end slices.  Returns
+    floats for any real input."""
+    v = np.asarray(v, dtype=float)
+    d = np.empty_like(v)
+    v, out = np.moveaxis(v, axis, 0), np.moveaxis(d, axis, 0)
+    # (v[i+1] - 2 v[i]) + v[i-1], then one divide by h^2, as for diff1
+    np.multiply(v[1:-1], 2, out[1:-1])
+    np.subtract(v[2:], out[1:-1], out[1:-1])
+    np.add(out[1:-1], v[:-2], out[1:-1])
     if periodic:
-        return (np.roll(v, -1, axis=axis) - 2 * v
-                + np.roll(v, 1, axis=axis)) / h ** 2
-    d = np.zeros_like(v)
-    v = np.moveaxis(v, axis, 0)
-    out = np.moveaxis(d, axis, 0)
-    out[1:-1] = (v[2:] - 2 * v[1:-1] + v[:-2]) / h ** 2
+        out[0] = v[1] - 2 * v[0] + v[-1]
+        out[-1] = v[0] - 2 * v[-1] + v[-2]
+    else:
+        out[0] = out[-1] = 0.0
+    np.divide(d, h ** 2, d)
     return d
 
 

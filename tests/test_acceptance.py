@@ -172,8 +172,8 @@ def test_acceptance_5_solver_convergence():
     psi_e = (1 - r) ** 2 * (r - rm) ** 2 * sp.sin(sp.pi * z / zl)
     om_e = -(sp.diff(psi_e, r, 2) + 3 / r * sp.diff(psi_e, r)
              + sp.diff(psi_e, z, 2))
-    psi_fn = sp.lambdify((r, z), psi_e, "numpy")
-    om_fn = sp.lambdify((r, z), om_e, "numpy")
+    psi_fn = sp.lambdify((r, z), psi_e, "numpy", cse=True)
+    om_fn = sp.lambdify((r, z), om_e, "numpy", cse=True)
 
     def poisson_err(nr, nz):
         grid = cs.CylGrid(nr, nz)
@@ -196,7 +196,7 @@ def test_acceptance_5_solver_convergence():
         - 2 * u_t * sp.diff(psi_t, z)
     f_om = sp.diff(om_t, t) + ur_t * sp.diff(om_t, r) \
         + uz_t * sp.diff(om_t, z) - sp.diff(u_t ** 2, z)
-    fns = {n: sp.lambdify((r, z, t), e, "numpy")
+    fns = {n: sp.lambdify((r, z, t), e, "numpy", cse=True)
            for n, e in (("u", u_t), ("om", om_t), ("fu", f_u),
                         ("fom", f_om))}
 

@@ -220,6 +220,24 @@ def test_fit_rejects_flat_series(monkeypatch, tmp_path, capsys):
     assert err["error"] == "FitRejected"
 
 
+def test_fit_rejects_blowup_time_beyond_bracket(monkeypatch, tmp_path,
+                                               capsys):
+    # max|omega1| = 1 + 0.001 t: the fitted T would sit on the far edge of
+    # the search bracket, t_last + 10 span = 11
+    lines = ["t,max_omega1,max_u1,delta,box_rmin,box_rmax,box_zmin,box_zmax"]
+    for ti in np.linspace(0.0, 1.0, 11):
+        lines.append(",".join(repr(float(v)) for v in
+                              (ti, 1.0 + 1e-3 * ti, 1.0, 1.0 - 0.5 * ti,
+                               0, 1, 0, 1)))
+    sfile = tmp_path / "slow.csv"
+    sfile.write_text("\n".join(lines) + "\n")
+    code = run(["fit", "--series", str(sfile)], monkeypatch, tmp_path)
+    assert code == 3
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "FitRejected"
+    assert not (tmp_path / "fit.json").exists()
+
+
 def test_simulate_bad_preset(monkeypatch, tmp_path, capsys):
     cfg = tmp_path / "cfg.txt"
     cfg.write_text("preset = vortex_ring\nt_end = 0.1\n")
@@ -238,6 +256,25 @@ def test_simulate_rejects_unstable_cfl(cfl, monkeypatch, tmp_path, capsys):
     assert not (tmp_path / "manifest.json").exists()
     cfg.write_text("nr = 9\nnz = 9\nt_end = 0.1\n")
     assert run(["simulate", "--config", str(cfg)], monkeypatch, tmp_path) == 0
+
+
+@pytest.mark.parametrize("key,value", [("t_end", "nan"), ("t_end", "inf"),
+                                       ("dt", "nan"), ("amplitude", "nan"),
+                                       ("r_min", "nan"), ("z_len", "nan"),
+                                       ("z_len", "0"), ("z_len", "-1")])
+def test_simulate_bad_config_value_is_usage_error(key, value, monkeypatch,
+                                                  tmp_path, capsys):
+    # t_end = nan ran 0 steps and exited 0, t_end = inf never stopped, and
+    # amplitude = nan or z_len <= 0 failed with exit 3 after creating the
+    # output
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(f"nr = 9\nnz = 9\nt_end = 0.1\n{key} = {value}\n")
+    out = tmp_path / "out"
+    monkeypatch.setenv("SSBLOW_OUT_DIR", str(out))
+    assert cli.main(["simulate", "--config", str(cfg)]) == 2
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["error"] == "usage" and key in err["message"]
+    assert not out.exists()
 
 
 # -- demo-1d and scaling ----------------------------------------------------

@@ -354,6 +354,83 @@ def test_step_forcing_once_per_stage_time():
     for name in ("u", "om"):
         assert sorted(times[name]) == [t0, t0 + 0.5 * dt, t0 + dt], name
 
+# -- oracles: the RHS and RK4 step written out as plain expressions ---------
+
+
+def formula_rhs(u1, om, psi, grid, forcing_values):
+    r = grid.r()[:, None]
+    ur = -r * cs.d_z(psi, grid)
+    uz = 2.0 * psi + r * cs.d_r(psi, grid)
+    du = -ur * cs.d_r(u1, grid) - uz * cs.d_z(u1, grid) \
+        + 2.0 * u1 * cs.d_z(psi, grid)
+    dom = -ur * cs.d_r(om, grid) - uz * cs.d_z(om, grid) \
+        + cs.d_z(u1 ** 2, grid)
+    if forcing_values is not None:
+        du = du + forcing_values[0]
+        dom = dom + forcing_values[1]
+    if grid.z_bc == "dirichlet":
+        du[:, 0] = du[:, -1] = 0.0
+        dom[:, 0] = dom[:, -1] = 0.0
+    return du, dom, ur, uz
+
+
+ORACLE_GRIDS = [(5, 5, "periodic"), (5, 5, "dirichlet"),
+                (21, 24, "periodic"), (21, 24, "dirichlet"),
+                (65, 128, "periodic"), (65, 128, "dirichlet"),
+                (23, 41, "dirichlet")]
+
+
+def random_fields(grid, seed):
+    rng = np.random.default_rng(seed)
+    u1, om, f_u, f_om = rng.standard_normal((4, grid.nr, grid.nz))
+    return u1, om, cs.PoissonSolver(grid).solve(om), (f_u, f_om)
+
+
+@pytest.mark.parametrize("nr,nz,z_bc", ORACLE_GRIDS)
+def test_rhs_bit_identical_to_formula(nr, nz, z_bc):
+    # r_min = 0.3 and z_len = 1.3 make hr and hz no powers of two
+    grid = cs.CylGrid(nr, nz, r_min=0.3, z_len=1.3, z_bc=z_bc)
+    u1, om, psi, forcing_values = random_fields(grid, nr * nz)
+    for fv in (None, forcing_values):
+        got = cs._rhs(u1, om, psi, grid, fv)
+        want = formula_rhs(u1, om, psi, grid, fv)
+        for name, g, w in zip(("du", "dom", "ur", "uz"), got, want):
+            assert np.array_equal(g, w), (name, fv is None)
+    ur, uz = cs.reconstruct_velocity(psi, grid)
+    assert np.array_equal(ur, want[2]) and np.array_equal(uz, want[3])
+
+
+@pytest.mark.parametrize("z_bc", ["periodic", "dirichlet"])
+def test_step_bit_identical_to_formula(z_bc):
+    grid = cs.CylGrid(23, 41, r_min=0.3, z_len=1.3, z_bc=z_bc)
+    solver = cs.PoissonSolver(grid)
+    u, om, _, (f_u, f_om) = random_fields(grid, 3)
+    state = cs.CylState(1e-2 * u, 1e-2 * om, solver.solve(1e-2 * om), 0.25)
+    forcing = (lambda R, Z, t: t * f_u, lambda R, Z, t: t * f_om)
+    dt = 1e-3
+    for fn in (None, forcing):
+        def rhs(u, om, psi, t):
+            fv = None if fn is None else (fn[0](0, 0, t), fn[1](0, 0, t))
+            return formula_rhs(u, om, psi, grid, fv)[:2]
+
+        u, om, t = state.u1, state.omega1, state.t
+        k1u, k1o = rhs(u, om, state.psi1, t)
+        u2, om2 = u + 0.5 * dt * k1u, om + 0.5 * dt * k1o
+        k2u, k2o = rhs(u2, om2, solver.solve(om2), t + 0.5 * dt)
+        u3, om3 = u + 0.5 * dt * k2u, om + 0.5 * dt * k2o
+        k3u, k3o = rhs(u3, om3, solver.solve(om3), t + 0.5 * dt)
+        u4, om4 = u + dt * k3u, om + dt * k3o
+        k4u, k4o = rhs(u4, om4, solver.solve(om4), t + dt)
+        u_new = u + dt / 6.0 * (k1u + 2 * k2u + 2 * k3u + k4u)
+        om_new = om + dt / 6.0 * (k1o + 2 * k2o + 2 * k3o + k4o)
+
+        got = cs.step(state, dt, grid, forcing=fn, solver=solver)
+        assert got.t == t + dt
+        assert np.array_equal(got.u1, u_new)
+        assert np.array_equal(got.omega1, om_new)
+        assert np.array_equal(got.psi1, solver.solve(om_new))
+
+
 # -- blow-up diagnostics ----------------------------------------------------
 
 
@@ -392,6 +469,20 @@ def test_track_blowup_rejects_short():
     s = synthetic_series(n=5)
     with pytest.raises(cs.FitRejected):
         cs.track_blowup(s)
+
+
+def edge_series():
+    # max|omega1| = 1 + 0.001 t grows so slowly that the residual keeps
+    # falling up to the far end of the search bracket, t_last + 10 span
+    s = synthetic_series(n=11)
+    s.t = list(np.linspace(0.0, 1.0, 11))
+    s.max_omega1 = [1.0 + 1e-3 * t for t in s.t]
+    return s
+
+
+def test_track_blowup_rejects_bracket_edge():
+    with pytest.raises(cs.FitRejected, match="beyond"):
+        cs.track_blowup(edge_series())
 
 
 def test_track_blowup_noise_monte_carlo():
@@ -611,3 +702,9 @@ def test_cyl_grid_validation():
     g = cs.CylGrid(11, 10, r_min=0.5)
     assert g.hr == pytest.approx(0.05)
     assert g.r()[0] == 0.5 and g.r()[-1] == 1.0
+
+
+@pytest.mark.parametrize("z_len", [0.0, -1.0, math.inf, math.nan])
+def test_cyl_grid_rejects_bad_z_len(z_len):
+    with pytest.raises(ValueError, match="z_len"):
+        cs.CylGrid(9, 8, z_len=z_len)

@@ -118,3 +118,66 @@ def test_trapezoid_exact_on_bilinear():
     X, Y = np.meshgrid(x, y, indexing="ij")
     val = trapezoid_2d(2.0 + 3.0 * X + 4.0 * Y, x[1] - x[0], y[1] - y[0])
     assert val == pytest.approx(2.0 + 1.5 + 2.0, rel=1e-13)
+
+
+# -- oracles: the stencil formulas written out with np.roll and slices -------
+
+
+def roll_diff1(v, h, axis, periodic):
+    if periodic:
+        return (np.roll(v, -1, axis=axis) - np.roll(v, 1, axis=axis)) / (2 * h)
+    d = np.empty_like(v)
+    v, out = np.moveaxis(v, axis, 0), np.moveaxis(d, axis, 0)
+    out[1:-1] = (v[2:] - v[:-2]) / (2 * h)
+    out[0] = (-3 * v[0] + 4 * v[1] - v[2]) / (2 * h)
+    out[-1] = (3 * v[-1] - 4 * v[-2] + v[-3]) / (2 * h)
+    return d
+
+
+def roll_diff2(v, h, axis, periodic):
+    if periodic:
+        return (np.roll(v, -1, axis=axis) - 2 * v
+                + np.roll(v, 1, axis=axis)) / h ** 2
+    d = np.zeros_like(v)
+    v, out = np.moveaxis(v, axis, 0), np.moveaxis(d, axis, 0)
+    out[1:-1] = (v[2:] - 2 * v[1:-1] + v[:-2]) / h ** 2
+    return d
+
+
+def _layouts(rng, n1, n2):
+    # C-ordered, transposed (Fortran-ordered) and a strided view
+    w = rng.standard_normal((n2 + 3, 2 * n1))
+    return {"c": rng.standard_normal((n1, n2)),
+            "transposed": rng.standard_normal((n2, n1)).T,
+            "sliced": w[1:n2 + 1, ::2].T}
+
+
+@pytest.mark.parametrize("periodic", [False, True])
+@pytest.mark.parametrize("axis", [0, 1])
+@pytest.mark.parametrize("shape", [(5, 5), (21, 24), (65, 128)])
+def test_stencils_bit_identical_to_roll_formulas(shape, axis, periodic):
+    # h = 0.1 and 1/3 are not powers of two, so dividing and multiplying by
+    # a reciprocal give different bits
+    rng = np.random.default_rng(sum(shape) + 2 * axis + periodic)
+    for name, v in _layouts(rng, *shape).items():
+        assert v.shape == shape
+        for h in (0.1, 1.0 / 3.0):
+            for got, want in ((diff1(v, h, axis, periodic),
+                               roll_diff1(v, h, axis, periodic)),
+                              (diff2(v, h, axis, periodic),
+                               roll_diff2(v, h, axis, periodic))):
+                assert got.dtype == np.float64
+                assert np.array_equal(got, want), (name, h)
+
+
+@pytest.mark.parametrize("periodic", [False, True])
+def test_stencils_convert_integer_input_to_float(periodic):
+    v = np.array([[0, 1, 3, 6, 10]])
+    w = v.astype(float)
+    for fn, ref in ((diff1, roll_diff1), (diff2, roll_diff2)):
+        got = fn(v, 1.0, 1, periodic)
+        assert got.dtype == np.float64
+        assert np.array_equal(got, ref(w, 1.0, 1, periodic))
+    if not periodic:
+        assert np.array_equal(diff1(v, 1.0, 1),
+                              [[0.5, 1.5, 2.5, 3.5, 4.5]])
