@@ -315,6 +315,8 @@ def cmd_simulate(args) -> int:
             raise UsageError(f"config key {key!r} must be finite, got {value}")
     if t_end <= 0 or cadence < 1 or cfl <= 0:
         raise UsageError("need t_end > 0, cadence >= 1, cfl > 0")
+    if "dt" in cfg_raw and dt_cfg <= 0:
+        raise UsageError(f"config key 'dt' must be positive, got {dt_cfg}")
     # RK4 is stable on the imaginary axis up to |lambda dt| = 2 sqrt(2), and
     # the centred advection terms have |lambda| <= 2 max|u| / h_min
     if not cfl <= math.sqrt(2.0):
@@ -322,10 +324,10 @@ def cmd_simulate(args) -> int:
                          "sqrt(2)")
 
     grid = cylsim.CylGrid(nr, nz, r_min, z_len, z_bc)
+    u1, om = initial_data(preset, grid, amplitude)
 
     out = _out_dir(args)
     started = time.monotonic()
-    u1, om = initial_data(preset, grid, amplitude)
     solver = cylsim.PoissonSolver(grid)
     state = cylsim.CylState(u1, om, solver.solve(om), 0.0)
     series = cylsim.BlowupSeries()
@@ -366,11 +368,22 @@ def cmd_simulate(args) -> int:
                        ("psi1", state.psi1)):
         path = manifest.add(out / f"{name}_final.bin", "grid/bin")
         grid.field(vals).to_binary(path)
-    series.to_csv(manifest.add(out / "series.csv", "series/csv"))
+    _write_series(manifest.add(out / "series.csv", "series/csv"), series)
     manifest.write(out, started)
     print(f"simulated to t={state.t:.6g} in {istep} steps; "
           f"max|omega1|={series.max_omega1[-1]:.6g}")
     return EXIT_OK
+
+
+#: the columns of series.csv, written by simulate and read by fit
+SERIES_HEADER = ("t,max_omega1,max_u1,delta,box_rmin,box_rmax,"
+                 "box_zmin,box_zmax")
+
+
+def _write_series(path: Path, s: cylsim.BlowupSeries) -> None:
+    _write_csv(path, SERIES_HEADER,
+               ((t, w, u, d, *box) for t, w, u, d, box
+                in zip(s.t, s.max_omega1, s.max_u1, s.delta, s.box)))
 
 
 def _load_series(path) -> cylsim.BlowupSeries:
@@ -425,7 +438,8 @@ def cmd_demo_1d(args) -> int:
     # a run that overflows before its first sample has no gradient samples
     max_gradient = float(np.max(report.max_ux)) if len(report.max_ux) \
         else None
-    report.to_csv(manifest.add(out / "demo1d.csv", "demo1d/csv"))
+    _write_csv(manifest.add(out / "demo1d.csv", "demo1d/csv"), "t,max_ux",
+               zip(report.times, report.max_ux))
     _write_json(manifest.add(out / "demo1d.json"), {
         "bc": report.bc, "n": report.n,
         "blowup_suspected": report.blowup_suspected,

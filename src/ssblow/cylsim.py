@@ -164,10 +164,6 @@ def apply_operator(psi: np.ndarray, grid: CylGrid) -> np.ndarray:
              + diff2(psi, grid.hz, 1, grid.z_bc == "periodic"))
 
 
-def poisson_solve(omega1: np.ndarray, grid: CylGrid) -> np.ndarray:
-    return PoissonSolver(grid).solve(np.asarray(omega1, dtype=float))
-
-
 def reconstruct_velocity(psi1: np.ndarray, grid: CylGrid):
     """u^r = -r d_z psi, u^z = 2 psi + r d_r psi.
 
@@ -184,14 +180,6 @@ def _velocity(psi1, dz_psi, grid: CylGrid):
     np.multiply(r, uz, uz)
     np.add(2.0 * psi1, uz, uz)
     return ur, uz
-
-
-def convert_physical(u1: np.ndarray, omega1: np.ndarray, psi1: np.ndarray,
-                     grid: CylGrid, invert: bool = False):
-    """Multiply (or divide, with invert=True) the scaled fields by r."""
-    r = grid.r()[:, None]
-    fac = 1.0 / r if invert else r
-    return u1 * fac, omega1 * fac, psi1 * fac
 
 
 # ---------------------------------------------------------------------------
@@ -311,18 +299,9 @@ class BlowupSeries:
         self.delta.append(delta)
         self.box.append(box)
 
-    def to_csv(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write("t,max_omega1,max_u1,delta,box_rmin,box_rmax,"
-                     "box_zmin,box_zmax\n")
-            for i in range(len(self.t)):
-                row = (self.t[i], self.max_omega1[i], self.max_u1[i],
-                       self.delta[i]) + tuple(self.box[i])
-                fh.write(",".join(repr(float(v)) for v in row) + "\n")
-
 
 def _golden_min(f: Callable[[float], float], lo: float, hi: float,
-                tol: float = 1e-9) -> float:
+                tol: float) -> float:
     phi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
     c = b - phi * (b - a)
@@ -348,8 +327,7 @@ class BlowupFit:
     window: WindowVerdict
 
 
-def track_blowup(series: BlowupSeries, grid: Optional[CylGrid] = None,
-                 rate: float = 1.0) -> BlowupFit:
+def track_blowup(series: BlowupSeries, rate: float = 1.0) -> BlowupFit:
     """Fit max|omega1| ~ C (T-t)^{-rate} and delta ~ c (T-t)^gamma.
 
     T is found by golden-section search on the residual of the fixed-rate
@@ -366,9 +344,10 @@ def track_blowup(series: BlowupSeries, grid: Optional[CylGrid] = None,
         raise FitRejected("vorticity maximum must grow monotonically")
 
     span = t[-1] - t[0]
-    tol = 1e-9
     lo = t[-1] + 1e-12 * max(1.0, abs(t[-1]))
     hi = t[-1] + 10.0 * span
+    # floored at a few float spacings, which large times make exceed 1e-9
+    tol = max(1e-9, 4 * math.ulp(max(abs(lo), abs(hi))))
 
     def resid(T: float) -> float:
         y = np.log(M) + rate * np.log(T - t)
@@ -475,16 +454,9 @@ class Demo1DReport:
     crossing_time: Optional[float]
     aborted: bool
 
-    def to_csv(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write("t,max_ux\n")
-            for t, m in zip(self.times, self.max_ux):
-                fh.write(f"{float(t)!r},{float(m)!r}\n")
-
 
 def demo_1d(bc: str, n: int, t_end: float, amplitude: Optional[float] = None,
-            threshold: float = 1e3, u0: Optional[np.ndarray] = None,
-            sample_every: int = 50) -> Demo1DReport:
+            u0: Optional[np.ndarray] = None) -> Demo1DReport:
     """Explicit integration of u_t = u_xx - u_x^4 on the unit interval.
 
     Periodic runs stay bounded (the gradient obeys a maximum principle);
@@ -558,7 +530,8 @@ def demo_1d(bc: str, n: int, t_end: float, amplitude: Optional[float] = None,
     aborted = False
 
     t = 0.0
-    stride = sample_every
+    stride = 50  # steps between samples until growth outruns them
+    threshold = 1e3  # max|u_x| of the crossing time; the run stops at 10x
     # the run is allowed to overflow between samples once blow-up starts;
     # the finiteness check below turns that into a clean abort
     with np.errstate(all="ignore"):

@@ -1,5 +1,5 @@
-"""Discretized scalar fields on uniform rectangular grids, the binary and
-CSV interchange formats, and the difference stencils shared by the
+"""Discretized scalar fields on uniform rectangular grids, the binary
+interchange format, and the difference stencils shared by the
 verification and simulation modules.
 
 Binary layout: a header of six float64 values (n1, n2, h1, h2, x1_0,
@@ -32,10 +32,6 @@ class ScalarField2D:
         if self.values.ndim != 2:
             raise ValueError("field values must be 2-D")
 
-    @property
-    def shape(self):
-        return self.values.shape
-
     def axis1(self) -> np.ndarray:
         return self.x1_0 + self.h1 * np.arange(self.values.shape[0])
 
@@ -44,11 +40,6 @@ class ScalarField2D:
 
     def mesh(self):
         return np.meshgrid(self.axis1(), self.axis2(), indexing="ij")
-
-    def like(self, values: np.ndarray) -> "ScalarField2D":
-        if values.shape != self.values.shape:
-            raise ValueError("shape mismatch")
-        return ScalarField2D(values, self.h1, self.h2, self.x1_0, self.x2_0)
 
     # -- interchange -------------------------------------------------------
 
@@ -67,29 +58,6 @@ class ScalarField2D:
         data = np.frombuffer(raw, dtype="<f8", offset=_HEADER.size,
                              count=n1 * n2).reshape(n1, n2).copy()
         return ScalarField2D(data, h1, h2, x1_0, x2_0)
-
-    def to_csv(self, path) -> None:
-        x1 = self.axis1()
-        x2 = self.axis2()
-        with open(path, "w") as fh:
-            fh.write("x1,x2,value\n")
-            for i in range(self.values.shape[0]):
-                for j in range(self.values.shape[1]):
-                    fh.write(f"{float(x1[i])!r},{float(x2[j])!r},"
-                             f"{float(self.values[i, j])!r}\n")
-
-    @staticmethod
-    def from_csv(path) -> "ScalarField2D":
-        rows = np.loadtxt(path, delimiter=",", skiprows=1)
-        x1 = np.unique(rows[:, 0])
-        x2 = np.unique(rows[:, 1])
-        vals = np.full((x1.size, x2.size), np.nan)
-        i = np.searchsorted(x1, rows[:, 0])
-        j = np.searchsorted(x2, rows[:, 1])
-        vals[i, j] = rows[:, 2]
-        h1 = float(x1[1] - x1[0]) if x1.size > 1 else 1.0
-        h2 = float(x2[1] - x2[0]) if x2.size > 1 else 1.0
-        return ScalarField2D(vals, h1, h2, float(x1[0]), float(x2[0]))
 
 
 def gradient(field: ScalarField2D):

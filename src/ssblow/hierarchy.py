@@ -25,7 +25,6 @@ from .sscalc import (
     diff_r,
     diff_tau,
     diff_z,
-    equation_from_json,
     equation_to_json,
     equation_to_latex,
     exponent,
@@ -394,36 +393,6 @@ def report_to_json(report: HierarchyReport) -> dict:
         },
         "truncation_note": report.truncation_note,
     }
-
-
-def report_from_json(d: dict) -> HierarchyReport:
-    if d.get("schema") != SCHEMA:
-        raise ValueError(f"unexpected schema {d.get('schema')!r}")
-    verdicts = [
-        ComparisonVerdict(
-            v["equation"], v["order"], v["status"], v["documented"],
-            None if v["ratio"] is None else Fraction(v["ratio"]),
-            tuple(v.get("only_derived", ())),
-            tuple(v.get("only_reference", ())),
-        )
-        for v in d["verdicts"]
-    ]
-    return HierarchyReport(
-        d["mode"],
-        d["depth"],
-        d["geometric_order"],
-        {k: SsExponent.from_json(v) for k, v in d["base0"].items()},
-        {
-            name: {int(k): equation_from_json(eq) for k, eq in by_k.items()}
-            for name, by_k in d["orders"].items()
-        },
-        verdicts,
-        {
-            int(k): [equation_from_json(eq) for eq in eqs]
-            for k, eqs in d["induction"].items()
-        },
-        d.get("truncation_note", ""),
-    )
 
 
 def emit(report: HierarchyReport, format: str = "json") -> str:

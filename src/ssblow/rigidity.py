@@ -57,10 +57,6 @@ class HalfPlaneGrid:
     def hZ(self) -> float:
         return (self.Z_max - self.Z_min) / (self.nZ - 1)
 
-    @property
-    def has_boundary_column(self) -> bool:
-        return self.R_max == 0.0
-
     def axes(self):
         return (
             np.linspace(self.R_min, self.R_max, self.nR),
@@ -75,20 +71,6 @@ class HalfPlaneGrid:
         R, Z = self.mesh()
         return ScalarField2D(np.asarray(fn(R, Z), dtype=float),
                              self.hR, self.hZ, self.R_min, self.Z_min)
-
-
-@dataclass(frozen=True)
-class TransportEq:
-    """c F + gamma Y.grad F + (perp-grad Psi).grad F = source."""
-
-    c: float
-    gamma: float
-    drift_psi: Optional[ScalarField2D] = None
-    source: Optional[ScalarField2D] = None
-
-    def __post_init__(self):
-        if self.gamma <= 0:
-            raise ValueError("gamma must be positive")
 
 
 # ---------------------------------------------------------------------------
@@ -171,16 +153,6 @@ def ray_solution(gamma: float, c: float, trace: Callable, Y) -> float:
             raise ValueError("trace direction undefined at the origin")
         return 0.0
     return rad ** (-c / gamma) * trace((R / rad, Z / rad))
-
-
-def ray_field(gamma: float, c: float, trace: Callable,
-              grid: HalfPlaneGrid) -> ScalarField2D:
-    R, Z = grid.mesh()
-    rad = np.hypot(R, Z)
-    rad = np.where(rad == 0.0, np.nan, rad)
-    vals = rad ** (-c / gamma) * trace((R / rad, Z / rad))
-    vals = np.nan_to_num(vals, nan=0.0)
-    return ScalarField2D(vals, grid.hR, grid.hZ, grid.R_min, grid.Z_min)
 
 
 # ---------------------------------------------------------------------------
@@ -321,7 +293,7 @@ def ibp_identity_check(U: ScalarField2D, Psi: ScalarField2D, gamma: float,
     if p < 2 or p % 2:
         raise ValueError("p must be a positive even integer")
     hR, hZ = U.h1, U.h2
-    R, Z = np.meshgrid(U.axis1(), U.axis2(), indexing="ij")
+    R, Z = U.mesh()
     rad = np.hypot(R, Z)
 
     psi_R, psi_Z = dPsi if dPsi is not None else gradient(Psi)
@@ -435,15 +407,6 @@ def psi_endgame(omega_is_zero: bool, grid: HalfPlaneGrid,
                             solver_residual, tuple(decay))
 
 
-def psi_endgame_1d(z: np.ndarray, end_values: tuple) -> PsiEndgameReport:
-    """Psi''(Z) = 0 on an interval: the affine solution through the ends."""
-    z = np.asarray(z, dtype=float)
-    v0, v1 = end_values
-    a = (v1 - v0) / (z[-1] - z[0])
-    b = v0 - a * z[0]
-    return PsiEndgameReport(float(a), float(b), 0.0, 0.0, 0.0)
-
-
 # ---------------------------------------------------------------------------
 # self-similar window classification
 
@@ -458,8 +421,7 @@ class WindowVerdict:
         return {"schema": SCHEMA, **asdict(self)}
 
 
-def window_classify(delta_samples, T: float, gamma: float,
-                    slope_tol: float = 0.05) -> WindowVerdict:
+def window_classify(delta_samples, T: float, gamma: float) -> WindowVerdict:
     """Classify the window width delta(t) against the (T-t)^gamma scale.
 
     Fits (T-t)^{-gamma} delta(t) ~ (T-t)^s by log-log regression; the
@@ -478,6 +440,7 @@ def window_classify(delta_samples, T: float, gamma: float,
     x = np.log(T - t)
     y = np.log(d) - gamma * x
     slope = float(np.polyfit(x, y, 1)[0])
+    slope_tol = 0.05  # log-log slopes within this of zero count as zero
     delta_slope = float(np.polyfit(x, np.log(d), 1)[0])
     # d ~ (T-t)^delta_slope, so delta -> 0 iff delta_slope > 0
     decays = delta_slope > slope_tol

@@ -95,9 +95,6 @@ class SsExponent:
     def sort_key(self):
         return (self.base, self.gamma_coeff)
 
-    def value(self, gamma: float) -> float:
-        return float(self.base) + float(self.gamma_coeff) * gamma
-
     def __str__(self) -> str:
         if self.is_zero:
             return "0"

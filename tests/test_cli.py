@@ -259,14 +259,17 @@ def test_simulate_rejects_unstable_cfl(cfl, monkeypatch, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("key,value", [("t_end", "nan"), ("t_end", "inf"),
-                                       ("dt", "nan"), ("amplitude", "nan"),
+                                       ("dt", "nan"), ("dt", "0"),
+                                       ("dt", "-1"), ("amplitude", "nan"),
                                        ("r_min", "nan"), ("z_len", "nan"),
-                                       ("z_len", "0"), ("z_len", "-1")])
+                                       ("z_len", "0"), ("z_len", "-1"),
+                                       ("preset", "vortex_ring")])
 def test_simulate_bad_config_value_is_usage_error(key, value, monkeypatch,
                                                   tmp_path, capsys):
-    # t_end = nan ran 0 steps and exited 0, t_end = inf never stopped, and
-    # amplitude = nan or z_len <= 0 failed with exit 3 after creating the
-    # output
+    # t_end = nan ran 0 steps and exited 0, t_end = inf never stopped,
+    # dt <= 0 silently took the automatic step, amplitude = nan or
+    # z_len <= 0 failed with exit 3 after creating the output, and an
+    # unknown preset exited 2 leaving an empty output directory
     cfg = tmp_path / "cfg.txt"
     cfg.write_text(f"nr = 9\nnz = 9\nt_end = 0.1\n{key} = {value}\n")
     out = tmp_path / "out"

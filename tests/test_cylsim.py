@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from ssblow import cli
 from ssblow import cylsim as cs
 from ssblow.rigidity import WindowVerdict
 
@@ -27,14 +28,14 @@ def poisson_error(nr, nz, z_bc="periodic"):
            + sp.diff(psi, z, 2))
     om_fn = sp.lambdify((r, z), om, "numpy")
     R, Z = grid.mesh()
-    got = cs.poisson_solve(om_fn(R, Z), grid)
+    got = cs.PoissonSolver(grid).solve(om_fn(R, Z))
     return float(np.max(np.abs(got - manufactured_psi(grid))))
 
 
 def test_poisson_zero_data():
     grid = cs.CylGrid(17, 16)
-    assert np.array_equal(cs.poisson_solve(np.zeros((17, 16)), grid),
-                          np.zeros((17, 16)))
+    psi = cs.PoissonSolver(grid).solve(np.zeros((17, 16)))
+    assert np.array_equal(psi, np.zeros((17, 16)))
 
 
 @pytest.mark.parametrize("z_bc", ["periodic", "dirichlet"])
@@ -51,7 +52,7 @@ def test_poisson_even_symmetry():
     prof = rng.standard_normal(17)
     z = grid.z()
     om = prof[:, None] * np.cos(np.pi * z / grid.z_len)[None, :]
-    psi = cs.poisson_solve(om, grid)
+    psi = cs.PoissonSolver(grid).solve(om)
     # even data about z = 0 gives an even solution
     flipped = psi[:, np.concatenate(([0], np.arange(grid.nz - 1, 0, -1)))]
     assert np.allclose(psi, flipped, atol=1e-11)
@@ -159,29 +160,12 @@ def test_no_penetration_exact():
     grid = cs.CylGrid(17, 32)
     rng = np.random.default_rng(13)
     om = rng.standard_normal((17, 32))
-    psi = cs.poisson_solve(om, grid)
+    psi = cs.PoissonSolver(grid).solve(om)
     ur, _ = cs.reconstruct_velocity(psi, grid)
     assert np.all(ur[-1, :] == 0.0)
 
 
 # -- physical conversion ----------------------------------------------------
-
-
-def test_convert_physical_examples():
-    grid = cs.CylGrid(9, 8)
-    ones = np.ones((9, 8))
-    utheta, _, _ = cs.convert_physical(ones, ones, ones, grid)
-    assert np.allclose(utheta, grid.r()[:, None])
-
-
-def test_convert_physical_round_trip():
-    grid = cs.CylGrid(9, 8)
-    rng = np.random.default_rng(17)
-    fields = [rng.standard_normal((9, 8)) for _ in range(3)]
-    fwd = cs.convert_physical(*fields, grid)
-    back = cs.convert_physical(*fwd, grid, invert=True)
-    for a, b in zip(fields, back):
-        assert np.max(np.abs(a - b)) <= 1e-15
 
 
 def test_convert_physical_elliptic_residual():
@@ -197,7 +181,7 @@ def test_convert_physical_elliptic_residual():
         R, Z = grid.mesh()
         psi1_g = sp.lambdify((r, z), psi1, "numpy")(R, Z)
         om1_g = sp.lambdify((r, z), om1, "numpy")(R, Z)
-        _, omt, psit = cs.convert_physical(psi1_g, om1_g, psi1_g, grid)
+        omt, psit = om1_g * grid.r()[:, None], psi1_g * grid.r()[:, None]
         hr, hz = grid.hr, grid.hz
         rr = grid.r()[1:-1, None]
         lap = ((psit[2:, 1:-1] - 2 * psit[1:-1, 1:-1] + psit[:-2, 1:-1])
@@ -230,7 +214,7 @@ def test_cfl_violation_raises():
     r, z = grid.mesh()
     om = np.sin(np.pi * z / grid.z_len) * (1 - r) * (r - grid.r_min) * 100
     u = np.ones_like(om)
-    state = cs.CylState(u, om, cs.poisson_solve(om, grid), 0.0)
+    state = cs.CylState(u, om, cs.PoissonSolver(grid).solve(om), 0.0)
     with pytest.raises(cs.CFLViolation):
         cs.step(state, 1.0, grid)
 
@@ -243,7 +227,7 @@ def test_parity_preservation():
     shape = (1 - r) * (r - grid.r_min)
     u = shape * np.cos(zs)
     om = shape * np.sin(zs)
-    state = cs.CylState(u, om, cs.poisson_solve(om, grid), 0.0)
+    state = cs.CylState(u, om, cs.PoissonSolver(grid).solve(om), 0.0)
     flip = np.concatenate(([0], np.arange(grid.nz - 1, 0, -1)))
     for _ in range(5):
         state = cs.step(state, 1e-3, grid)
@@ -260,7 +244,7 @@ def test_swirl_integral_drift_refines():
             * np.cos(np.pi * z / grid.z_len)
         om = 0.3 * np.sin(np.pi * z / grid.z_len) \
             * np.sin(np.pi * (r - grid.r_min) / (1 - grid.r_min))
-        state = cs.CylState(u, om, cs.poisson_solve(om, grid), 0.0)
+        state = cs.CylState(u, om, cs.PoissonSolver(grid).solve(om), 0.0)
         w = (r ** 3 * state.u1).sum() * grid.hr * grid.hz
         for _ in range(steps):
             state = cs.step(state, dt, grid)
@@ -292,8 +276,9 @@ def test_stepper_mms_convergence():
     def error(nr, nz, dt, nsteps):
         grid = cs.CylGrid(nr, nz)
         R, Z = grid.mesh()
-        state = cs.CylState(fns["u"](R, Z, 0.0), fns["om"](R, Z, 0.0),
-                            cs.poisson_solve(fns["om"](R, Z, 0.0), grid), 0.0)
+        om0 = fns["om"](R, Z, 0.0)
+        state = cs.CylState(fns["u"](R, Z, 0.0), om0,
+                            cs.PoissonSolver(grid).solve(om0), 0.0)
         forcing = (lambda R, Z, tt: fns["fu"](R, Z, tt),
                    lambda R, Z, tt: fns["fom"](R, Z, tt))
         for _ in range(nsteps):
@@ -485,6 +470,32 @@ def test_track_blowup_rejects_bracket_edge():
         cs.track_blowup(edge_series())
 
 
+def test_track_blowup_large_sample_times(monkeypatch):
+    # near t = 1e9 the float spacing (1.2e-7) is coarser than 1e-9, so a
+    # search that waits for a 1e-9 bracket never ends; 500 evaluations is
+    # ten times what a converging search needs
+    golden = cs._golden_min
+
+    def bounded(f, *args):
+        calls = 0
+
+        def counted(T):
+            nonlocal calls
+            calls += 1
+            if calls > 500:
+                raise RuntimeError("golden-section search does not converge")
+            return f(T)
+
+        return golden(counted, *args)
+
+    monkeypatch.setattr(cs, "_golden_min", bounded)
+    s = synthetic_series()
+    s.t = [1e9 + t for t in s.t]
+    fit = cs.track_blowup(s)
+    assert abs(fit.T_fit - (1e9 + 1.0)) <= 1e-6
+    assert abs(fit.gamma_fit - 0.4) <= 1e-3
+
+
 def test_track_blowup_noise_monte_carlo():
     rng = np.random.default_rng(101)
     worst = 0.0
@@ -516,15 +527,19 @@ def test_dinf_scale_invariance():
 
 
 def test_series_csv_round_trip(tmp_path):
+    # series.csv as `ssblow simulate` writes it and `ssblow fit` reads it
     s = synthetic_series(n=8)
     path = tmp_path / "series.csv"
-    s.to_csv(path)
+    cli._write_series(path, s)
     header = path.read_text().splitlines()[0]
     assert header == ("t,max_omega1,max_u1,delta,box_rmin,box_rmax,"
                       "box_zmin,box_zmax")
     rows = np.loadtxt(path, delimiter=",", skiprows=1)
     assert rows.shape == (8, 8)
     assert np.allclose(rows[:, 0], s.t)
+    back = cli._load_series(path)
+    for name in ("t", "max_omega1", "max_u1", "delta", "box"):
+        assert getattr(back, name) == getattr(s, name)
 
 
 # -- energy scaling ---------------------------------------------------------
@@ -585,13 +600,15 @@ def test_demo_1d_rejects_unknown_bc():
         cs.demo_1d("open", 32, 0.1)
 
 
-def test_demo_csv(tmp_path):
+def test_demo_csv(tmp_path, monkeypatch):
+    # demo1d.csv as `ssblow demo-1d` writes it
     rep = cs.demo_1d("periodic", 32, 0.05)
-    path = tmp_path / "demo.csv"
-    rep.to_csv(path)
+    monkeypatch.setenv("SSBLOW_OUT_DIR", str(tmp_path))
+    assert cli.main(["demo-1d", "--n", "32", "--t-end", "0.05"]) == 0
+    path = tmp_path / "demo1d.csv"
     rows = np.loadtxt(path, delimiter=",", skiprows=1)
     assert rows.shape[1] == 2
-
+    assert np.array_equal(rows, np.column_stack([rep.times, rep.max_ux]))
 
 
 def test_demo_1d_restores_error_state_on_exception(monkeypatch):

@@ -1,4 +1,4 @@
-"""Grid field container, interchange formats, and quadrature."""
+"""Grid field container, binary interchange format, and quadrature."""
 
 import numpy as np
 import pytest
@@ -27,17 +27,6 @@ def test_binary_header_size(tmp_path):
     assert path.stat().st_size == 6 * 8 + 3 * 4 * 8
 
 
-def test_csv_round_trip(tmp_path):
-    rng = np.random.default_rng(2)
-    f = make_field(rng, 5, 6)
-    path = tmp_path / "field.csv"
-    f.to_csv(path)
-    g = ScalarField2D.from_csv(path)
-    assert np.allclose(f.values, g.values, atol=0)
-    assert g.h1 == pytest.approx(f.h1)
-    assert g.x1_0 == pytest.approx(f.x1_0)
-
-
 def test_axes_and_mesh():
     f = ScalarField2D(np.zeros((3, 4)), 0.5, 0.25, 1.0, 2.0)
     assert np.allclose(f.axis1(), [1.0, 1.5, 2.0])
@@ -49,9 +38,6 @@ def test_axes_and_mesh():
 def test_rejects_non_2d():
     with pytest.raises(ValueError):
         ScalarField2D(np.zeros(4), 0.1, 0.1)
-    f = ScalarField2D(np.zeros((3, 4)), 0.1, 0.1)
-    with pytest.raises(ValueError):
-        f.like(np.zeros((4, 3)))
 
 
 def test_gradient_second_order():

@@ -1,7 +1,6 @@
 """Ansatz substitution, order collection against the hand-entered
 reference forms, induction system, and report emission."""
 
-import json
 import math
 from fractions import Fraction
 
@@ -226,19 +225,6 @@ def test_induction_guards():
 # -- emission ---------------------------------------------------------------
 
 
-def test_json_emit_round_trip():
-    report = hy.derive_hierarchy(hy.AnsatzSpec(mode="generalized", depth=1))
-    text = hy.emit(report, "json")
-    back = hy.report_from_json(json.loads(text))
-    assert back.mode == report.mode
-    assert back.depth == report.depth
-    for eq in ("u", "omega", "psi"):
-        for k in report.orders[eq]:
-            assert back.orders[eq][k].lhs == report.orders[eq][k].lhs
-    assert [v.to_json() for v in back.verdicts] == \
-        [v.to_json() for v in report.verdicts]
-
-
 def test_emit_deterministic():
     a = hy.AnsatzSpec(mode="single", depth=1)
     assert hy.emit(hy.derive_hierarchy(a)) == hy.emit(hy.derive_hierarchy(a))
@@ -251,8 +237,3 @@ def test_latex_emit_contains_order_zero_coefficient():
     assert "\\begin{equation}" in tex
     # order-0 swirl equation carries the 1 - gamma/2 coefficient
     assert "-\\frac{1}{2}" in tex or "\\frac{1}{2}" in tex
-
-
-def test_schema_guard():
-    with pytest.raises(ValueError):
-        hy.report_from_json({"schema": "bogus/9"})

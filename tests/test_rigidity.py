@@ -100,11 +100,16 @@ def test_ray_solution_pde_residual():
 def test_ray_homogeneity_annulus_scaling():
     gamma, c = 2.0, 1.0
     grid = rg.HalfPlaneGrid(-5.0, 0.0, -5.0, 5.0, 501, 1001)
-    F = rg.ray_field(gamma, c, lambda d: 1.0, grid)
     R, Z = grid.mesh()
     rad = np.hypot(R, Z)
-    m1 = np.max(np.abs(F.values[(rad >= 1) & (rad <= 2)]))
-    m2 = np.max(np.abs(F.values[(rad >= 2) & (rad <= 4)]))
+
+    def annulus_max(lo, hi):
+        on = (rad >= lo) & (rad <= hi)
+        return max(abs(rg.ray_solution(gamma, c, lambda d: 1.0, Y))
+                   for Y in zip(R[on], Z[on]))
+
+    m1 = annulus_max(1, 2)
+    m2 = annulus_max(2, 4)
     assert m1 / m2 == pytest.approx(2.0 ** (c / gamma), rel=5e-3)
 
 
@@ -332,13 +337,6 @@ def test_psi_endgame_requires_zero_vorticity():
         rg.psi_endgame(False, grid, lambda R, Z: R)
 
 
-def test_psi_endgame_1d():
-    z = np.linspace(-3.0, 3.0, 61)
-    rep = rg.psi_endgame_1d(z, (-3.0 * 2.0 + 1.0, 3.0 * 2.0 + 1.0))
-    assert rep.a == pytest.approx(2.0, rel=1e-13)
-    assert rep.b == pytest.approx(1.0, abs=1e-13)
-
-
 # -- window classification --------------------------------------------------
 
 
@@ -386,5 +384,4 @@ def test_half_plane_grid_validation():
     with pytest.raises(ValueError):
         rg.HalfPlaneGrid(Z_min=2.0, Z_max=1.0)
     g = rg.HalfPlaneGrid(-2.0, 0.0, -1.0, 1.0, 21, 41)
-    assert g.has_boundary_column
     assert g.hR == pytest.approx(0.1)
