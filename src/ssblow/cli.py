@@ -26,7 +26,6 @@ import numpy as np
 
 from . import __version__
 from . import hierarchy, rigidity, cylsim
-from .gridio import ScalarField2D
 from .sscalc import CommensurabilityError
 
 EXIT_OK = 0
@@ -179,10 +178,12 @@ def initial_data(preset: str, grid: cylsim.CylGrid, amplitude: float = 1.0):
 def cmd_derive(args) -> int:
     if args.depth < 1:
         raise UsageError("--depth must be >= 1")
-    out = _out_dir(args)
     started = time.monotonic()
     spec = hierarchy.AnsatzSpec(mode=args.mode, depth=args.depth)
+    # before the output directory exists: a --geometric-order below the
+    # depth raises ValueError here
     report = hierarchy.derive_hierarchy(spec, M=args.geometric_order)
+    out = _out_dir(args)
     manifest = RunManifest("derive", {
         "mode": args.mode, "depth": args.depth, "format": args.format,
         "geometric_order": args.geometric_order,
@@ -263,11 +264,7 @@ def _identity_fields(preset: str, grid: rigidity.HalfPlaneGrid,
         (2.0 * R - R ** 2 * 2.0 * R / 50.0 - epsilon * Z * 2.0 * R / 50.0) * e,
         (-R ** 2 * 2.0 * Z / 50.0 + epsilon * (1.0 - 2.0 * Z ** 2 / 50.0)) * e,
     )
-    def as_field(values):
-        return ScalarField2D(values, grid.hR, grid.hZ, grid.R_min,
-                             grid.Z_min)
-
-    return as_field(U), as_field(Psi), dU, dPsi
+    return grid.field(lambda *_: U), grid.field(lambda *_: Psi), dU, dPsi
 
 
 def cmd_identity(args) -> int:

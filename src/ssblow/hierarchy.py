@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
+from itertools import chain
 from typing import Optional
 
 from .sscalc import (
@@ -20,7 +21,6 @@ from .sscalc import (
     SymEquation,
     SymExpr,
     SymTerm,
-    canonicalize,
     collect_orders,
     diff_r,
     diff_tau,
@@ -31,6 +31,7 @@ from .sscalc import (
     expr_to_latex,
     geometric_expand,
     lattice_base,
+    product_terms,
     prof,
     term,
 )
@@ -65,23 +66,14 @@ class AnsatzSpec:
 # the physical system and the substituted equations
 
 
-def _series(field: str, leading: SsExponent, indices) -> SymExpr:
-    out = SymExpr.zero()
-    for k in indices:
-        out = out + term(
-            factors=(ProfileRef(field, k),),
-            tau=leading + exponent(0, k),
-        )
-    return out
-
-
 def _fields(a: AnsatzSpec, indices) -> tuple:
     """(u1, omega1, psi1) summed over the given series indices."""
-    return (
-        _series("U", a.u1_exp, indices),
-        _series("Omega", a.omega1_exp, indices),
-        _series("Psi", a.psi1_exp, indices),
-    )
+    return tuple(
+        SymExpr.from_terms(SymTerm(1, factors=(ProfileRef(field, k),),
+                                   tau=leading + exponent(0, k))
+                           for k in indices)
+        for field, leading in (("U", a.u1_exp), ("Omega", a.omega1_exp),
+                               ("Psi", a.psi1_exp)))
 
 
 def ansatz_fields(a: AnsatzSpec):
@@ -95,18 +87,76 @@ def _velocities(psi1: SymExpr):
     return -(r * diff_z(psi1)), 2 * psi1 + r * diff_r(psi1)
 
 
-def _system(u1: SymExpr, om1: SymExpr, psi1: SymExpr, M: int) -> list:
+def _system(u1: SymExpr, om1: SymExpr, psi1: SymExpr, M: int,
+            order: Optional[int] = None) -> list:
     """lhs of the u, omega and psi equations (lhs = 0 form), with the 3/r
-    factor of the psi equation expanded to geometric order M."""
+    factor of the psi equation expanded to geometric order M, each cut at
+    relative lattice order `order` by _assemble (None: uncut)."""
     u_r, u_z = _velocities(psi1)
-    return [
-        diff_tau(u1) + u_r * diff_r(u1) + u_z * diff_z(u1)
-        - 2 * u1 * diff_z(psi1),
-        diff_tau(om1) + u_r * diff_r(om1) + u_z * diff_z(om1)
-        - diff_z(u1 * u1),
-        -(diff_r(diff_r(psi1)) + diff_z(diff_z(psi1)))
-        - 3 * geometric_expand(M) * diff_r(psi1) - om1,
+    dz_u1, dz_psi1 = diff_z(u1), diff_z(psi1)
+    # each equation as its linear part and the (a, b) factor pairs of its
+    # products; d_z(u1^2) enters as 2 u1 d_z u1
+    parts = [
+        (diff_tau(u1), [(u_r, diff_r(u1)), (u_z, dz_u1), (-2 * u1, dz_psi1)]),
+        (diff_tau(om1),
+         [(u_r, diff_r(om1)), (u_z, diff_z(om1)), (-2 * u1, dz_u1)]),
+        (-(diff_r(diff_r(psi1)) + diff_z(dz_psi1)) - om1,
+         [(-3 * geometric_expand(M), diff_r(psi1))]),
     ]
+    return [_assemble(linear, products, order) for linear, products in parts]
+
+
+def _lowest_gamma(e: SymExpr) -> Fraction:
+    return min(t.tau.gamma_coeff for t in e.terms)
+
+
+def _lattice(e: SymExpr) -> Optional[tuple]:
+    """(base, g) when every tau-exponent of e is base + (g + k) gamma with
+    k = 0, 1, 2, ...; None when e lies on no such lattice."""
+    base, g = e.terms[0].tau.base, _lowest_gamma(e)
+    if all(t.tau.base == base and (t.tau.gamma_coeff - g).denominator == 1
+           for t in e.terms):
+        return base, g
+    return None
+
+
+def _assemble(linear: SymExpr, products: list,
+              order: Optional[int]) -> SymExpr:
+    """linear + the sum of a*b over the (a, b) pairs of products.
+
+    With an order, only the terms at lattice orders 0..order are formed,
+    counted from the predicted lattice base g0: the smallest leading
+    tau^gamma coefficient among the summands.  The term algebra has no
+    zero divisors, so a product's leading coefficient is the sum of its
+    factors' and g0 is known before anything is multiplied out.  If the
+    summands' leading orders cancel, the bound is widened to the true
+    lattice base.
+    """
+    def formed(cap) -> SymExpr:
+        return SymExpr.from_terms(chain(
+            (t for t in linear.terms
+             if cap is None or t.tau.gamma_coeff <= cap),
+            *(product_terms(a, b, cap) for a, b in products)))
+
+    summands = [s for s in [(linear,), *products] if all(f.terms for f in s)]
+    if order is None or not summands:
+        return formed(None)
+    leads, classes = [], set()
+    for factors in summands:
+        lattices = [_lattice(f) for f in factors]
+        if None in lattices:
+            return formed(None)  # off-lattice: collect_orders reports it
+        lead = sum(g for _, g in lattices)
+        leads.append(lead)
+        classes.add((sum(b for b, _ in lattices), lead % 1))
+    if len(classes) > 1:
+        return formed(None)  # the summands lie on different lattices
+    g0 = min(leads)
+    kept = formed(g0 + order)
+    if kept.is_zero or _lowest_gamma(kept) != g0:
+        full = formed(None)
+        kept = full if full.is_zero else formed(_lowest_gamma(full) + order)
+    return kept
 
 
 def build_velocities(a: AnsatzSpec):
@@ -114,20 +164,28 @@ def build_velocities(a: AnsatzSpec):
     return _velocities(ansatz_fields(a)[2])
 
 
-def substitute(a: AnsatzSpec, M: Optional[int] = None):
+def substitute(a: AnsatzSpec, M: Optional[int] = None,
+               order: Optional[int] = None):
     """The three substituted equations (lhs = 0 form) in (R, Z, tau).
 
     M is the geometric truncation order for the 1/(1 + tau^gamma R)
     factor of the stream-function equation; it must cover the requested
     hierarchy depth.
+
+    order=None keeps every term.  An integer order keeps, in each
+    equation, exactly the terms that collect_orders puts at k <= order,
+    and never forms the others: each equation is the full one minus a
+    remainder O(tau^(base + (order+1) gamma)), where tau^base is its
+    lattice_base.
     """
     if M is None:
         M = max(a.depth, 1)
     if M < a.depth:
         raise ValueError("geometric truncation order must cover the depth")
-    eqs = _system(*ansatz_fields(a), M)
-    return [SymEquation(canonicalize(e), name)
-            for name, e in zip(EQ_NAMES, eqs)]
+    if order is not None and order < 0:
+        raise ValueError("lattice order must be >= 0")
+    eqs = _system(*ansatz_fields(a), M, order)
+    return [SymEquation(e, name) for name, e in zip(EQ_NAMES, eqs)]
 
 
 # ---------------------------------------------------------------------------
@@ -197,16 +255,15 @@ def reference_equations(mode: str) -> dict:
                              - 2 * prof("U", 1) * prof("U", 0, dZ=1))
         refs["psi", 1] += (-prof("Psi", 1, dR=2) - prof("Psi", 1, dZ=2)
                            - prof("Omega", 1))
-    return {k: canonicalize(v) for k, v in refs.items()}
+    return refs
 
 
 def reference_induction(k: int) -> list:
     """Decoupled reference system for the index-k profiles, k >= 1."""
     return [
-        canonicalize(_scaling_part("U", k, _one_minus_half_gamma(k))),
-        canonicalize(_scaling_part("Omega", k, _one_minus_k_gamma(k))),
-        canonicalize(-prof("Psi", k, dR=2) - prof("Psi", k, dZ=2)
-                     - prof("Omega", k)),
+        _scaling_part("U", k, _one_minus_half_gamma(k)),
+        _scaling_part("Omega", k, _one_minus_k_gamma(k)),
+        -prof("Psi", k, dR=2) - prof("Psi", k, dZ=2) - prof("Omega", k),
     ]
 
 
@@ -215,8 +272,8 @@ def reference_induction(k: int) -> list:
 
 
 def proportionality_ratio(a: SymExpr, b: SymExpr) -> Optional[Fraction]:
-    """c with a = c*b (c != 0), or None when not proportional."""
-    a, b = canonicalize(a), canonicalize(b)
+    """c with a = c*b (c != 0) for canonical a, b, or None when not
+    proportional."""
     if a.is_zero and b.is_zero:
         return Fraction(1)
     if a.is_zero or b.is_zero or len(a.terms) != len(b.terms):
@@ -261,7 +318,6 @@ class ComparisonVerdict:
 
 def compare(derived: SymExpr, reference: SymExpr, equation: str, order: int,
             documented: bool = False) -> ComparisonVerdict:
-    derived, reference = canonicalize(derived), canonicalize(reference)
     if derived == reference:
         return ComparisonVerdict(equation, order, "match", documented, Fraction(1))
     ratio = proportionality_ratio(derived, reference)
@@ -324,13 +380,13 @@ def induction_system(a: AnsatzSpec, k: int,
         raise ValueError("induction system applies to the generalized ansatz")
     if k < 1:
         raise ValueError("k must be >= 1")
-    eqs = _system(*_fields(a, (k,)), k + 1)
+    # the lattice re-bases at the index-k leading exponent, so the
+    # decoupled dominant equation is the relative order-0 slice
+    eqs = _system(*_fields(a, (k,)), k + 1, order=0)
     out = []
     for name, e in zip(EQ_NAMES, eqs):
-        orders = collect_orders(SymEquation(canonicalize(e), name))
-        # the lattice re-bases at the index-k leading exponent, so the
-        # decoupled dominant equation is the relative order-0 slice
-        lhs = orders[min(orders)].lhs if orders else SymExpr.zero()
+        orders = collect_orders(SymEquation(e, name))
+        lhs = orders[0].lhs if orders else SymExpr.zero()
         if gamma is not None:
             lhs = substitute_gamma(lhs, gamma)
         out.append(SymEquation(lhs, f"{name}[induction k={k}]"))
@@ -340,7 +396,7 @@ def induction_system(a: AnsatzSpec, k: int,
 def derive_hierarchy(a: AnsatzSpec, M: Optional[int] = None) -> HierarchyReport:
     if M is None:
         M = max(a.depth, 1)
-    eqs = substitute(a, M)
+    eqs = substitute(a, M, a.depth)
     refs = reference_equations(a.mode)
     orders: dict = {}
     base0: dict = {}

@@ -89,16 +89,6 @@ def _coefficient(gamma, k: int, field: str):
     raise ValueError(f"no transport coefficient for field {field!r}")
 
 
-def homogeneity_degree(gamma, k: int, field: str):
-    """Degree d = -c/gamma of ray-homogeneous kernel solutions.
-
-    U-type: k + 1/2 - 1/gamma; Omega-type: k - 1/gamma.  Exact unless
-    gamma is a float.
-    """
-    g = gamma if isinstance(gamma, float) else Fraction(gamma)
-    return -_coefficient(g, k, field) / g
-
-
 @dataclass(frozen=True)
 class TrivialityVerdict:
     case: str  # "nonzero_coefficient" | "zero_coefficient_ray_constant"

@@ -37,6 +37,7 @@ __all__ = [
     "diff_r",
     "diff_z",
     "geometric_expand",
+    "product_terms",
     "collect_orders",
     "reconstruct_orders",
     "eval_numeric",
@@ -71,9 +72,14 @@ def _rat(x) -> Fraction:
 # exponents
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class SsExponent:
-    """Formal exponent base + gamma_coeff * gamma of tau = (T - t)."""
+    """Formal exponent base + gamma_coeff * gamma of tau = (T - t).
+
+    Ordered by (base, gamma_coeff).  The hash is computed once, from the
+    integer numerators and denominators: hashing a Fraction was the
+    dominant cost of merging like terms.
+    """
 
     base: Fraction = Fraction(0)
     gamma_coeff: Fraction = Fraction(0)
@@ -81,6 +87,14 @@ class SsExponent:
     def __post_init__(self):
         object.__setattr__(self, "base", _rat(self.base))
         object.__setattr__(self, "gamma_coeff", _rat(self.gamma_coeff))
+
+    def __hash__(self) -> int:
+        h = self.__dict__.get("_hash")
+        if h is None:
+            b, g = self.base, self.gamma_coeff
+            h = hash((b.numerator, b.denominator, g.numerator, g.denominator))
+            object.__setattr__(self, "_hash", h)
+        return h
 
     def __add__(self, other: "SsExponent") -> "SsExponent":
         return SsExponent(self.base + other.base, self.gamma_coeff + other.gamma_coeff)
@@ -92,41 +106,22 @@ class SsExponent:
     def is_zero(self) -> bool:
         return self.base == 0 and self.gamma_coeff == 0
 
-    def sort_key(self):
-        return (self.base, self.gamma_coeff)
+    def _format(self, rat: Callable, g: str) -> str:
+        if self.is_zero:
+            return "0"
+        parts = []
+        if self.base != 0:
+            parts.append(rat(self.base))
+        c = self.gamma_coeff
+        if c != 0:
+            parts.append(g if c == 1 else "-" + g if c == -1 else rat(c) + g)
+        return "+".join(parts).replace("+-", "-")
 
     def __str__(self) -> str:
-        if self.is_zero:
-            return "0"
-        parts = []
-        if self.base != 0:
-            parts.append(str(self.base))
-        if self.gamma_coeff != 0:
-            if self.gamma_coeff == 1:
-                g = "g"
-            elif self.gamma_coeff == -1:
-                g = "-g"
-            else:
-                g = f"{self.gamma_coeff}g"
-            parts.append(g)
-        s = "+".join(parts)
-        return s.replace("+-", "-")
+        return self._format(str, "g")
 
     def latex(self) -> str:
-        if self.is_zero:
-            return "0"
-        parts = []
-        if self.base != 0:
-            parts.append(_rat_latex(self.base))
-        if self.gamma_coeff != 0:
-            if self.gamma_coeff == 1:
-                parts.append("\\gamma")
-            elif self.gamma_coeff == -1:
-                parts.append("-\\gamma")
-            else:
-                parts.append(_rat_latex(self.gamma_coeff) + "\\gamma")
-        s = "+".join(parts)
-        return s.replace("+-", "-")
+        return self._format(_rat_latex, "\\gamma")
 
     def to_json(self) -> dict:
         return {"base": str(self.base), "gamma": str(self.gamma_coeff)}
@@ -160,9 +155,11 @@ class ProfileRef:
             raise ValueError(f"unknown field tag {self.field!r}")
         if self.series_index < 0 or self.dR < 0 or self.dZ < 0:
             raise ValueError("series_index/dR/dZ must be non-negative")
+        object.__setattr__(self, "_key", (FIELDS.index(self.field),
+                                          self.series_index, self.dR, self.dZ))
 
     def sort_key(self):
-        return (FIELDS.index(self.field), self.series_index, self.dR, self.dZ)
+        return self._key
 
     def bump(self, dR=0, dZ=0) -> "ProfileRef":
         return ProfileRef(self.field, self.series_index, self.dR + dR, self.dZ + dZ)
@@ -187,8 +184,6 @@ class ProfileRef:
 
     def __str__(self) -> str:
         s = self.field if self.field != "Omega" else "Om"
-        if self.field == "Psi":
-            s = "Psi"
         if self.series_index:
             s += str(self.series_index)
         if self.dR or self.dZ:
@@ -218,17 +213,17 @@ class SymTerm:
             raise ValueError("powers must be non-negative")
 
     def signature(self):
-        return (
-            tuple(f.sort_key() for f in self.factors),
-            self.r_pow,
-            self.z_pow,
-            self.g_pow,
-            self.tau.sort_key(),
-        )
+        """Everything but the coefficient: the key that merges like terms
+        and sorts them.  Computed once per term."""
+        sig = self.__dict__.get("_sig")
+        if sig is None:
+            sig = (tuple(f._key for f in self.factors), self.r_pow,
+                   self.z_pow, self.g_pow, self.tau)
+            object.__setattr__(self, "_sig", sig)
+        return sig
 
     def scaled(self, c) -> "SymTerm":
-        return SymTerm(self.coeff * _rat(c), self.g_pow, self.r_pow, self.z_pow,
-                       self.factors, self.tau)
+        return self._replace_coeff(self.coeff * _rat(c))
 
     def _replace_coeff(self, c: Fraction) -> "SymTerm":
         return SymTerm(c, self.g_pow, self.r_pow, self.z_pow, self.factors, self.tau)
@@ -303,10 +298,7 @@ class SymExpr:
             if other == 0:
                 return SymExpr.zero()
             return SymExpr(tuple(t.scaled(other) for t in self.terms))
-        other = _as_expr(other)
-        return SymExpr.from_terms(
-            a * b for a in self.terms for b in other.terms
-        )
+        return SymExpr.from_terms(product_terms(self, _as_expr(other)))
 
     def __rmul__(self, other) -> "SymExpr":
         return self.__mul__(other)
@@ -315,6 +307,28 @@ class SymExpr:
         if self.is_zero:
             return "0"
         return " + ".join(str(t) for t in self.terms)
+
+
+def product_terms(a: SymExpr, b: SymExpr, cap=None):
+    """The products of a's terms with b's terms, unmerged.
+
+    With a cap, only the pairs whose tau^gamma coefficients sum to at most
+    cap are multiplied (truncated power-series multiplication, Knuth, TAOCP
+    vol. 2, 4.7): merged, they are a*b with every term above cap dropped,
+    and no dropped term is ever formed.
+    """
+    if cap is None:
+        return (x * y for x in a.terms for y in b.terms)
+    by_gamma = sorted(b.terms, key=lambda t: t.tau.gamma_coeff)
+    return (x * y for x in a.terms
+            for y in _upto(by_gamma, cap - x.tau.gamma_coeff))
+
+
+def _upto(by_gamma: list, cap):
+    for t in by_gamma:
+        if t.tau.gamma_coeff > cap:
+            return
+        yield t
 
 
 def _as_expr(x) -> SymExpr:
@@ -384,58 +398,52 @@ def diff_tau(e: SymExpr) -> SymExpr:
     out = []
     one_less = exponent(-1)
     for t in e.terms:
-        shifted = SymTerm(t.coeff, t.g_pow, t.r_pow, t.z_pow, t.factors,
-                          t.tau + one_less)
+        tau = t.tau + one_less
         # -(a + b*gamma) tau^{e-1} from the tau power
         if t.tau.base != 0:
-            out.append(shifted.scaled(-t.tau.base))
+            out.append(SymTerm(-t.coeff * t.tau.base, t.g_pow, t.r_pow,
+                               t.z_pow, t.factors, tau))
         if t.tau.gamma_coeff != 0:
-            s = shifted.scaled(-t.tau.gamma_coeff)
-            out.append(SymTerm(s.coeff, s.g_pow + 1, s.r_pow, s.z_pow, s.factors, s.tau))
-        # i*gamma R^i / tau and j*gamma Z^j / tau
-        if t.r_pow:
-            out.append(SymTerm(t.coeff * t.r_pow, t.g_pow + 1, t.r_pow, t.z_pow,
-                               t.factors, t.tau + one_less))
-        if t.z_pow:
-            out.append(SymTerm(t.coeff * t.z_pow, t.g_pow + 1, t.r_pow, t.z_pow,
-                               t.factors, t.tau + one_less))
+            out.append(SymTerm(-t.coeff * t.tau.gamma_coeff, t.g_pow + 1,
+                               t.r_pow, t.z_pow, t.factors, tau))
+        # (i + j) gamma R^i Z^j / tau
+        if t.r_pow + t.z_pow:
+            out.append(SymTerm(t.coeff * (t.r_pow + t.z_pow), t.g_pow + 1,
+                               t.r_pow, t.z_pow, t.factors, tau))
         # gamma tau^{-1} (R d_R + Z d_Z) on each profile factor
         for i, f in enumerate(t.factors):
             rest = t.factors[:i] + t.factors[i + 1:]
             out.append(SymTerm(t.coeff, t.g_pow + 1, t.r_pow + 1, t.z_pow,
-                               rest + (f.bump(dR=1),), t.tau + one_less))
+                               rest + (f.bump(dR=1),), tau))
             out.append(SymTerm(t.coeff, t.g_pow + 1, t.r_pow, t.z_pow + 1,
-                               rest + (f.bump(dZ=1),), t.tau + one_less))
+                               rest + (f.bump(dZ=1),), tau))
     return SymExpr.from_terms(out)
 
 
-def _diff_rz(e: SymExpr, which: str) -> SymExpr:
-    """d/dr or d/dz: a tau^{-gamma} times d/dR or d/dZ with the product rule."""
+def _diff_rz(e: SymExpr, dR: int, dZ: int) -> SymExpr:
+    """d/dr (dR = 1) or d/dz (dZ = 1): a tau^{-gamma} times d/dR or d/dZ
+    with the product rule."""
     out = []
     tau_shift = exponent(0, -1)
     for t in e.terms:
-        pow_ = t.r_pow if which == "R" else t.z_pow
+        tau = t.tau + tau_shift
+        pow_ = t.r_pow * dR + t.z_pow * dZ
         if pow_:
-            if which == "R":
-                out.append(SymTerm(t.coeff * pow_, t.g_pow, t.r_pow - 1, t.z_pow,
-                                   t.factors, t.tau + tau_shift))
-            else:
-                out.append(SymTerm(t.coeff * pow_, t.g_pow, t.r_pow, t.z_pow - 1,
-                                   t.factors, t.tau + tau_shift))
+            out.append(SymTerm(t.coeff * pow_, t.g_pow, t.r_pow - dR,
+                               t.z_pow - dZ, t.factors, tau))
         for i, f in enumerate(t.factors):
             rest = t.factors[:i] + t.factors[i + 1:]
-            bumped = f.bump(dR=1) if which == "R" else f.bump(dZ=1)
             out.append(SymTerm(t.coeff, t.g_pow, t.r_pow, t.z_pow,
-                               rest + (bumped,), t.tau + tau_shift))
+                               rest + (f.bump(dR, dZ),), tau))
     return SymExpr.from_terms(out)
 
 
 def diff_r(e: SymExpr) -> SymExpr:
-    return _diff_rz(e, "R")
+    return _diff_rz(e, 1, 0)
 
 
 def diff_z(e: SymExpr) -> SymExpr:
-    return _diff_rz(e, "Z")
+    return _diff_rz(e, 0, 1)
 
 
 def geometric_expand(M: int) -> SymExpr:
@@ -458,15 +466,17 @@ def collect_orders(eq: SymEquation) -> dict:
     """Split eq.lhs by tau-order on the lattice {base0 + k*gamma, k in N}.
 
     Returns {k: SymEquation} with tau stripped from each collected equation.
-    Raises CommensurabilityError when the exponents are off-lattice.
+    Raises CommensurabilityError when the exponents are off-lattice.  eq.lhs
+    must be canonical, as every SymExpr built by this module is.
     """
-    e = canonicalize(eq.lhs)
+    e = eq.lhs
     if e.is_zero:
         return {}
-    bases = {t.tau.base for t in e.terms}
-    if len(bases) > 1:
+    base = e.terms[0].tau.base
+    if any(t.tau.base != base for t in e.terms):
+        bases = sorted({t.tau.base for t in e.terms})
         raise CommensurabilityError(
-            f"tau-exponent bases differ in {eq.label or 'equation'}: {sorted(bases)}"
+            f"tau-exponent bases differ in {eq.label or 'equation'}: {bases}"
         )
     g0 = min(t.tau.gamma_coeff for t in e.terms)
     buckets: dict = {}
@@ -479,19 +489,21 @@ def collect_orders(eq: SymEquation) -> dict:
         k = int(step)
         stripped = SymTerm(t.coeff, t.g_pow, t.r_pow, t.z_pow, t.factors)
         buckets.setdefault(k, []).append(stripped)
+    # the terms of one bucket share their tau, so stripping it merges none
+    # and keeps their canonical order
     return {
-        k: SymEquation(SymExpr.from_terms(ts), label=f"{eq.label}[k={k}]")
+        k: SymEquation(SymExpr(tuple(ts)), label=f"{eq.label}[k={k}]")
         for k, ts in sorted(buckets.items())
     }
 
 
 def lattice_base(eq: SymEquation) -> SsExponent:
-    e = canonicalize(eq.lhs)
+    """tau^base0 of collect_orders' k = 0 for a canonical eq.lhs."""
+    e = eq.lhs
     if e.is_zero:
         return SsExponent()
-    base = e.terms[0].tau.base
-    g0 = min(t.tau.gamma_coeff for t in e.terms)
-    return SsExponent(base, g0)
+    return SsExponent(e.terms[0].tau.base,
+                      min(t.tau.gamma_coeff for t in e.terms))
 
 
 def reconstruct_orders(orders: Mapping[int, SymEquation], base0: SsExponent) -> SymExpr:
@@ -538,7 +550,7 @@ def _rat_latex(q: Fraction) -> str:
 
 
 def term_to_json(t: SymTerm) -> dict:
-    d = {
+    return {
         "coeff": str(t.coeff),
         "gpow": t.g_pow,
         "rpow": t.r_pow,
@@ -546,7 +558,6 @@ def term_to_json(t: SymTerm) -> dict:
         "factors": [f.to_json() for f in t.factors],
         "tau": t.tau.to_json(),
     }
-    return d
 
 
 def term_from_json(d: Mapping) -> SymTerm:

@@ -95,6 +95,21 @@ def test_derive_depth_zero_usage_error(monkeypatch, tmp_path, capsys):
     assert err["error"] == "usage"
 
 
+@pytest.mark.parametrize("order", ["-1", "1", "2"])
+def test_derive_geometric_order_below_depth_leaves_no_output(
+        order, monkeypatch, tmp_path, capsys):
+    # exited 2 but left an empty output directory behind
+    out = tmp_path / "out"
+    monkeypatch.setenv("SSBLOW_OUT_DIR", str(out))
+    code = cli.main(["derive", "--depth", "3", "--geometric-order", order])
+    assert code == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "usage"
+    assert not out.exists()
+    assert cli.main(["derive", "--depth", "3", "--geometric-order", "3"]) == 0
+    assert (out / "hierarchy.json").exists()
+
+
 # -- verify -----------------------------------------------------------------
 
 

@@ -16,11 +16,13 @@ from ssblow.gridio import ScalarField2D, gradient
 
 
 def test_homogeneity_degree_examples():
-    assert rg.homogeneity_degree(Fraction(2), 0, "U") == 0
-    assert rg.homogeneity_degree(Fraction(1), 0, "Omega") == -1
-    assert rg.homogeneity_degree(2.91, 0, "U") == pytest.approx(
-        0.5 - 1 / 2.91)
-    assert rg.homogeneity_degree(Fraction(1, 2), 3, "U") == Fraction(3, 2)
+    def degree(gamma, k, field):
+        return rg.classify_triviality(gamma, k, field).degree
+
+    assert degree(Fraction(2), 0, "U") == 0
+    assert degree(Fraction(1), 0, "Omega") == -1
+    assert degree(2.91, 0, "U") == pytest.approx(0.5 - 1 / 2.91)
+    assert degree(Fraction(1, 2), 3, "U") == Fraction(3, 2)
 
 
 def test_classify_zero_coefficient_branch():

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ssblow.profiles import ExpProfile, ProfileBindings, random_bindings
 from ssblow.sscalc import (
@@ -34,6 +35,7 @@ from ssblow.sscalc import (
     geometric_expand,
     lattice_base,
     prof,
+    product_terms,
     reconstruct_orders,
     tau_pow,
     term,
@@ -108,6 +110,48 @@ def test_scalar_ops():
     assert 0 * e == SymExpr.zero()
     assert 3 * e == e + e + e
     assert -e + e == SymExpr.zero()
+
+
+# -- truncated products -----------------------------------------------------
+
+
+def rationals(lo, hi, den):
+    """n/d with lo*den <= n <= hi*den and 1 <= d <= den."""
+    return st.builds(Fraction, st.integers(lo * den, hi * den),
+                     st.sampled_from(range(1, den + 1)))
+
+
+sym_exprs = st.lists(
+    st.builds(
+        lambda c, g, r, z, fs, b, gc: term(c, g, r, z, fs, exponent(b, gc)),
+        rationals(-3, 3, 3), st.integers(0, 2), st.integers(0, 2),
+        st.integers(0, 2),
+        st.lists(st.builds(ProfileRef, st.sampled_from(["U", "Omega", "Psi"]),
+                           st.integers(0, 2), st.integers(0, 1),
+                           st.integers(0, 1)), max_size=2),
+        st.integers(-2, 1), rationals(-2, 3, 2)),
+    max_size=6,
+).map(lambda ts: sum(ts, SymExpr.zero()))
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@given(sym_exprs, sym_exprs, rationals(-4, 6, 2))
+def test_truncated_product_is_filtered_full_product(a, b, cap):
+    full = SymExpr.from_terms(x * y for x in a.terms for y in b.terms)
+    want = SymExpr(tuple(t for t in full.terms if t.tau.gamma_coeff <= cap))
+    got = SymExpr.from_terms(product_terms(a, b, cap))
+    assert got == want
+    assert SymExpr.from_terms(product_terms(a, b)) == full == a * b
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@given(*[rationals(-2, 3, 2)] * 4)
+def test_exponent_hash_and_order(b1, g1, b2, g2):
+    x, y = exponent(b1, g1), exponent(b2, g2)
+    assert (x == y) == ((b1, g1) == (b2, g2))
+    assert (x < y) == ((b1, g1) < (b2, g2))
+    if x == y:
+        assert hash(x) == hash(y)
 
 
 # -- derivatives ------------------------------------------------------------
