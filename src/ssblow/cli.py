@@ -180,14 +180,10 @@ def cmd_derive(args) -> int:
         raise UsageError("--depth must be >= 1")
     started = time.monotonic()
     spec = hierarchy.AnsatzSpec(mode=args.mode, depth=args.depth)
-    # before the output directory exists: a --geometric-order below the
-    # depth raises ValueError here
-    report = hierarchy.derive_hierarchy(spec, M=args.geometric_order)
+    report = hierarchy.derive_hierarchy(spec)
     out = _out_dir(args)
     manifest = RunManifest("derive", {
-        "mode": args.mode, "depth": args.depth, "format": args.format,
-        "geometric_order": args.geometric_order,
-    })
+        "mode": args.mode, "depth": args.depth, "format": args.format})
     ext = "json" if args.format == "json" else "tex"
     path = manifest.add(out / f"hierarchy.{ext}", hierarchy.SCHEMA)
     path.write_text(hierarchy.emit(report, args.format))
@@ -269,7 +265,10 @@ def _identity_fields(preset: str, grid: rigidity.HalfPlaneGrid,
 
 def cmd_identity(args) -> int:
     gamma = float(parse_gamma(args.gamma))
-    out = _out_dir(args)
+    if not (math.isfinite(args.rho) and args.rho > 0):
+        raise UsageError(f"--rho must be finite and positive, got {args.rho}")
+    if not math.isfinite(args.epsilon):
+        raise UsageError(f"--epsilon must be finite, got {args.epsilon}")
     started = time.monotonic()
     grid = rigidity.HalfPlaneGrid()
     U, Psi, dU, dPsi = _identity_fields(args.preset, grid, args.epsilon)
@@ -277,6 +276,7 @@ def cmd_identity(args) -> int:
     result = rigidity.ibp_identity_check(U, Psi, gamma, p=args.p,
                                          rho=args.rho, dU=dU, dPsi=dPsi,
                                          bc_tol=bc_tol)
+    out = _out_dir(args)
     payload = result.to_json()
     payload["preset"] = args.preset
     payload["epsilon"] = args.epsilon
@@ -397,10 +397,10 @@ def _load_series(path) -> cylsim.BlowupSeries:
 
 
 def cmd_fit(args) -> int:
-    out = _out_dir(args)
     started = time.monotonic()
     series = _load_series(args.series)
     fit = cylsim.track_blowup(series, rate=args.rate)
+    out = _out_dir(args)
     payload = {
         "schema": rigidity.SCHEMA,
         "T_fit": fit.T_fit,
@@ -424,11 +424,11 @@ def cmd_fit(args) -> int:
 def cmd_demo_1d(args) -> int:
     if args.n < 8:
         raise UsageError("--n must be >= 8")
-    out = _out_dir(args)
     started = time.monotonic()
     t_end = args.t_end if args.t_end is not None else \
         (1.0 if args.bc == "periodic" else 0.05)
     report = cylsim.demo_1d(args.bc, args.n, t_end, amplitude=args.amplitude)
+    out = _out_dir(args)
     manifest = RunManifest("demo-1d", {
         "bc": args.bc, "n": args.n, "t_end": t_end,
         "amplitude": args.amplitude})
@@ -455,11 +455,14 @@ def cmd_demo_1d(args) -> int:
 
 def cmd_scaling(args) -> int:
     gamma = float(parse_gamma(args.gamma))
-    out = _out_dir(args)
     started = time.monotonic()
     lengths = tuple(float(s) for s in args.lengths.split(",")) \
         if args.lengths else (1.0, 2.0, 4.0, 8.0)
+    if not all(math.isfinite(L) and L > 0 for L in lengths):
+        raise UsageError(f"--lengths must be finite and positive, "
+                         f"got {args.lengths!r}")
     report = cylsim.energy_scaling(gamma, lengths)
+    out = _out_dir(args)
     manifest = RunManifest("scaling", {"gamma": gamma, "lengths": lengths})
     _write_json(manifest.add(out / "scaling.json", rigidity.SCHEMA),
                 report.to_json())
@@ -495,8 +498,6 @@ def build_parser() -> argparse.ArgumentParser:
                     default="single")
     sp.add_argument("--depth", type=int, default=1)
     sp.add_argument("--format", choices=("json", "latex"), default="json")
-    sp.add_argument("--geometric-order", type=int, default=None,
-                    help="truncation order of the 1/r expansion")
     common(sp)
     sp.set_defaults(func=cmd_derive)
 

@@ -10,14 +10,13 @@ the machine derivation and the reference are independent.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from typing import Optional
 
 from .sscalc import (
     ProfileRef,
-    SsExponent,
     SymEquation,
     SymExpr,
     SymTerm,
@@ -40,14 +39,16 @@ EQ_NAMES = ("u", "omega", "psi")
 
 SCHEMA = "hierarchy/1"
 
+#: Luo-Hou's leading tau-exponents: u1 ~ tau^(-1+gamma/2),
+#: omega1 ~ tau^-1 and psi1 ~ tau^(-1+2 gamma)
+LEADING = (("U", exponent(-1, Fraction(1, 2))), ("Omega", exponent(-1)),
+           ("Psi", exponent(-1, 2)))
+
 
 @dataclass(frozen=True)
 class AnsatzSpec:
     mode: str = "single"  # "single" | "generalized"
     depth: int = 1
-    u1_exp: SsExponent = dc_field(default_factory=lambda: exponent(-1, Fraction(1, 2)))
-    omega1_exp: SsExponent = dc_field(default_factory=lambda: exponent(-1))
-    psi1_exp: SsExponent = dc_field(default_factory=lambda: exponent(-1, 2))
 
     def __post_init__(self):
         if self.mode not in ("single", "generalized"):
@@ -66,19 +67,18 @@ class AnsatzSpec:
 # the physical system and the substituted equations
 
 
-def _fields(a: AnsatzSpec, indices) -> tuple:
+def _fields(indices) -> tuple:
     """(u1, omega1, psi1) summed over the given series indices."""
     return tuple(
         SymExpr.from_terms(SymTerm(1, factors=(ProfileRef(field, k),),
                                    tau=leading + exponent(0, k))
                            for k in indices)
-        for field, leading in (("U", a.u1_exp), ("Omega", a.omega1_exp),
-                               ("Psi", a.psi1_exp)))
+        for field, leading in LEADING)
 
 
 def ansatz_fields(a: AnsatzSpec):
     """(u1, omega1, psi1) as symbolic expressions in (R, Z, tau)."""
-    return _fields(a, range(a.kmax + 1))
+    return _fields(range(a.kmax + 1))
 
 
 def _velocities(psi1: SymExpr):
@@ -91,7 +91,9 @@ def _system(u1: SymExpr, om1: SymExpr, psi1: SymExpr, M: int,
             order: Optional[int] = None) -> list:
     """lhs of the u, omega and psi equations (lhs = 0 form), with the 3/r
     factor of the psi equation expanded to geometric order M, each cut at
-    relative lattice order `order` by _assemble (None: uncut)."""
+    relative lattice order `order` by _assemble (None: uncut).  The m-th
+    expansion term enters the psi equation at relative order m + 1, so
+    every M >= order - 1 gives the same cut equations."""
     u_r, u_z = _velocities(psi1)
     dz_u1, dz_psi1 = diff_z(u1), diff_z(psi1)
     # each equation as its linear part and the (a, b) factor pairs of its
@@ -110,16 +112,6 @@ def _lowest_gamma(e: SymExpr) -> Fraction:
     return min(t.tau.gamma_coeff for t in e.terms)
 
 
-def _lattice(e: SymExpr) -> Optional[tuple]:
-    """(base, g) when every tau-exponent of e is base + (g + k) gamma with
-    k = 0, 1, 2, ...; None when e lies on no such lattice."""
-    base, g = e.terms[0].tau.base, _lowest_gamma(e)
-    if all(t.tau.base == base and (t.tau.gamma_coeff - g).denominator == 1
-           for t in e.terms):
-        return base, g
-    return None
-
-
 def _assemble(linear: SymExpr, products: list,
               order: Optional[int]) -> SymExpr:
     """linear + the sum of a*b over the (a, b) pairs of products.
@@ -128,34 +120,21 @@ def _assemble(linear: SymExpr, products: list,
     counted from the predicted lattice base g0: the smallest leading
     tau^gamma coefficient among the summands.  The term algebra has no
     zero divisors, so a product's leading coefficient is the sum of its
-    factors' and g0 is known before anything is multiplied out.  If the
-    summands' leading orders cancel, the bound is widened to the true
-    lattice base.
+    factors' and g0 is known before anything is multiplied out.  Raises
+    ArithmeticError when the summands' leading orders cancel, since g0 is
+    then not the lattice base; the fixed ansatz never does that.
     """
-    def formed(cap) -> SymExpr:
-        return SymExpr.from_terms(chain(
-            (t for t in linear.terms
-             if cap is None or t.tau.gamma_coeff <= cap),
-            *(product_terms(a, b, cap) for a, b in products)))
-
-    summands = [s for s in [(linear,), *products] if all(f.terms for f in s)]
-    if order is None or not summands:
-        return formed(None)
-    leads, classes = [], set()
-    for factors in summands:
-        lattices = [_lattice(f) for f in factors]
-        if None in lattices:
-            return formed(None)  # off-lattice: collect_orders reports it
-        lead = sum(g for _, g in lattices)
-        leads.append(lead)
-        classes.add((sum(b for b, _ in lattices), lead % 1))
-    if len(classes) > 1:
-        return formed(None)  # the summands lie on different lattices
-    g0 = min(leads)
-    kept = formed(g0 + order)
-    if kept.is_zero or _lowest_gamma(kept) != g0:
-        full = formed(None)
-        kept = full if full.is_zero else formed(_lowest_gamma(full) + order)
+    cap = None
+    if order is not None:
+        g0 = min(sum(_lowest_gamma(f) for f in factors)
+                 for factors in [(linear,), *products])
+        cap = g0 + order
+    kept = SymExpr.from_terms(chain(
+        (t for t in linear.terms if cap is None or t.tau.gamma_coeff <= cap),
+        *(product_terms(a, b, cap) for a, b in products)))
+    if order is not None and (kept.is_zero or _lowest_gamma(kept) != g0):
+        raise ArithmeticError(f"the leading order (tau^gamma coefficient "
+                              f"{g0}) cancels; cannot cut at order {order}")
     return kept
 
 
@@ -164,22 +143,19 @@ def build_velocities(a: AnsatzSpec):
     return _velocities(ansatz_fields(a)[2])
 
 
-def substitute(a: AnsatzSpec, M: Optional[int] = None,
-               order: Optional[int] = None):
+def substitute(a: AnsatzSpec, M: int, order: Optional[int] = None):
     """The three substituted equations (lhs = 0 form) in (R, Z, tau).
 
-    M is the geometric truncation order for the 1/(1 + tau^gamma R)
+    M is the geometric truncation order of the 1/(1 + tau^gamma R)
     factor of the stream-function equation; it must cover the requested
     hierarchy depth.
 
-    order=None keeps every term.  An integer order keeps, in each
-    equation, exactly the terms that collect_orders puts at k <= order,
-    and never forms the others: each equation is the full one minus a
-    remainder O(tau^(base + (order+1) gamma)), where tau^base is its
-    lattice_base.
+    order=None keeps every term: the full substitution, against which the
+    cut equations are checked.  An integer order keeps, in each equation,
+    exactly the terms that collect_orders puts at k <= order, and never
+    forms the others: each equation is the full one minus a remainder
+    O(tau^(base + (order+1) gamma)), where tau^base is its lattice_base.
     """
-    if M is None:
-        M = max(a.depth, 1)
     if M < a.depth:
         raise ValueError("geometric truncation order must cover the depth")
     if order is not None and order < 0:
@@ -381,8 +357,9 @@ def induction_system(a: AnsatzSpec, k: int,
     if k < 1:
         raise ValueError("k must be >= 1")
     # the lattice re-bases at the index-k leading exponent, so the
-    # decoupled dominant equation is the relative order-0 slice
-    eqs = _system(*_fields(a, (k,)), k + 1, order=0)
+    # decoupled dominant equation is the relative order-0 slice, which no
+    # term of the 1/r expansion reaches
+    eqs = _system(*_fields((k,)), 0, order=0)
     out = []
     for name, e in zip(EQ_NAMES, eqs):
         orders = collect_orders(SymEquation(e, name))
@@ -393,9 +370,10 @@ def induction_system(a: AnsatzSpec, k: int,
     return out
 
 
-def derive_hierarchy(a: AnsatzSpec, M: Optional[int] = None) -> HierarchyReport:
-    if M is None:
-        M = max(a.depth, 1)
+def derive_hierarchy(a: AnsatzSpec) -> HierarchyReport:
+    """The orders 0..depth of the substituted equations, with the 1/r
+    factor expanded to geometric order max(depth, 1)."""
+    M = max(a.depth, 1)
     eqs = substitute(a, M, a.depth)
     refs = reference_equations(a.mode)
     orders: dict = {}
@@ -403,8 +381,7 @@ def derive_hierarchy(a: AnsatzSpec, M: Optional[int] = None) -> HierarchyReport:
     verdicts = []
     for eq in eqs:
         base0[eq.label] = lattice_base(eq)
-        by_k = collect_orders(eq)
-        orders[eq.label] = {k: v for k, v in by_k.items() if k <= a.depth}
+        orders[eq.label] = by_k = collect_orders(eq)
         for order in range(min(a.depth, 1) + 1):
             ref = refs.get((eq.label, order))
             if ref is None:

@@ -1,6 +1,7 @@
 """Command-line front end: manifests, exit codes, config parsing, and
 output files."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -95,19 +96,36 @@ def test_derive_depth_zero_usage_error(monkeypatch, tmp_path, capsys):
     assert err["error"] == "usage"
 
 
-@pytest.mark.parametrize("order", ["-1", "1", "2"])
-def test_derive_geometric_order_below_depth_leaves_no_output(
-        order, monkeypatch, tmp_path, capsys):
-    # exited 2 but left an empty output directory behind
+def test_derive_geometric_order_flag_is_usage_error(monkeypatch, tmp_path,
+                                                   capsys):
+    # the 1/r expansion follows --depth; there is no flag to set it
     out = tmp_path / "out"
     monkeypatch.setenv("SSBLOW_OUT_DIR", str(out))
-    code = cli.main(["derive", "--depth", "3", "--geometric-order", order])
-    assert code == 2
-    err = json.loads(capsys.readouterr().err)
-    assert err["error"] == "usage"
+    assert cli.main(["derive", "--depth", "3", "--geometric-order", "3"]) == 2
     assert not out.exists()
-    assert cli.main(["derive", "--depth", "3", "--geometric-order", "3"]) == 0
-    assert (out / "hierarchy.json").exists()
+
+
+#: sha256 of the depth-3 derive outputs; a change to the symbolic engine
+#: must keep them byte for byte
+DERIVE_SHA256 = {
+    ("single", "json"):
+        "c5af6545720d654eaf5a922c651e428f899b56c053e6947e8ed1b0231b7c2cfa",
+    ("generalized", "json"):
+        "41d1dda9b1df0e1d24aa90b7d94e78a1620244546f7e0792cb2198fd6d806340",
+    ("single", "latex"):
+        "48b3c9dea9f6cb178d84416b96883a7b2d8808d21e43e8cc1b6458a3b52879b7",
+    ("generalized", "latex"):
+        "ecb9835ef54e0729e55aee442ba179acc2513f373f5683c316f181a0bfc29b3a",
+}
+
+
+@pytest.mark.parametrize("mode,fmt", sorted(DERIVE_SHA256))
+def test_derive_output_is_pinned(mode, fmt, monkeypatch, tmp_path, capsys):
+    assert run(["derive", "--mode", mode, "--format", fmt, "--depth", "3"],
+               monkeypatch, tmp_path) == 0
+    name = "hierarchy.json" if fmt == "json" else "hierarchy.tex"
+    data = (tmp_path / name).read_bytes()
+    assert hashlib.sha256(data).hexdigest() == DERIVE_SHA256[mode, fmt]
 
 
 # -- verify -----------------------------------------------------------------
@@ -340,6 +358,32 @@ def test_scaling_reference_gamma(monkeypatch, tmp_path, capsys):
     payload = json.loads((tmp_path / "scaling.json").read_text())
     assert payload["exponents"]["swirl_pointwise"] == pytest.approx(
         0.5 - 1 / 2.91)
+
+
+@pytest.mark.parametrize("argv,code,error", [
+    (["identity", "--p", "3"], 2, "usage"),
+    (["identity", "--rho", "nan"], 2, "usage"),
+    (["identity", "--rho", "0"], 2, "usage"),
+    (["identity", "--rho", "-5"], 2, "usage"),
+    (["identity", "--epsilon", "nan"], 2, "usage"),
+    (["demo-1d", "--n", "32", "--t-end", "nan"], 2, "usage"),
+    (["demo-1d", "--n", "32", "--amplitude", "inf"], 2, "usage"),
+    (["fit", "--series", "missing.csv"], 3, "FileNotFoundError"),
+    (["scaling", "--gamma", "4", "--lengths", "1,-1"], 2, "usage"),
+    (["scaling", "--gamma", "4", "--lengths", "1,nan"], 2, "usage"),
+    (["scaling", "--gamma", "4", "--lengths", "abc"], 2, "usage"),
+], ids=lambda v: "_".join(v) if isinstance(v, list) else str(v))
+def test_failing_command_leaves_no_output(argv, code, error, monkeypatch,
+                                          tmp_path, capsys):
+    # each of these exited 0 with NaN in its JSON, crashed with a
+    # traceback, or failed after creating an empty output directory
+    monkeypatch.chdir(tmp_path)
+    out = tmp_path / "out"
+    monkeypatch.setenv("SSBLOW_OUT_DIR", str(out))
+    assert cli.main(argv) == code
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["error"] == error
+    assert not out.exists()
 
 
 # -- global CLI behavior ----------------------------------------------------

@@ -10,7 +10,6 @@ import pytest
 from ssblow import hierarchy as hy
 from ssblow.profiles import ProfileBindings, random_bindings
 from ssblow.sscalc import (
-    CommensurabilityError,
     ProfileRef,
     SymEquation,
     SymExpr,
@@ -190,10 +189,11 @@ def _cut(e: SymExpr, cap) -> SymExpr:
 @pytest.mark.parametrize("extra", [0, 2])
 def test_truncated_hierarchy_matches_full_substitution(mode, depth, extra):
     """derive_hierarchy forms only orders <= depth; they must be the
-    orders <= depth of the full substituted equations."""
+    orders <= depth of the full substituted equations, whether the 1/r
+    factor of the reference is expanded to the depth or beyond it."""
     a = hy.AnsatzSpec(mode=mode, depth=depth)
     M = depth + extra
-    report = hy.derive_hierarchy(a, M)
+    report = hy.derive_hierarchy(a)
     for eq in hy.substitute(a, M):
         full = collect_orders(eq)
         assert report.orders[eq.label] == \
@@ -207,15 +207,16 @@ def test_truncated_hierarchy_matches_full_substitution(mode, depth, extra):
 @pytest.mark.parametrize("k", range(1, 7))
 def test_induction_is_order_zero_of_full_index_k_system(k):
     a = hy.AnsatzSpec(mode="generalized", depth=k)
-    full = hy._system(*hy._fields(a, (k,)), k + 1)
+    full = hy._system(*hy._fields((k,)), k + 1)
     for name, e, got in zip(hy.EQ_NAMES, full, hy.induction_system(a, k)):
         orders = collect_orders(SymEquation(e, name))
         assert got.lhs == orders[0].lhs, name
 
 
-def test_truncation_guard_widens_when_leading_order_cancels():
+def test_assemble_raises_when_leading_order_cancels():
     # linear - U*Psi cancels the predicted leading order g0 = 0 of the
-    # product U*(Psi + tau^g Omega), so the lattice starts at gamma
+    # product U*(Psi + tau^g Omega), so the lattice starts at gamma and a
+    # cut counted from g0 would drop a kept order
     U, Psi, Om = prof("U"), prof("Psi"), prof("Omega")
     linear = -(U * Psi) + tau_pow(0, 2) * term(r=1) \
         + tau_pow(0, 3) * term(z=1)
@@ -224,25 +225,11 @@ def test_truncation_guard_widens_when_leading_order_cancels():
     assert full == canonicalize(linear + products[0][0] * products[0][1])
     assert lattice_base(SymEquation(full)) == exponent(0, 1)
     for order in (0, 1, 2):
-        got = hy._assemble(linear, products, order)
-        assert got == _cut(full, 1 + order), order
+        with pytest.raises(ArithmeticError):
+            hy._assemble(linear, products, order)
     # nothing survives at all
-    assert hy._assemble(-(U * Psi), [(U, Psi)], 1).is_zero
-
-
-def test_truncation_keeps_off_lattice_terms_for_collect_orders():
-    # the off-lattice tau^(5/2 g) term lies above the order-0 bound, but
-    # the cut must not hide it from the commensurability check
-    linear = prof("U") + tau_pow(0, Fraction(5, 2)) * prof("Omega")
-    with pytest.raises(CommensurabilityError):
-        collect_orders(SymEquation(hy._assemble(linear, [], 0)))
-    mixed = prof("U") + tau_pow(1, 3) * prof("Omega")
-    with pytest.raises(CommensurabilityError):
-        collect_orders(SymEquation(hy._assemble(mixed, [], 0)))
-    # each summand on a lattice of its own
-    product = (prof("Omega"), tau_pow(0, Fraction(5, 2)) * prof("Psi"))
-    with pytest.raises(CommensurabilityError):
-        collect_orders(SymEquation(hy._assemble(prof("U"), [product], 0)))
+    with pytest.raises(ArithmeticError):
+        hy._assemble(-(U * Psi), [(U, Psi)], 1)
 
 
 def test_substitute_rejects_negative_order():
