@@ -96,13 +96,21 @@ def test_derive_depth_zero_usage_error(monkeypatch, tmp_path, capsys):
     assert err["error"] == "usage"
 
 
-def test_derive_geometric_order_flag_is_usage_error(monkeypatch, tmp_path,
-                                                   capsys):
-    # the 1/r expansion follows --depth; there is no flag to set it
+@pytest.mark.parametrize("order", ["-1", "1", "2"])
+def test_derive_geometric_order_below_depth_leaves_no_output(
+        order, monkeypatch, tmp_path, capsys):
+    # the 1/r expansion follows --depth; there is no flag to set it, so any
+    # --geometric-order is a usage error that leaves no output directory
     out = tmp_path / "out"
     monkeypatch.setenv("SSBLOW_OUT_DIR", str(out))
+    code = cli.main(["derive", "--depth", "3", "--geometric-order", order])
+    assert code == 2
+    assert "--geometric-order" in capsys.readouterr().err
+    assert not out.exists()
     assert cli.main(["derive", "--depth", "3", "--geometric-order", "3"]) == 2
     assert not out.exists()
+    assert cli.main(["derive", "--depth", "3"]) == 0
+    assert (out / "hierarchy.json").exists()
 
 
 #: sha256 of the depth-3 derive outputs; a change to the symbolic engine
