@@ -26,6 +26,7 @@ import numpy as np
 
 from . import __version__
 from . import hierarchy, rigidity, cylsim
+from .gridio import json_text
 from .sscalc import CommensurabilityError
 
 EXIT_OK = 0
@@ -57,10 +58,15 @@ class RunManifest:
             self.schemas[path.name] = schema
         return path
 
-    def write(self, out_dir: Path, started: float) -> Path:
+    def write(self, out_dir: Path, started: float,
+              error: Optional[dict] = None) -> Path:
+        """Write manifest.json; a failed run adds its `error` record."""
         self.wall_time = time.monotonic() - started
+        payload = asdict(self)
+        if error is not None:
+            payload["error"] = error
         path = out_dir / "manifest.json"
-        path.write_text(json.dumps(asdict(self), indent=2) + "\n")
+        path.write_text(json_text(payload) + "\n")
         return path
 
 
@@ -76,7 +82,7 @@ def _out_dir(args) -> Path:
 
 
 def _write_json(path: Path, payload) -> None:
-    path.write_text(json.dumps(payload, indent=2) + "\n")
+    path.write_text(json_text(payload) + "\n")
 
 
 def _write_csv(path: Path, header: str, rows) -> None:
@@ -345,13 +351,17 @@ def cmd_simulate(args) -> int:
             dt = dt_cfg
         else:
             ur, uz = cylsim.reconstruct_velocity(state.psi1, grid)
-            # floor the speed at the swirl amplitude so quiescent
-            # meridional starts still take resolved steps
-            vmax = max(float(np.max(np.abs(ur))), float(np.max(np.abs(uz))),
-                       float(np.max(np.abs(state.u1))), 1e-3)
+            vmax = max(cylsim.max_speed(ur, uz, state.u1), 1e-3)
             dt = 0.9 * cfl * hmin / vmax
         dt = min(dt, t_end - state.t)
-        state = cylsim.step(state, dt, grid, solver=solver, cfl=cfl)
+        try:
+            state = cylsim.step(state, dt, grid, solver=solver, cfl=cfl)
+        except (cylsim.CFLViolation, cylsim.NumericalBlowup) as exc:
+            # the snapshots already written stay listed, with the reason
+            manifest.write(out, started, error={
+                "kind": type(exc).__name__, "message": str(exc),
+                "step": istep + 1, "t": state.t})
+            raise
         istep += 1
         if istep % cadence == 0 or state.t >= t_end - 1e-12:
             series.append_sample(state, grid)

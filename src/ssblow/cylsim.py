@@ -186,6 +186,14 @@ def _velocity(psi1, dz_psi, grid: CylGrid):
 # time stepping
 
 
+def max_speed(ur, uz, u1) -> float:
+    """max(|u^r|, |u^z|, |u1|): the speed of the CFL bound.  The swirl
+    u1 counts, so a start with omega1 = 0 (no meridional flow yet) still
+    bounds its step."""
+    return max(float(np.max(np.abs(ur))), float(np.max(np.abs(uz))),
+               float(np.max(np.abs(u1))))
+
+
 def _rhs(u1, omega1, psi, grid: CylGrid, forcing_values):
     """d_t u1 and d_t omega1 of the transport equations, and the velocity.
 
@@ -243,7 +251,7 @@ def step(state: CylState, dt: float, grid: CylGrid,
                           for tt in (t, t + 0.5 * dt, t + dt))
 
     k1u, k1o, ur, uz = _rhs(u, om, state.psi1, grid, f0)
-    vmax = max(float(np.max(np.abs(ur))), float(np.max(np.abs(uz))), 1e-12)
+    vmax = max(max_speed(ur, uz, u), 1e-12)
     if dt > cfl * min(grid.hr, grid.hz) / vmax:
         raise CFLViolation(
             f"dt={dt:.3e} exceeds {cfl:.2f}*h/max|u| with max|u|={vmax:.3e}")

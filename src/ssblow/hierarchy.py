@@ -9,12 +9,12 @@ the machine derivation and the reference are independent.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from typing import Optional
 
+from .gridio import json_text
 from .sscalc import (
     ProfileRef,
     SymEquation,
@@ -430,7 +430,7 @@ def report_to_json(report: HierarchyReport) -> dict:
 
 def emit(report: HierarchyReport, format: str = "json") -> str:
     if format == "json":
-        return json.dumps(report_to_json(report), indent=2, sort_keys=True)
+        return json_text(report_to_json(report), sort_keys=True)
     if format == "latex":
         lines = [
             "% order-by-order profile equations "

@@ -279,6 +279,65 @@ def test_fit_rejects_blowup_time_beyond_bracket(monkeypatch, tmp_path,
     assert not (tmp_path / "fit.json").exists()
 
 
+def test_failed_simulate_writes_manifest_with_error(monkeypatch, tmp_path,
+                                                   capsys):
+    # step 3 fails: the two snapshot triples already written stay listed,
+    # with the reason, and stderr and the exit code are those of main
+    real_step = cli.cylsim.step
+    calls = []
+
+    def failing_step(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 3:
+            raise cli.cylsim.NumericalBlowup("non-finite field at t=0.002")
+        return real_step(*args, **kwargs)
+
+    monkeypatch.setattr(cli.cylsim, "step", failing_step)
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("nr = 9\nnz = 9\nt_end = 0.1\ndt = 0.001\n"
+                   "snapshot_every = 1\n")
+    out = tmp_path / "out"
+    monkeypatch.setenv("SSBLOW_OUT_DIR", str(out))
+    assert cli.main(["simulate", "--config", str(cfg)]) == 3
+    err = json.loads(capsys.readouterr().err)
+    assert err == {"error": "NumericalBlowup",
+                   "message": "non-finite field at t=0.002"}
+    man = read_manifest(out)
+    assert sorted(Path(p).name for p in man["outputs"]) == sorted(
+        f"{name}_{i:04d}.bin" for i in (1, 2)
+        for name in ("u1", "omega1", "psi1"))
+    assert all(Path(p).exists() for p in man["outputs"])
+    assert man["error"]["kind"] == "NumericalBlowup"
+    assert man["error"]["message"] == err["message"]
+    assert man["error"]["step"] == 3
+    assert man["error"]["t"] == pytest.approx(0.002)
+    assert not (out / "series.csv").exists()
+
+
+def test_cfl_failure_on_first_step_writes_manifest(monkeypatch, tmp_path,
+                                                   capsys):
+    # swirl_bump has no meridional flow at t = 0; the swirl alone bounds dt
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("nr = 9\nnz = 9\nz_bc = dirichlet\nt_end = 1\n"
+                   "dt = 0.5\namplitude = 1e3\nsnapshot_every = 1\n")
+    out = tmp_path / "out"
+    monkeypatch.setenv("SSBLOW_OUT_DIR", str(out))
+    assert cli.main(["simulate", "--config", str(cfg)]) == 3
+    assert json.loads(capsys.readouterr().err)["error"] == "CFLViolation"
+    man = read_manifest(out)
+    assert man["outputs"] == []
+    assert (man["error"]["kind"], man["error"]["step"], man["error"]["t"]) \
+        == ("CFLViolation", 1, 0.0)
+    assert sorted(p.name for p in out.iterdir()) == ["manifest.json"]
+
+
+def test_successful_manifest_has_no_error_key(monkeypatch, tmp_path):
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("nr = 9\nnz = 9\nt_end = 0.01\n")
+    assert run(["simulate", "--config", str(cfg)], monkeypatch, tmp_path) == 0
+    assert "error" not in read_manifest(tmp_path)
+
+
 def test_simulate_bad_preset(monkeypatch, tmp_path, capsys):
     cfg = tmp_path / "cfg.txt"
     cfg.write_text("preset = vortex_ring\nt_end = 0.1\n")

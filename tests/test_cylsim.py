@@ -219,6 +219,18 @@ def test_cfl_violation_raises():
         cs.step(state, 1.0, grid)
 
 
+def test_cfl_check_counts_the_swirl():
+    # swirl_bump starts with omega1 = psi1 = 0: no meridional velocity, so
+    # only max|u1| bounds the first step
+    grid = cs.CylGrid(17, 16)
+    u1, om = cli.initial_data("swirl_bump", grid)
+    state = cs.CylState(u1, om, np.zeros_like(om), 0.0)
+    with pytest.raises(cs.CFLViolation):
+        cs.step(state, 0.5, grid)
+    ur, uz = cs.reconstruct_velocity(state.psi1, grid)
+    assert cs.max_speed(ur, uz, u1) == np.max(np.abs(u1))
+
+
 def test_parity_preservation():
     # u1 even, omega1 odd in z stays that way (periodic)
     grid = cs.CylGrid(17, 32)

@@ -1,9 +1,23 @@
-"""Grid field container, binary interchange format, and quadrature."""
+"""Grid field container, binary and JSON interchange formats, and
+quadrature."""
+
+import collections
+import enum
+import json
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from ssblow.gridio import ScalarField2D, diff1, diff2, gradient, trapezoid_2d
+from ssblow.gridio import (
+    ScalarField2D,
+    diff1,
+    diff2,
+    gradient,
+    json_text,
+    trapezoid_2d,
+)
 
 
 def make_field(rng, n1=7, n2=9):
@@ -167,3 +181,69 @@ def test_stencils_convert_integer_input_to_float(periodic):
     if not periodic:
         assert np.array_equal(diff1(v, 1.0, 1),
                               [[0.5, 1.5, 2.5, 3.5, 4.5]])
+
+
+# -- JSON writer: the stdlib's json.dumps(indent=2) is the oracle ------------
+
+_floats = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([float("nan"), float("inf"), -float("inf"), -0.0, 1e16,
+                     5e-324, 0.1]),
+    st.floats(allow_nan=True, allow_infinity=True).map(np.float64),
+)
+_leaves = st.one_of(st.none(), st.booleans(), st.integers(), _floats,
+                    st.text(),
+                    st.sampled_from(["", "\\", '"', "\n\t\x00\x7f",
+                                     "\u00e9\u03b3", "\U0001d11e"]))
+_trees = st.recursive(
+    _leaves,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(st.text(max_size=6), children, max_size=4)),
+    max_leaves=30)
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(_trees, st.booleans())
+def test_json_text_matches_stdlib(obj, sort_keys):
+    assert json_text(obj, sort_keys) == json.dumps(obj, indent=2,
+                                                   sort_keys=sort_keys)
+
+
+class _Level(enum.IntEnum):
+    HIGH = 3
+
+
+class _List(list):
+    pass
+
+
+class _Dict(dict):
+    pass
+
+
+@pytest.mark.parametrize("obj", [
+    {}, [], (), [[]], {"a": {}}, [{}, [[], {}]], {"a": [(), {"b": []}]},
+    {"b": 1, "a": [True, False, None, -0.0, float("nan")]}, "x", 7, None,
+    # subclasses are written as their json base type
+    _List([1, _Dict(b=2, a=_List())]), _Dict(x=[_Level.HIGH]),
+    {"p": collections.namedtuple("Pair", "a b")(1, 2.5)}, _Level.HIGH,
+    [np.float64(0.1), np.str_("s")],
+])
+@pytest.mark.parametrize("sort_keys", [False, True])
+def test_json_text_containers_and_subclasses(obj, sort_keys):
+    assert json_text(obj, sort_keys) == json.dumps(obj, indent=2,
+                                                   sort_keys=sort_keys)
+
+
+@pytest.mark.parametrize("obj", [
+    Fraction(1, 2), {1, 2}, np.int64(3), [np.int64(3)], {"a": Fraction(1)},
+    {1: "a"}, {"a": {2: "b"}}, {(1, 2): 0},
+])
+@pytest.mark.parametrize("sort_keys", [False, True])
+def test_json_text_rejects_what_json_cannot_write(obj, sort_keys):
+    # int keys: json.dumps would turn them into strings; ssblow never
+    # writes them, so the writer refuses rather than guess
+    with pytest.raises(TypeError):
+        json_text(obj, sort_keys)

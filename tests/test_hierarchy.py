@@ -1,6 +1,7 @@
 """Ansatz substitution, order collection against the hand-entered
 reference forms, induction system, and report emission."""
 
+import json
 import math
 from fractions import Fraction
 
@@ -289,6 +290,14 @@ def test_induction_guards():
 def test_emit_deterministic():
     a = hy.AnsatzSpec(mode="single", depth=1)
     assert hy.emit(hy.derive_hierarchy(a)) == hy.emit(hy.derive_hierarchy(a))
+
+
+@pytest.mark.parametrize("mode", ["single", "generalized"])
+@pytest.mark.parametrize("depth", range(1, 13))
+def test_emit_json_matches_stdlib_encoder(mode, depth):
+    report = hy.derive_hierarchy(hy.AnsatzSpec(mode=mode, depth=depth))
+    assert hy.emit(report) == json.dumps(hy.report_to_json(report),
+                                         indent=2, sort_keys=True)
 
 
 def test_latex_emit_contains_order_zero_coefficient():
