@@ -12,6 +12,7 @@ Exit codes: 0 success, 1 verification mismatch, 2 usage error,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -357,7 +358,10 @@ def cmd_simulate(args) -> int:
         try:
             state = cylsim.step(state, dt, grid, solver=solver, cfl=cfl)
         except (cylsim.CFLViolation, cylsim.NumericalBlowup) as exc:
-            # the snapshots already written stay listed, with the reason
+            # the snapshots already written and the samples taken so far
+            # stay listed, with the reason
+            _write_series(manifest.add(out / "series.csv", "series/csv"),
+                          series)
             manifest.write(out, started, error={
                 "kind": type(exc).__name__, "message": str(exc),
                 "step": istep + 1, "t": state.t})
@@ -491,7 +495,10 @@ def cmd_scaling(args) -> int:
 # parser / entry point
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    # built once per process: nothing it reads can change between calls
+    # (SSBLOW_OUT_DIR is read when a command runs, in _out_dir)
     p = argparse.ArgumentParser(
         prog="ssblow",
         description="order-by-order ansatz derivation, triviality "

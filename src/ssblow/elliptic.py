@@ -12,8 +12,9 @@ ends.  This is the tensor-product method of Lynch, Rice & Thomas
 (Numer. Math. 6, 1964): A is diagonalized once, through the symmetric
 matrix similar to it, which splits the problem into one problem in z per
 eigenvalue of A.  Periodic z is then diagonal under the real FFT;
-Dirichlet z leaves one tridiagonal system per mode, all factorized
-together at set-up.
+Dirichlet z leaves one symmetric tridiagonal system per mode, all
+factorized as L D L^T at set-up and swept together, one z row across
+every mode per step.  numpy is the only dependency.
 """
 
 from __future__ import annotations
@@ -30,11 +31,6 @@ class KroneckerSolver:
     """
 
     def __init__(self, lower, diag, upper, nz: int, hz: float, z_bc: str):
-        # scipy.linalg takes longer to import than most CLI commands take
-        # to run, and only this set-up needs it
-        from scipy.linalg import eigh_tridiagonal
-        from scipy.linalg.lapack import dpttrf, dpttrs
-
         lower, diag, upper = (np.asarray(a, dtype=float)
                               for a in (lower, diag, upper))
         if np.any(lower >= 0) or np.any(upper >= 0):
@@ -43,10 +39,11 @@ class KroneckerSolver:
         # with S = V diag(lam) V^T, A = (D V) diag(lam) (V^T D^-1)
         d = np.concatenate(([1.0], np.cumprod(np.sqrt(lower / upper))))
         e = -np.sqrt(lower * upper)
-        # divide and conquer: its eigenvectors gave 10-15x smaller solve
-        # residuals on N(0,1) data than the MRRR driver ("stemr") at
-        # 257x512 and 513x1024
-        _, V = eigh_tridiagonal(diag, e, lapack_driver="stevd")
+        # LAPACK syevd: its reduction of an already tridiagonal S is
+        # trivial, and the rest is the divide-and-conquer stedc, whose
+        # eigenvectors gave 10-15x smaller solve residuals on N(0,1) data
+        # than the MRRR driver ("stemr") at 257x512 and 513x1024
+        _, V = np.linalg.eigh(np.diag(diag) + np.diag(e, 1) + np.diag(e, -1))
         # lam_k = v^T S v as a sum of non-negative terms,
         # sum_i rowsum_i v_i^2 + sum_i (-e_i) (v_{i+1} - v_i)^2, keeps the
         # small eigenvalues of the smooth modes, which dominate a smooth
@@ -64,26 +61,35 @@ class KroneckerSolver:
             lam_z = (2.0 * np.sin(np.pi * k / nz) / hz) ** 2
             self._denom = lam[:, None] + lam_z
         elif z_bc == "dirichlet":
-            # the per-mode systems lam_i + Z chained into one band whose
-            # off-diagonal is zero between modes
-            main = np.repeat(lam, nz) + 2.0 / hz ** 2
-            off = np.full((lam.size, nz), -1.0 / hz ** 2)
-            off[:, -1] = 0.0
-            # the LAPACK wrapper sizes the off-diagonal max(n - 1, 1)
-            self._d, self._e, info = dpttrf(
-                main, off.ravel()[:max(main.size - 1, 1)])
-            if info:
+            # lam_i + Z = L D L^T per mode, with unit lower bidiagonal L:
+            # pivots piv[j] = lam + 2/hz^2 - off^2 / piv[j-1] and, below
+            # the diagonal of row j, the multiplier off / piv[j-1]; one
+            # row per z index, one column per mode
+            off = -1.0 / hz ** 2
+            piv = np.empty((nz, lam.size))
+            piv[0] = lam + 2.0 / hz ** 2
+            for j in range(1, nz):
+                piv[j] = piv[0] - off ** 2 / piv[j - 1]
+            if not np.all(piv > 0):
                 raise ValueError("operator is not positive definite")
-            self._dpttrs = dpttrs
+            self._piv = piv
+            self._mult = off / piv[:-1]
         else:
             raise ValueError(f"unknown z boundary tag {z_bc!r}")
 
     def solve(self, b: np.ndarray) -> np.ndarray:
-        c = self._to_modes @ b
         if self.z_bc == "periodic":
+            c = self._to_modes @ b
             y = np.fft.irfft(np.fft.rfft(c, axis=1) / self._denom,
                              n=c.shape[1], axis=1)
-        else:
-            y = self._dpttrs(self._d, self._e, c.ravel(),
-                             overwrite_b=True)[0].reshape(c.shape)
-        return self._from_modes @ y
+            return self._from_modes @ y
+        # the coefficients as (nz, modes), so that each step of the sweeps
+        # L y = c, D w = y, L^T x = w reads one contiguous row; in place
+        c = b.T @ self._to_modes.T
+        mult = self._mult
+        for j in range(1, c.shape[0]):
+            c[j] -= mult[j - 1] * c[j - 1]
+        c /= self._piv
+        for j in range(c.shape[0] - 2, -1, -1):
+            c[j] -= mult[j] * c[j + 1]
+        return self._from_modes @ c.T

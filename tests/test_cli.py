@@ -281,8 +281,9 @@ def test_fit_rejects_blowup_time_beyond_bracket(monkeypatch, tmp_path,
 
 def test_failed_simulate_writes_manifest_with_error(monkeypatch, tmp_path,
                                                    capsys):
-    # step 3 fails: the two snapshot triples already written stay listed,
-    # with the reason, and stderr and the exit code are those of main
+    # step 3 fails: the two snapshot triples already written and the
+    # series sampled so far stay listed, with the reason, and stderr and
+    # the exit code are those of main
     real_step = cli.cylsim.step
     calls = []
 
@@ -304,14 +305,17 @@ def test_failed_simulate_writes_manifest_with_error(monkeypatch, tmp_path,
                    "message": "non-finite field at t=0.002"}
     man = read_manifest(out)
     assert sorted(Path(p).name for p in man["outputs"]) == sorted(
-        f"{name}_{i:04d}.bin" for i in (1, 2)
-        for name in ("u1", "omega1", "psi1"))
+        [f"{name}_{i:04d}.bin" for i in (1, 2)
+         for name in ("u1", "omega1", "psi1")] + ["series.csv"])
     assert all(Path(p).exists() for p in man["outputs"])
     assert man["error"]["kind"] == "NumericalBlowup"
     assert man["error"]["message"] == err["message"]
     assert man["error"]["step"] == 3
     assert man["error"]["t"] == pytest.approx(0.002)
-    assert not (out / "series.csv").exists()
+    # the samples taken before the failure: t = 0 (cadence 10, 2 steps)
+    rows = np.loadtxt(out / "series.csv", delimiter=",", skiprows=1,
+                      ndmin=2)
+    assert rows.shape == (1, 8) and rows[0, 0] == 0.0
 
 
 def test_cfl_failure_on_first_step_writes_manifest(monkeypatch, tmp_path,
@@ -325,10 +329,11 @@ def test_cfl_failure_on_first_step_writes_manifest(monkeypatch, tmp_path,
     assert cli.main(["simulate", "--config", str(cfg)]) == 3
     assert json.loads(capsys.readouterr().err)["error"] == "CFLViolation"
     man = read_manifest(out)
-    assert man["outputs"] == []
+    assert man["outputs"] == [str(out / "series.csv")]
     assert (man["error"]["kind"], man["error"]["step"], man["error"]["t"]) \
         == ("CFLViolation", 1, 0.0)
-    assert sorted(p.name for p in out.iterdir()) == ["manifest.json"]
+    assert sorted(p.name for p in out.iterdir()) == ["manifest.json",
+                                                     "series.csv"]
 
 
 def test_successful_manifest_has_no_error_key(monkeypatch, tmp_path):
@@ -516,10 +521,72 @@ def test_deterministic_reruns(monkeypatch, tmp_path):
 
 
 def test_import_leaves_scipy_linalg_unloaded():
-    # only the elliptic solver's set-up needs scipy.linalg, which costs
-    # more to import than the symbolic commands take to run
+    # scipy.linalg costs more to import than the symbolic commands take
+    # to run, and the package never needs it
     env = {**os.environ,
            "PYTHONPATH": str(Path(ssblow.__file__).resolve().parents[1])}
     probe = "import sys, ssblow.cli; sys.exit('scipy.linalg' in sys.modules)"
     assert subprocess.run([sys.executable, "-c", probe], env=env,
                           timeout=60).returncode == 0
+
+
+def test_simulate_and_endgame_leave_scipy_unloaded(tmp_path):
+    # the elliptic solver is numpy only: a Dirichlet run and the Laplace
+    # endgame, its two callers, load no part of scipy
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("nr = 9\nnz = 9\nz_bc = dirichlet\nt_end = 0.01\n")
+    env = {**os.environ,
+           "PYTHONPATH": str(Path(ssblow.__file__).resolve().parents[1]),
+           "SSBLOW_OUT_DIR": str(tmp_path / "out")}
+    probe = (
+        "import sys\n"
+        "from ssblow import cli, rigidity\n"
+        f"assert cli.main(['simulate', '--config', {str(cfg)!r}]) == 0\n"
+        "grid = rigidity.HalfPlaneGrid(-4.0, 0.0, -4.0, 4.0, 21, 41)\n"
+        "rep = rigidity.psi_endgame(True, grid, lambda R, Z: 2 * R + 1)\n"
+        "assert abs(rep.a - 2) < 1e-8, rep\n"
+        "sys.exit(any(m == 'scipy' or m.startswith('scipy.')\n"
+        "             for m in sys.modules))\n")
+    assert subprocess.run([sys.executable, "-c", probe], env=env,
+                          timeout=60).returncode == 0
+
+
+def test_one_process_runs_match_fresh_runs(monkeypatch, tmp_path, capsys):
+    # main builds its parser once per process; later calls parse against
+    # the same parser and must behave as a fresh process does
+    calls = (["verify", "--gamma", "abc"],
+             ["derive", "--mode", "generalized", "--depth", "2"],
+             ["verify", "--gamma", "2/5", "--kmax", "3"])
+    env = {**os.environ,
+           "PYTHONPATH": str(Path(ssblow.__file__).resolve().parents[1])}
+    env.pop("SSBLOW_OUT_DIR", None)
+    monkeypatch.delenv("SSBLOW_OUT_DIR", raising=False)
+    fresh, inproc = tmp_path / "fresh", tmp_path / "inproc"
+    for d in (fresh, inproc):
+        d.mkdir()
+    fresh_codes, inproc_codes = [], []
+    for i, argv in enumerate(calls):
+        full = [*argv, "--out", f"run{i}"]
+        fresh_codes.append(subprocess.run(
+            [sys.executable, "-m", "ssblow.cli", *full], env=env, cwd=fresh,
+            capture_output=True, timeout=60).returncode)
+        monkeypatch.chdir(inproc)
+        inproc_codes.append(cli.main(full))
+    assert fresh_codes == inproc_codes == [2, 0, 0]
+    assert cli.build_parser() is cli.build_parser()
+
+    def outputs(root):
+        files = {}
+        for path in sorted(root.rglob("*")):
+            if path.is_file():
+                data = path.read_bytes()
+                if path.name == "manifest.json":
+                    man = json.loads(data)
+                    man.pop("wall_time")
+                    data = man
+                files[str(path.relative_to(root))] = data
+        return files
+
+    want = outputs(fresh)
+    assert sorted({Path(name).parts[0] for name in want}) == ["run1", "run2"]
+    assert outputs(inproc) == want
