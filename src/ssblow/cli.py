@@ -498,7 +498,9 @@ def cmd_scaling(args) -> int:
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     # built once per process: nothing it reads can change between calls
-    # (SSBLOW_OUT_DIR is read when a command runs, in _out_dir)
+    # (SSBLOW_OUT_DIR is read when a command runs, in _out_dir); the
+    # set_defaults below bind the cmd_* functions of the first build, so a
+    # later rebinding of cli.cmd_* does not reach main
     p = argparse.ArgumentParser(
         prog="ssblow",
         description="order-by-order ansatz derivation, triviality "

@@ -14,7 +14,10 @@ matrix similar to it, which splits the problem into one problem in z per
 eigenvalue of A.  Periodic z is then diagonal under the real FFT;
 Dirichlet z leaves one symmetric tridiagonal system per mode, all
 factorized as L D L^T at set-up and swept together, one z row across
-every mode per step.  numpy is the only dependency.
+every mode per step.  (A sine transform would make Dirichlet z diagonal
+too, but numpy's FFT of the odd extension, length 2 (nz + 1), made a
+385x768 solve about three times slower than the sweeps.)  numpy is the
+only dependency.
 """
 
 from __future__ import annotations
@@ -39,8 +42,10 @@ class KroneckerSolver:
         # with S = V diag(lam) V^T, A = (D V) diag(lam) (V^T D^-1)
         d = np.concatenate(([1.0], np.cumprod(np.sqrt(lower / upper))))
         e = -np.sqrt(lower * upper)
-        # LAPACK syevd: its reduction of an already tridiagonal S is
-        # trivial, and the rest is the divide-and-conquer stedc, whose
+        # LAPACK syevd: its Householder reduction of an already tridiagonal
+        # S leaves S and the eigenvectors unchanged (every tau is 0) but
+        # still costs dense O(n^3) work, 21 ms against 9 ms for stevd at
+        # n = 383; the rest is the divide-and-conquer stedc, whose
         # eigenvectors gave 10-15x smaller solve residuals on N(0,1) data
         # than the MRRR driver ("stemr") at 257x512 and 513x1024
         _, V = np.linalg.eigh(np.diag(diag) + np.diag(e, 1) + np.diag(e, -1))
@@ -73,7 +78,14 @@ class KroneckerSolver:
             if not np.all(piv > 0):
                 raise ValueError("operator is not positive definite")
             self._piv = piv
-            self._mult = off / piv[:-1]
+            # solve overwrites one (nz, modes) buffer in place; each step
+            # of L y = c and of L^T x = w is (multiplier, row read, row
+            # written), views made once here, so a step makes no array
+            self._c = np.empty((nz, lam.size))
+            self._tmp = np.empty(lam.size)
+            rows, mult = list(self._c), list(off / piv[:-1])
+            self._down = list(zip(mult, rows[:-1], rows[1:]))
+            self._up = list(zip(mult[::-1], rows[:0:-1], rows[-2::-1]))
         else:
             raise ValueError(f"unknown z boundary tag {z_bc!r}")
 
@@ -84,12 +96,14 @@ class KroneckerSolver:
                              n=c.shape[1], axis=1)
             return self._from_modes @ y
         # the coefficients as (nz, modes), so that each step of the sweeps
-        # L y = c, D w = y, L^T x = w reads one contiguous row; in place
-        c = b.T @ self._to_modes.T
-        mult = self._mult
-        for j in range(1, c.shape[0]):
-            c[j] -= mult[j - 1] * c[j - 1]
+        # L y = c, D w = y, L^T x = w reads one contiguous row
+        c = np.matmul(b.T, self._to_modes.T, out=self._c)
+        mul, sub, tmp = np.multiply, np.subtract, self._tmp
+        for m, prev, row in self._down:
+            mul(m, prev, tmp)
+            sub(row, tmp, row)
         c /= self._piv
-        for j in range(c.shape[0] - 2, -1, -1):
-            c[j] -= mult[j] * c[j + 1]
+        for m, nxt, row in self._up:
+            mul(m, nxt, tmp)
+            sub(row, tmp, row)
         return self._from_modes @ c.T

@@ -29,3 +29,17 @@ def test_not_positive_definite_is_rejected():
     # the eigenvalues of A are -6 and -4, so lam_i + Z has negative ones
     with pytest.raises(ValueError, match="not positive definite"):
         KroneckerSolver([-1.0], [-5.0, -5.0], [-1.0], 3, 1.0, "dirichlet")
+
+
+def test_dirichlet_solves_do_not_share_results():
+    # solve sweeps one buffer kept by the solver; what it returns is new
+    rng = np.random.default_rng(7)
+    solver = KroneckerSolver(-np.ones(5), np.full(6, 3.0), -np.ones(5), 8,
+                             0.5, "dirichlet")
+    b1, b2 = rng.standard_normal((2, 6, 8))
+    x1 = solver.solve(b1)
+    kept = x1.copy()
+    x2 = solver.solve(b2)
+    assert np.array_equal(x1, kept)
+    assert np.array_equal(solver.solve(b1), kept)
+    assert not np.shares_memory(x1, x2)
