@@ -258,7 +258,7 @@ def proportionality_ratio(a: SymExpr, b: SymExpr) -> Optional[Fraction]:
     for ta, tb in zip(a.terms, b.terms):
         if ta.signature() != tb.signature():
             return None
-        r = ta.coeff / tb.coeff
+        r = Fraction(ta.coeff, tb.coeff)
         if ratio is None:
             ratio = r
         elif r != ratio:

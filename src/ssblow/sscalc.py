@@ -7,14 +7,17 @@ Expressions are finite sums of terms
 
 with exact rational coefficients.  gamma is never given a numeric value
 inside the algebra; it appears both as a symbolic factor (g_pow) and in
-the affine tau-exponents.  All values are immutable, so canonical forms
-are safe to share and hash.
+the affine tau-exponents.  A rational is an int when it is integral and
+a Fraction otherwise.  All values are immutable, so canonical forms are
+safe to share and hash: assigning to a field raises.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
+from functools import total_ordering
+from operator import attrgetter
 from typing import Callable, Iterable, Mapping
 
 __all__ = [
@@ -58,43 +61,76 @@ class MissingBinding(KeyError):
     """A profile derivative has no numeric evaluator."""
 
 
-def _rat(x) -> Fraction:
-    if isinstance(x, Fraction):
+def _rat(x):
+    """x as an int when integral, else as a Fraction: the two compare, hash
+    and print alike, and int arithmetic is several times cheaper."""
+    if type(x) is int:
         return x
+    if isinstance(x, Fraction):
+        return x.numerator if x.denominator == 1 else x
     if isinstance(x, (int, str)):
-        return Fraction(x)
-    if isinstance(x, float) and x == int(x):
-        return Fraction(int(x))
+        return _rat(Fraction(x))
+    if isinstance(x, float) and x.is_integer():
+        return int(x)
     raise TypeError(f"not an exact rational: {x!r}")
+
+
+_set = object.__setattr__
+_key_of, _sig_of = attrgetter("_key"), attrgetter("_sig")
+
+
+class _Value:
+    """Immutable slotted value.  __init__ sets every slot once, _key (what
+    == compares) and _hash among them; assignment raises."""
+
+    __slots__ = ()
+    _fields: tuple = ()  # the constructor arguments, in order
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._key == other._key
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, f) for f in self._fields)
+
+    def __repr__(self) -> str:
+        args = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__name__}({args})"
 
 
 # ---------------------------------------------------------------------------
 # exponents
 
 
-@dataclass(frozen=True, order=True)
-class SsExponent:
-    """Formal exponent base + gamma_coeff * gamma of tau = (T - t).
+@total_ordering
+class SsExponent(_Value):
+    """Formal exponent base + gamma_coeff * gamma of tau = (T - t), ordered
+    by its _key (base, gamma_coeff)."""
 
-    Ordered by (base, gamma_coeff).  The hash is computed once, from the
-    integer numerators and denominators: hashing a Fraction was the
-    dominant cost of merging like terms.
-    """
+    _fields = ("base", "gamma_coeff")
+    __slots__ = _fields + ("_key", "_hash")
 
-    base: Fraction = Fraction(0)
-    gamma_coeff: Fraction = Fraction(0)
+    def __init__(self, base=0, gamma_coeff=0):
+        key = (_rat(base), _rat(gamma_coeff))
+        _set(self, "base", key[0])
+        _set(self, "gamma_coeff", key[1])
+        _set(self, "_key", key)
+        _set(self, "_hash", hash(key))
 
-    def __post_init__(self):
-        object.__setattr__(self, "base", _rat(self.base))
-        object.__setattr__(self, "gamma_coeff", _rat(self.gamma_coeff))
-
-    def __hash__(self) -> int:
-        h = self.__dict__.get("_hash")
-        if h is None:
-            b, g = self.base, self.gamma_coeff
-            h = hash((b.numerator, b.denominator, g.numerator, g.denominator))
-            object.__setattr__(self, "_hash", h)
-        return h
+    def __lt__(self, other) -> bool:
+        if type(other) is not SsExponent:
+            return NotImplemented
+        return self._key < other._key
 
     def __add__(self, other: "SsExponent") -> "SsExponent":
         return SsExponent(self.base + other.base, self.gamma_coeff + other.gamma_coeff)
@@ -131,8 +167,11 @@ class SsExponent:
         return SsExponent(Fraction(d["base"]), Fraction(d["gamma"]))
 
 
+_TAU0 = SsExponent()
+
+
 def exponent(base=0, gamma=0) -> SsExponent:
-    return SsExponent(_rat(base), _rat(gamma))
+    return SsExponent(base, gamma)
 
 
 # ---------------------------------------------------------------------------
@@ -141,25 +180,24 @@ def exponent(base=0, gamma=0) -> SsExponent:
 FIELDS = ("U", "Omega", "Psi")
 
 
-@dataclass(frozen=True)
-class ProfileRef:
+class ProfileRef(_Value):
     """Mixed partial d_R^dR d_Z^dZ of profile <field>_<series_index>."""
 
-    field: str
-    series_index: int = 0
-    dR: int = 0
-    dZ: int = 0
+    _fields = ("field", "series_index", "dR", "dZ")
+    __slots__ = _fields + ("_key", "_hash")
 
-    def __post_init__(self):
-        if self.field not in FIELDS:
-            raise ValueError(f"unknown field tag {self.field!r}")
-        if self.series_index < 0 or self.dR < 0 or self.dZ < 0:
+    def __init__(self, field, series_index=0, dR=0, dZ=0):
+        if field not in FIELDS:
+            raise ValueError(f"unknown field tag {field!r}")
+        if series_index < 0 or dR < 0 or dZ < 0:
             raise ValueError("series_index/dR/dZ must be non-negative")
-        object.__setattr__(self, "_key", (FIELDS.index(self.field),
-                                          self.series_index, self.dR, self.dZ))
-
-    def sort_key(self):
-        return self._key
+        key = (FIELDS.index(field), series_index, dR, dZ)
+        _set(self, "field", field)
+        _set(self, "series_index", series_index)
+        _set(self, "dR", dR)
+        _set(self, "dZ", dZ)
+        _set(self, "_key", key)
+        _set(self, "_hash", hash(key))
 
     def bump(self, dR=0, dZ=0) -> "ProfileRef":
         return ProfileRef(self.field, self.series_index, self.dR + dR, self.dZ + dZ)
@@ -195,37 +233,36 @@ class ProfileRef:
 # terms and expressions
 
 
-@dataclass(frozen=True)
-class SymTerm:
-    coeff: Fraction
-    g_pow: int = 0
-    r_pow: int = 0
-    z_pow: int = 0
-    factors: tuple = ()
-    tau: SsExponent = dc_field(default_factory=SsExponent)
+class SymTerm(_Value):
+    _fields = ("coeff", "g_pow", "r_pow", "z_pow", "factors", "tau")
+    __slots__ = _fields + ("_sig", "_key", "_hash")
 
-    def __post_init__(self):
-        object.__setattr__(self, "coeff", _rat(self.coeff))
-        object.__setattr__(
-            self, "factors", tuple(sorted(self.factors, key=ProfileRef.sort_key))
-        )
-        if self.g_pow < 0 or self.r_pow < 0 or self.z_pow < 0:
+    def __init__(self, coeff, g_pow=0, r_pow=0, z_pow=0, factors=(), tau=_TAU0):
+        if g_pow < 0 or r_pow < 0 or z_pow < 0:
             raise ValueError("powers must be non-negative")
+        coeff = _rat(coeff)
+        factors = tuple(sorted(factors, key=_key_of))
+        sig = (tuple(map(_key_of, factors)), r_pow, z_pow, g_pow, tau._key)
+        key = (coeff, sig)
+        _set(self, "coeff", coeff)
+        _set(self, "g_pow", g_pow)
+        _set(self, "r_pow", r_pow)
+        _set(self, "z_pow", z_pow)
+        _set(self, "factors", factors)
+        _set(self, "tau", tau)
+        _set(self, "_sig", sig)
+        _set(self, "_key", key)
+        _set(self, "_hash", hash(key))
 
     def signature(self):
-        """Everything but the coefficient: the key that merges like terms
-        and sorts them.  Computed once per term."""
-        sig = self.__dict__.get("_sig")
-        if sig is None:
-            sig = (tuple(f._key for f in self.factors), self.r_pow,
-                   self.z_pow, self.g_pow, self.tau)
-            object.__setattr__(self, "_sig", sig)
-        return sig
+        """Everything but the coefficient: the key that merges like terms and
+        sorts them, a tuple of ints and rationals."""
+        return self._sig
 
     def scaled(self, c) -> "SymTerm":
         return self._replace_coeff(self.coeff * _rat(c))
 
-    def _replace_coeff(self, c: Fraction) -> "SymTerm":
+    def _replace_coeff(self, c) -> "SymTerm":
         return SymTerm(c, self.g_pow, self.r_pow, self.z_pow, self.factors, self.tau)
 
     def __mul__(self, other: "SymTerm") -> "SymTerm":
@@ -262,11 +299,11 @@ class SymExpr:
     def from_terms(terms: Iterable[SymTerm]) -> "SymExpr":
         merged: dict = {}
         for t in terms:
-            sig = t.signature()
+            sig = t._sig
             prev = merged.get(sig)
             merged[sig] = t if prev is None else prev._replace_coeff(prev.coeff + t.coeff)
         out = [t for t in merged.values() if t.coeff != 0]
-        out.sort(key=SymTerm.signature)
+        out.sort(key=_sig_of)
         return SymExpr(tuple(out))
 
     @staticmethod
@@ -339,7 +376,7 @@ def _as_expr(x) -> SymExpr:
     if isinstance(x, (int, Fraction)):
         if x == 0:
             return SymExpr.zero()
-        return SymExpr((SymTerm(_rat(x)),))
+        return SymExpr((SymTerm(x),))
     raise TypeError(f"cannot coerce {x!r} to SymExpr")
 
 
@@ -355,9 +392,8 @@ class SymEquation:
 # builders
 
 
-def term(coeff=1, g=0, r=0, z=0, factors=(), tau=None) -> SymExpr:
-    tau = tau if tau is not None else SsExponent()
-    return SymExpr.from_terms([SymTerm(_rat(coeff), g, r, z, tuple(factors), tau)])
+def term(coeff=1, g=0, r=0, z=0, factors=(), tau=_TAU0) -> SymExpr:
+    return SymExpr.from_terms([SymTerm(coeff, g, r, z, factors, tau)])
 
 
 def prof(field: str, k: int = 0, dR: int = 0, dZ: int = 0) -> SymExpr:
@@ -454,7 +490,7 @@ def geometric_expand(M: int) -> SymExpr:
     if M < 0:
         raise ValueError("truncation order must be >= 0")
     return SymExpr.from_terms(
-        SymTerm(Fraction((-1) ** m), 0, m, 0, (), exponent(0, m)) for m in range(M + 1)
+        SymTerm((-1) ** m, 0, m, 0, (), exponent(0, m)) for m in range(M + 1)
     )
 
 
@@ -542,7 +578,7 @@ def eval_numeric(e: SymExpr, bindings: Binding, point, tau_pow_gamma: float,
 # serialization
 
 
-def _rat_latex(q: Fraction) -> str:
+def _rat_latex(q) -> str:
     if q.denominator == 1:
         return str(q.numerator)
     sign = "-" if q < 0 else ""

@@ -136,6 +136,30 @@ def test_derive_output_is_pinned(mode, fmt, monkeypatch, tmp_path, capsys):
     assert hashlib.sha256(data).hexdigest() == DERIVE_SHA256[mode, fmt]
 
 
+#: sha256 of the depth-12 generalized derive outputs and of a kmax-50
+#: verify report; a change to the term algebra must keep them byte for byte
+LARGE_OUTPUT_SHA256 = {
+    "derive-generalized-d12-json": (
+        ["derive", "--mode", "generalized", "--depth", "12"], "hierarchy.json",
+        "76315076d27f6953635018ba5957f085cd4b427e3177c262f1c80c10166b53ef"),
+    "derive-generalized-d12-latex": (
+        ["derive", "--mode", "generalized", "--depth", "12", "--format",
+         "latex"], "hierarchy.tex",
+        "a2f48971a7ec1314b9f2fe6f3e678a4d66643e32bad310129ee79a9df036d948"),
+    "verify-2_5-kmax50": (
+        ["verify", "--gamma", "2/5", "--kmax", "50"], "triviality.json",
+        "87455454f123e3005c8f278f4183e057e775b350d67faedd0abaa9380b674078"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LARGE_OUTPUT_SHA256))
+def test_large_outputs_are_pinned(name, monkeypatch, tmp_path, capsys):
+    argv, filename, digest = LARGE_OUTPUT_SHA256[name]
+    assert run(argv, monkeypatch, tmp_path) == 0
+    data = (tmp_path / filename).read_bytes()
+    assert hashlib.sha256(data).hexdigest() == digest
+
+
 # -- verify -----------------------------------------------------------------
 
 

@@ -28,6 +28,33 @@ from ssblow.sscalc import (
 )
 
 
+# -- comparison -------------------------------------------------------------
+
+
+@pytest.mark.parametrize("c", [Fraction(-3), Fraction(1, 2), Fraction(1)],
+                         ids=["-3", "1/2", "1"])
+def test_proportionality_ratio_is_exact(c):
+    # integral coefficients are held as int, so a ratio of two of them must
+    # still come out as an exact Fraction (int / int would be a float)
+    b = 2 * prof("Psi", 0, dR=1) - 4 * term(g=1) * prof("U", 1)
+    a = c * b
+    assert all(type(t.coeff) is int for t in b.terms)
+    ratio = hy.proportionality_ratio(a, b)
+    assert type(ratio) is Fraction and ratio == c
+    verdict = hy.compare(a, b, "psi", 1)
+    want = "match" if c == 1 else "equivalent_zero_set"
+    assert verdict.status == want and verdict.to_json()["ratio"] == str(c)
+    assert hy.proportionality_ratio(a, b + prof("U")) is None
+
+
+def test_single_mode_psi_ratio_prints_as_integer():
+    rep = hy.derive_hierarchy(hy.AnsatzSpec(mode="single", depth=1))
+    v = rep.verdict("psi", 1)
+    assert type(v.ratio) is Fraction and v.ratio == -3
+    assert "(ratio -3)" in hy.emit(rep, "latex")
+    assert v.to_json()["ratio"] == "-3"
+
+
 # -- ansatz and velocities --------------------------------------------------
 
 

@@ -1,7 +1,10 @@
 """Exact-algebra engine: canonicalization, derivative rules, order
-collection, numeric evaluation, and serialization round-trips."""
+collection, numeric evaluation, serialization round-trips, and the
+immutable int/Fraction value representation."""
 
+import copy
 import math
+import pickle
 from fractions import Fraction
 
 import numpy as np
@@ -16,6 +19,8 @@ from ssblow.sscalc import (
     SsExponent,
     SymEquation,
     SymExpr,
+    SymTerm,
+    _rat,
     R_var,
     Z_var,
     canonicalize,
@@ -134,6 +139,22 @@ sym_exprs = st.lists(
 ).map(lambda ts: sum(ts, SymExpr.zero()))
 
 
+#: the same rationals given as int where integral and as Fraction, so the
+#: int fast path and Fraction arithmetic meet in every operation
+mixed = st.one_of(st.integers(-3, 3), rationals(-3, 3, 3))
+
+mixed_exprs = st.lists(
+    st.builds(
+        lambda c, g, r, z, fs, b, gc: term(c, g, r, z, fs, exponent(b, gc)),
+        mixed, st.integers(0, 2), st.integers(0, 1), st.integers(0, 1),
+        st.lists(st.builds(ProfileRef, st.sampled_from(["U", "Omega", "Psi"]),
+                           st.integers(0, 1), st.integers(0, 1),
+                           st.integers(0, 1)), max_size=2),
+        st.one_of(st.integers(-2, 1), rationals(-2, 1, 2)), mixed),
+    max_size=4,
+).map(lambda ts: sum(ts, SymExpr.zero()))
+
+
 @settings(max_examples=200, deadline=None, database=None, derandomize=True)
 @given(sym_exprs, sym_exprs, rationals(-4, 6, 2))
 def test_truncated_product_is_filtered_full_product(a, b, cap):
@@ -152,6 +173,114 @@ def test_exponent_hash_and_order(b1, g1, b2, g2):
     assert (x < y) == ((b1, g1) < (b2, g2))
     if x == y:
         assert hash(x) == hash(y)
+
+
+def canonical_rationals(e: SymExpr) -> bool:
+    """Every coefficient and exponent part is an int, or a Fraction that is
+    not integral."""
+    values = [x for t in e.terms for x in (t.coeff, t.tau.base,
+                                           t.tau.gamma_coeff)]
+    return all(type(x) is int or (type(x) is Fraction and x.denominator != 1)
+               for x in values)
+
+
+@settings(max_examples=100, deadline=None, database=None, derandomize=True)
+@given(mixed_exprs, mixed_exprs, mixed_exprs)
+def test_ring_axioms_mixed_int_fraction(a, b, c):
+    assert (a + b) + c == a + (b + c)
+    assert a + b == b + a
+    assert a * (b + c) == a * b + a * c
+    assert (a * b) * c == a * (b * c)
+    assert a * b == b * a
+    assert a - a == SymExpr.zero()
+    assert term(1) * a == a
+    for e in (a + b, a * b, a - c, (a + b) * c):
+        assert canonical_rationals(e)
+
+
+@settings(max_examples=100, deadline=None, database=None, derandomize=True)
+@given(mixed_exprs, mixed_exprs)
+def test_leibniz_rule_mixed_int_fraction(a, b):
+    for d in (diff_tau, diff_r, diff_z):
+        assert d(a * b) == d(a) * b + a * d(b)
+        assert d(a + b) == d(a) + d(b)
+        assert canonical_rationals(d(a * b))
+
+
+def _as_fractions(e: SymExpr) -> SymExpr:
+    """e rebuilt with every coefficient and exponent part a Fraction."""
+    return SymExpr.from_terms(
+        SymTerm(Fraction(t.coeff), t.g_pow, t.r_pow, t.z_pow, t.factors,
+                SsExponent(Fraction(t.tau.base), Fraction(t.tau.gamma_coeff)))
+        for t in e.terms)
+
+
+@settings(max_examples=100, deadline=None, database=None, derandomize=True)
+@given(mixed_exprs)
+def test_int_and_fraction_built_values_agree(e):
+    f = _as_fractions(e)
+    assert f == e and hash(f) == hash(e)
+    for x, y in zip(f.terms, e.terms):
+        assert x == y and hash(x) == hash(y) and str(x) == str(y)
+        assert x.tau == y.tau and hash(x.tau) == hash(y.tau)
+        assert x.signature() == y.signature()
+    assert expr_to_json(f) == expr_to_json(e)
+    assert expr_to_latex(f) == expr_to_latex(e)
+
+
+def test_integral_values_are_held_as_int():
+    # 1/2 + 1/2 is held as the int 1, and only 1/2 as a Fraction
+    e = term(Fraction(1, 2), tau=exponent(Fraction(-1, 2), Fraction(3, 2)))
+    two = e + e
+    assert type(two.terms[0].coeff) is int and two.terms[0].coeff == 1
+    half = two.terms[0].tau + exponent(Fraction(1, 2), Fraction(1, 2))
+    assert (type(half.base), type(half.gamma_coeff)) == (int, int)
+    assert type(e.terms[0].coeff) is Fraction
+    assert exponent(2.0, "4/2")._key == (2, 2)
+    assert str(two) == "1*tau^(-1/2+3/2g)" and str(e) == "1/2*tau^(-1/2+3/2g)"
+
+
+@pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan, 0.5],
+                         ids=["inf", "-inf", "nan", "non-integral"])
+def test_rat_rejects_inexact_floats(x):
+    with pytest.raises(TypeError, match="not an exact rational"):
+        _rat(x)
+    with pytest.raises(TypeError, match="not an exact rational"):
+        exponent(x)
+    with pytest.raises(TypeError, match="not an exact rational"):
+        term(x)
+
+
+# -- immutability -----------------------------------------------------------
+
+VALUES = {
+    "SsExponent": exponent(-1, Fraction(1, 2)),
+    "ProfileRef": ProfileRef("Psi", 1, 2, 0),
+    "SymTerm": (tau_pow(-1, 2) * R_var() * prof("U", 1, dZ=1)).terms[0],
+}
+
+
+@pytest.mark.parametrize("name", sorted(VALUES))
+def test_values_are_immutable(name):
+    value = VALUES[name]
+    before = (repr(value), hash(value))
+    # every field, the cached key and hash included, and a new attribute
+    for field in type(value).__slots__ + ("extra",):
+        with pytest.raises(AttributeError):
+            setattr(value, field, 0)
+        with pytest.raises(AttributeError):
+            delattr(value, field)
+    assert (repr(value), hash(value)) == before
+
+
+@pytest.mark.parametrize("name", sorted(VALUES))
+def test_values_copy_and_pickle(name):
+    value = VALUES[name]
+    for other in (copy.copy(value), copy.deepcopy(value),
+                  pickle.loads(pickle.dumps(value))):
+        assert other == value and hash(other) == hash(value)
+        assert repr(other) == repr(value)
+    assert repr(value).startswith(name + "(")
 
 
 # -- derivatives ------------------------------------------------------------
