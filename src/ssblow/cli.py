@@ -7,6 +7,11 @@ version, the wall time, and the schema version of every file produced.
 
 Exit codes: 0 success, 1 verification mismatch, 2 usage error,
 3 numeric failure.  Failures emit machine-readable JSON on stderr.
+
+The module level imports only the standard library and `sscalc`; each
+command checks its arguments, then imports the package modules it calls.
+So `derive`, `--help`, `--version` and the usage errors found before a
+command computes never load numpy.
 """
 
 from __future__ import annotations
@@ -23,12 +28,8 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Optional
 
-import numpy as np
-
 from . import __version__
-from . import hierarchy, rigidity, cylsim
-from .gridio import json_text
-from .sscalc import CommensurabilityError
+from .sscalc import CommensurabilityError, json_text
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -161,6 +162,8 @@ def _cfg_get(cfg: dict, key: str, cast, default):
 
 
 def initial_data(preset: str, grid: cylsim.CylGrid, amplitude: float = 1.0):
+    import numpy as np
+
     r, z = grid.mesh()
     zs = z / grid.z_len
     if preset == "swirl_bump":
@@ -185,6 +188,8 @@ def initial_data(preset: str, grid: cylsim.CylGrid, amplitude: float = 1.0):
 def cmd_derive(args) -> int:
     if args.depth < 1:
         raise UsageError("--depth must be >= 1")
+    from . import hierarchy
+
     started = time.monotonic()
     spec = hierarchy.AnsatzSpec(mode=args.mode, depth=args.depth)
     report = hierarchy.derive_hierarchy(spec)
@@ -211,6 +216,8 @@ def cmd_verify(args) -> int:
     gamma = parse_gamma(args.gamma)
     if args.kmax < 0:
         raise UsageError("--kmax must be >= 0")
+    from . import rigidity
+
     started = time.monotonic()
     decay = not args.no_decay
     # before the output directory exists: a gamma too large for --kmax
@@ -247,6 +254,8 @@ def cmd_verify(args) -> int:
 
 def _identity_fields(preset: str, grid: rigidity.HalfPlaneGrid,
                      epsilon: float):
+    import numpy as np
+
     R, Z = grid.mesh()
     if preset == "compact":
         # compactly supported bump well inside the cutoff plateau
@@ -276,6 +285,8 @@ def cmd_identity(args) -> int:
         raise UsageError(f"--rho must be finite and positive, got {args.rho}")
     if not math.isfinite(args.epsilon):
         raise UsageError(f"--epsilon must be finite, got {args.epsilon}")
+    from . import rigidity
+
     started = time.monotonic()
     grid = rigidity.HalfPlaneGrid()
     U, Psi, dU, dPsi = _identity_fields(args.preset, grid, args.epsilon)
@@ -326,6 +337,7 @@ def cmd_simulate(args) -> int:
     if not cfl <= math.sqrt(2.0):
         raise UsageError(f"cfl = {cfl} exceeds the RK4 stability bound "
                          "sqrt(2)")
+    from . import cylsim
 
     grid = cylsim.CylGrid(nr, nz, r_min, z_len, z_bc)
     u1, om = initial_data(preset, grid, amplitude)
@@ -398,6 +410,9 @@ def _write_series(path: Path, s: cylsim.BlowupSeries) -> None:
 
 
 def _load_series(path) -> cylsim.BlowupSeries:
+    import numpy as np
+    from . import cylsim
+
     rows = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
     if rows.shape[1] != 8:
         raise UsageError(f"{path}: expected 8 columns")
@@ -411,6 +426,9 @@ def _load_series(path) -> cylsim.BlowupSeries:
 
 
 def cmd_fit(args) -> int:
+    import numpy as np
+    from . import cylsim, rigidity
+
     started = time.monotonic()
     series = _load_series(args.series)
     fit = cylsim.track_blowup(series, rate=args.rate)
@@ -438,6 +456,9 @@ def cmd_fit(args) -> int:
 def cmd_demo_1d(args) -> int:
     if args.n < 8:
         raise UsageError("--n must be >= 8")
+    import numpy as np
+    from . import cylsim
+
     started = time.monotonic()
     t_end = args.t_end if args.t_end is not None else \
         (1.0 if args.bc == "periodic" else 0.05)
@@ -469,12 +490,14 @@ def cmd_demo_1d(args) -> int:
 
 def cmd_scaling(args) -> int:
     gamma = float(parse_gamma(args.gamma))
-    started = time.monotonic()
     lengths = tuple(float(s) for s in args.lengths.split(",")) \
         if args.lengths else (1.0, 2.0, 4.0, 8.0)
     if not all(math.isfinite(L) and L > 0 for L in lengths):
         raise UsageError(f"--lengths must be finite and positive, "
                          f"got {args.lengths!r}")
+    from . import cylsim, rigidity
+
+    started = time.monotonic()
     report = cylsim.energy_scaling(gamma, lengths)
     out = _out_dir(args)
     manifest = RunManifest("scaling", {"gamma": gamma, "lengths": lengths})
@@ -572,6 +595,17 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _numeric_errors() -> tuple:
+    """The exceptions main reports with exit code 3.  An except clause
+    evaluates its expression only when an exception reaches it, so the
+    numeric modules load here on the error path alone."""
+    from . import cylsim, rigidity
+
+    return (cylsim.CFLViolation, cylsim.NumericalBlowup, cylsim.FitRejected,
+            CommensurabilityError, rigidity.BoundaryViolation,
+            FileNotFoundError)
+
+
 def _error_json(kind: str, exc: BaseException) -> None:
     print(json.dumps({"error": kind, "message": str(exc)}), file=sys.stderr)
 
@@ -588,9 +622,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         _error_json("usage", exc)
         return EXIT_USAGE
-    except (cylsim.CFLViolation, cylsim.NumericalBlowup, cylsim.FitRejected,
-            CommensurabilityError, rigidity.BoundaryViolation,
-            FileNotFoundError) as exc:
+    except _numeric_errors() as exc:
         _error_json(type(exc).__name__, exc)
         return EXIT_NUMERIC
     except ValueError as exc:

@@ -1,5 +1,5 @@
-"""Discretized scalar fields on uniform rectangular grids, the binary and
-JSON interchange formats, and the difference stencils shared by the
+"""Discretized scalar fields on uniform rectangular grids, their binary
+interchange format, and the difference stencils shared by the
 verification and simulation modules.
 
 Binary layout: a header of six float64 values (n1, n2, h1, h2, x1_0,
@@ -8,7 +8,6 @@ x2_0) followed by the row-major float64 field data, axis 0 first.
 
 from __future__ import annotations
 
-import json
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -16,130 +15,6 @@ from pathlib import Path
 import numpy as np
 
 _HEADER = struct.Struct("<6d")
-_ESCAPE = json.encoder.encode_basestring_ascii
-_INF = float("inf")
-
-
-def _float_text(x) -> str:
-    # json's spelling: repr, and JavaScript names for the non-finite values
-    if x != x:
-        return "NaN"
-    if x == _INF:
-        return "Infinity"
-    if x == -_INF:
-        return "-Infinity"
-    return float.__repr__(x)
-
-
-def json_text(obj, sort_keys: bool = False) -> str:
-    """The bytes of json.dumps(obj, indent=2, sort_keys=sort_keys).
-
-    The stdlib encodes with an indent in pure Python, one generator per
-    container; this appends to one list of parts and joins it once.
-    Values are str-keyed dicts, lists, tuples, str, int, float (subclasses
-    such as np.float64 included), bool and None; anything else, and a
-    non-str key, raises TypeError.
-    """
-    escape, intstr = _ESCAPE, int.__repr__
-    parts = []
-    put = parts.append
-    # "\n" and ",\n" followed by the indent of each level reached so far
-    newline, comma = ["\n"], [",\n"]
-    # key -> its escaped text and the key separator
-    keys = {}
-
-    def value(o, level):
-        t = type(o)
-        if t is str:
-            put(escape(o))
-        elif t is dict:
-            mapping(o, level)
-        elif t is list or t is tuple:
-            sequence(o, level)
-        elif t is int:
-            put(intstr(o))
-        elif t is float:
-            put(_float_text(o))
-        elif o is None:
-            put("null")
-        elif o is True:
-            put("true")
-        elif o is False:
-            put("false")
-        # subclasses, in json's order of checks
-        elif isinstance(o, str):
-            put(escape(o))
-        elif isinstance(o, int):
-            put(intstr(o))
-        elif isinstance(o, float):
-            put(_float_text(o))
-        elif isinstance(o, (list, tuple)):
-            sequence(o, level)
-        elif isinstance(o, dict):
-            mapping(o, level)
-        else:
-            raise TypeError(f"Object of type {type(o).__name__} "
-                            "is not JSON serializable")
-
-    # the loops below dispatch the commonest types themselves, saving a
-    # call of value() per item
-    def sequence(seq, level):
-        if not seq:
-            put("[]")
-            return
-        level += 1
-        if len(newline) <= level:
-            newline.append(newline[-1] + "  ")
-            comma.append(comma[-1] + "  ")
-        sep = newline[level]
-        put("[")
-        for item in seq:
-            put(sep)
-            sep = comma[level]
-            t = type(item)
-            if t is dict:
-                mapping(item, level)
-            elif t is str:
-                put(escape(item))
-            elif t is int:
-                put(intstr(item))
-            else:
-                value(item, level)
-        put(newline[level - 1] + "]")
-
-    def mapping(d, level):
-        if not d:
-            put("{}")
-            return
-        level += 1
-        if len(newline) <= level:
-            newline.append(newline[-1] + "  ")
-            comma.append(comma[-1] + "  ")
-        sep = newline[level]
-        put("{")
-        for key in sorted(d) if sort_keys else d:
-            item = d[key]
-            text = keys.get(key)
-            if text is None:
-                # escape raises TypeError on a key that is not a str
-                text = keys[key] = escape(key) + ": "
-            put(sep + text)
-            sep = comma[level]
-            t = type(item)
-            if t is str:
-                put(escape(item))
-            elif t is int:
-                put(intstr(item))
-            elif t is dict:
-                mapping(item, level)
-            elif t is list:
-                sequence(item, level)
-            else:
-                value(item, level)
-        put(newline[level - 1] + "}")
-
-    value(obj, 0)
-    return "".join(parts)
 
 
 @dataclass

@@ -14,7 +14,6 @@ from fractions import Fraction
 from itertools import chain
 from typing import Optional
 
-from .gridio import json_text
 from .sscalc import (
     ProfileRef,
     SymEquation,
@@ -29,6 +28,7 @@ from .sscalc import (
     exponent,
     expr_to_latex,
     geometric_expand,
+    json_text,
     lattice_base,
     product_terms,
     prof,

@@ -10,10 +10,15 @@ inside the algebra; it appears both as a symbolic factor (g_pow) and in
 the affine tau-exponents.  A rational is an int when it is integral and
 a Fraction otherwise.  All values are immutable, so canonical forms are
 safe to share and hash: assigning to a field raises.
+
+The module imports only the standard library.  It also holds the JSON
+and LaTeX writers, `json_text` (the package's indented JSON writer)
+among them, so that the symbolic commands run without numpy.
 """
 
 from __future__ import annotations
 
+import json
 from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
 from functools import total_ordering
@@ -50,6 +55,7 @@ __all__ = [
     "equation_from_json",
     "expr_to_latex",
     "equation_to_latex",
+    "json_text",
 ]
 
 
@@ -261,6 +267,23 @@ class SymTerm(_Value):
 
     def scaled(self, c) -> "SymTerm":
         return self._replace_coeff(self.coeff * _rat(c))
+
+    def _without_tau(self) -> "SymTerm":
+        """This term with tau^0: the factors stay sorted, so only the tau
+        key of the signature changes and __init__'s sort is skipped."""
+        t = object.__new__(SymTerm)
+        sig = self._sig[:4] + (_TAU0._key,)
+        key = (self.coeff, sig)
+        _set(t, "coeff", self.coeff)
+        _set(t, "g_pow", self.g_pow)
+        _set(t, "r_pow", self.r_pow)
+        _set(t, "z_pow", self.z_pow)
+        _set(t, "factors", self.factors)
+        _set(t, "tau", _TAU0)
+        _set(t, "_sig", sig)
+        _set(t, "_key", key)
+        _set(t, "_hash", hash(key))
+        return t
 
     def _replace_coeff(self, c) -> "SymTerm":
         return SymTerm(c, self.g_pow, self.r_pow, self.z_pow, self.factors, self.tau)
@@ -508,23 +531,26 @@ def collect_orders(eq: SymEquation) -> dict:
     e = eq.lhs
     if e.is_zero:
         return {}
+    # one pass groups the terms by their tau (SsExponent hashes are
+    # cached); the lattice checks then run once per distinct exponent
+    by_tau: dict = {}
+    for t in e.terms:
+        by_tau.setdefault(t.tau, []).append(t)
     base = e.terms[0].tau.base
-    if any(t.tau.base != base for t in e.terms):
-        bases = sorted({t.tau.base for t in e.terms})
+    if any(tau.base != base for tau in by_tau):
+        bases = sorted({tau.base for tau in by_tau})
         raise CommensurabilityError(
             f"tau-exponent bases differ in {eq.label or 'equation'}: {bases}"
         )
-    g0 = min(t.tau.gamma_coeff for t in e.terms)
+    g0 = min(tau.gamma_coeff for tau in by_tau)
     buckets: dict = {}
-    for t in e.terms:
-        step = t.tau.gamma_coeff - g0
+    for tau, ts in by_tau.items():
+        step = tau.gamma_coeff - g0
         if step.denominator != 1 or step < 0:
             raise CommensurabilityError(
-                f"off-lattice tau-exponent {t.tau} in {eq.label or 'equation'}"
+                f"off-lattice tau-exponent {tau} in {eq.label or 'equation'}"
             )
-        k = int(step)
-        stripped = SymTerm(t.coeff, t.g_pow, t.r_pow, t.z_pow, t.factors)
-        buckets.setdefault(k, []).append(stripped)
+        buckets[int(step)] = [t._without_tau() for t in ts]
     # the terms of one bucket share their tau, so stripping it merges none
     # and keeps their canonical order
     return {
@@ -576,6 +602,132 @@ def eval_numeric(e: SymExpr, bindings: Binding, point, tau_pow_gamma: float,
 
 # ---------------------------------------------------------------------------
 # serialization
+
+
+_ESCAPE = json.encoder.encode_basestring_ascii
+_INF = float("inf")
+
+
+def _float_text(x) -> str:
+    # json's spelling: repr, and JavaScript names for the non-finite values
+    if x != x:
+        return "NaN"
+    if x == _INF:
+        return "Infinity"
+    if x == -_INF:
+        return "-Infinity"
+    return float.__repr__(x)
+
+
+def json_text(obj, sort_keys: bool = False) -> str:
+    """The bytes of json.dumps(obj, indent=2, sort_keys=sort_keys).
+
+    The stdlib encodes with an indent in pure Python, one generator per
+    container; this appends to one list of parts and joins it once.
+    Values are str-keyed dicts, lists, tuples, str, int, float (subclasses
+    such as np.float64 included), bool and None; anything else, and a
+    non-str key, raises TypeError.
+    """
+    escape, intstr = _ESCAPE, int.__repr__
+    parts = []
+    put = parts.append
+    # "\n" and ",\n" followed by the indent of each level reached so far
+    newline, comma = ["\n"], [",\n"]
+    # key -> its escaped text and the key separator
+    keys = {}
+
+    def value(o, level):
+        t = type(o)
+        if t is str:
+            put(escape(o))
+        elif t is dict:
+            mapping(o, level)
+        elif t is list or t is tuple:
+            sequence(o, level)
+        elif t is int:
+            put(intstr(o))
+        elif t is float:
+            put(_float_text(o))
+        elif o is None:
+            put("null")
+        elif o is True:
+            put("true")
+        elif o is False:
+            put("false")
+        # subclasses, in json's order of checks
+        elif isinstance(o, str):
+            put(escape(o))
+        elif isinstance(o, int):
+            put(intstr(o))
+        elif isinstance(o, float):
+            put(_float_text(o))
+        elif isinstance(o, (list, tuple)):
+            sequence(o, level)
+        elif isinstance(o, dict):
+            mapping(o, level)
+        else:
+            raise TypeError(f"Object of type {type(o).__name__} "
+                            "is not JSON serializable")
+
+    # the loops below dispatch the commonest types themselves, saving a
+    # call of value() per item
+    def sequence(seq, level):
+        if not seq:
+            put("[]")
+            return
+        level += 1
+        if len(newline) <= level:
+            newline.append(newline[-1] + "  ")
+            comma.append(comma[-1] + "  ")
+        sep = newline[level]
+        put("[")
+        for item in seq:
+            put(sep)
+            sep = comma[level]
+            t = type(item)
+            if t is dict:
+                mapping(item, level)
+            elif t is str:
+                put(escape(item))
+            elif t is int:
+                put(intstr(item))
+            else:
+                value(item, level)
+        put(newline[level - 1] + "]")
+
+    def mapping(d, level):
+        if not d:
+            put("{}")
+            return
+        level += 1
+        if len(newline) <= level:
+            newline.append(newline[-1] + "  ")
+            comma.append(comma[-1] + "  ")
+        sep = newline[level]
+        put("{")
+        for key in sorted(d) if sort_keys else d:
+            item = d[key]
+            text = keys.get(key)
+            if text is None:
+                # escape raises TypeError on a key that is not a str
+                text = keys[key] = escape(key) + ": "
+            put(sep + text)
+            sep = comma[level]
+            t = type(item)
+            if t is str:
+                put(escape(item))
+            elif t is int:
+                put(intstr(item))
+            elif t is dict:
+                mapping(item, level)
+            elif t is list:
+                sequence(item, level)
+            else:
+                value(item, level)
+        put(newline[level - 1] + "}")
+
+    value(obj, 0)
+    return "".join(parts)
 
 
 def _rat_latex(q) -> str:

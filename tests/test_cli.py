@@ -14,7 +14,7 @@ import pytest
 
 import ssblow
 from ssblow import __version__
-from ssblow import cli
+from ssblow import cli, cylsim
 
 
 def run(argv, monkeypatch, tmp_path, capsys=None):
@@ -308,16 +308,16 @@ def test_failed_simulate_writes_manifest_with_error(monkeypatch, tmp_path,
     # step 3 fails: the two snapshot triples already written and the
     # series sampled so far stay listed, with the reason, and stderr and
     # the exit code are those of main
-    real_step = cli.cylsim.step
+    real_step = cylsim.step
     calls = []
 
     def failing_step(*args, **kwargs):
         calls.append(1)
         if len(calls) == 3:
-            raise cli.cylsim.NumericalBlowup("non-finite field at t=0.002")
+            raise cylsim.NumericalBlowup("non-finite field at t=0.002")
         return real_step(*args, **kwargs)
 
-    monkeypatch.setattr(cli.cylsim, "step", failing_step)
+    monkeypatch.setattr(cylsim, "step", failing_step)
     cfg = tmp_path / "cfg.txt"
     cfg.write_text("nr = 9\nnz = 9\nt_end = 0.1\ndt = 0.001\n"
                    "snapshot_every = 1\n")
@@ -552,6 +552,57 @@ def test_import_leaves_scipy_linalg_unloaded():
     probe = "import sys, ssblow.cli; sys.exit('scipy.linalg' in sys.modules)"
     assert subprocess.run([sys.executable, "-c", probe], env=env,
                           timeout=60).returncode == 0
+
+
+@pytest.mark.parametrize("argv,code", [
+    ([], None),
+    (["--version"], 0),
+    (["--help"], 0),
+    (["derive", "--mode", "nope"], 2),
+    (["derive", "--depth", "0"], 2),
+    (["verify", "--gamma", "abc"], 2),
+    (["identity", "--rho", "0"], 2),
+    (["demo-1d", "--n", "4"], 2),
+    (["scaling", "--gamma", "-1"], 2),
+    *[(["derive", "--mode", mode, "--depth", "2", "--format", fmt], 0)
+      for mode in ("single", "generalized") for fmt in ("json", "latex")],
+], ids=["import", "version", "help", "bad-choice", "depth-0",
+        "verify-gamma", "identity-rho", "demo-1d-n", "scaling-gamma",
+        "single-json", "single-latex", "generalized-json",
+        "generalized-latex"])
+def test_derive_and_usage_errors_leave_numpy_unloaded(argv, code, tmp_path):
+    # derive is pure-Python algebra and a usage error computes nothing:
+    # numpy costs about half of a fresh process's start-up, so neither
+    # they nor the import may load it
+    env = {**os.environ,
+           "PYTHONPATH": str(Path(ssblow.__file__).resolve().parents[1]),
+           "SSBLOW_OUT_DIR": str(tmp_path / "out")}
+    probe = ("import sys\n"
+             "from ssblow import cli\n"
+             "code = cli.main(sys.argv[1:]) if sys.argv[1:] else None\n"
+             "print('numpy' in sys.modules, code, file=sys.stderr)\n")
+    proc = subprocess.run([sys.executable, "-c", probe, *argv], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.splitlines()[-1] == f"False {code}"
+
+
+def test_fresh_failing_simulate_reports_numeric_error(tmp_path):
+    # the numeric exception classes are looked up only on the error path;
+    # a fresh process still maps them to exit 3 and one line of JSON
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("nr = 9\nnz = 9\nz_bc = dirichlet\nt_end = 1\n"
+                   "dt = 0.5\namplitude = 1e3\n")
+    env = {**os.environ,
+           "PYTHONPATH": str(Path(ssblow.__file__).resolve().parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "ssblow.cli", "simulate", "--config",
+         str(cfg), "--out", str(tmp_path / "out")],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    [line] = proc.stderr.splitlines()
+    assert json.loads(line)["error"] == "CFLViolation"
 
 
 def test_simulate_and_endgame_leave_scipy_unloaded(tmp_path):

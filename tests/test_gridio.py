@@ -1,5 +1,5 @@
-"""Grid field container, binary and JSON interchange formats, and
-quadrature."""
+"""Grid field container, binary interchange format and quadrature, and the
+package's JSON writer `sscalc.json_text`."""
 
 import collections
 import enum
@@ -15,9 +15,9 @@ from ssblow.gridio import (
     diff1,
     diff2,
     gradient,
-    json_text,
     trapezoid_2d,
 )
+from ssblow.sscalc import json_text
 
 
 def make_field(rng, n1=7, n2=9):

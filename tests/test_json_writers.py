@@ -1,4 +1,4 @@
-"""Every indented JSON file goes through gridio.json_text: no module in the
+"""Every indented JSON file goes through sscalc.json_text: no module in the
 package calls json.dump or json.dumps with an indent.  One-line JSON, such
 as the stderr error records, stays with the stdlib."""
 
@@ -36,4 +36,4 @@ def test_no_indented_json_dumps(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     lines = indented_json_calls(tree)
     assert not lines, (f"{path.name}: json.dump(s) with indent on lines "
-                       f"{lines}; use gridio.json_text")
+                       f"{lines}; use sscalc.json_text")

@@ -308,6 +308,27 @@ def test_psi_endgame_affine():
     assert rep.fit_residual <= 1e-8
 
 
+@pytest.mark.parametrize("far_field", [
+    lambda R, Z: 2.0 * R + 1.0,
+    # harmonic and not affine, so the fit has a residual
+    lambda R, Z: 3.0 * R + 7.0 + R * Z + 0.01 * (R ** 3 - 3.0 * R * Z ** 2),
+], ids=["affine", "cubic"])
+@pytest.mark.parametrize("grid", [
+    rg.HalfPlaneGrid(),
+    rg.HalfPlaneGrid(-3.0, 0.0, -2.0, 5.0, 30, 17),
+], ids=["default", "uneven"])
+def test_psi_endgame_fit_matches_lstsq(grid, far_field):
+    # reference: the least-squares fit over every grid point
+    rep = rg.psi_endgame(True, grid, far_field)
+    psi = rg._laplace_solve(grid, far_field).values
+    R, _ = grid.mesh()
+    A = np.column_stack([R.ravel(), np.ones(R.size)])
+    (a, b), *_ = np.linalg.lstsq(A, psi.ravel(), rcond=None)
+    assert abs(rep.a - a) <= 1e-12 * max(1.0, abs(a))
+    assert abs(rep.b - b) <= 1e-12 * max(1.0, abs(b))
+    assert rep.fit_residual == np.max(np.abs(psi - (rep.a * R + rep.b)))
+
+
 @pytest.mark.parametrize("grid", [
     rg.HalfPlaneGrid(),
     rg.HalfPlaneGrid(-3.0, 0.0, -2.0, 5.0, 30, 17),

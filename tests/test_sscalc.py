@@ -384,7 +384,12 @@ def test_collect_orders_strips_tau_and_reconstructs():
         eq = SymEquation(e, "rand")
         orders = collect_orders(eq)
         for oeq in orders.values():
-            assert all(t.tau.is_zero for t in oeq.lhs.terms)
+            for t in oeq.lhs.terms:
+                # every slot, the cached signature, key and hash included,
+                # as __init__ builds them for the tau-free term
+                ref = SymTerm(t.coeff, t.g_pow, t.r_pow, t.z_pow, t.factors)
+                assert [getattr(t, s) for s in SymTerm.__slots__] == \
+                    [getattr(ref, s) for s in SymTerm.__slots__]
         assert reconstruct_orders(orders, lattice_base(eq)) == e
 
 
