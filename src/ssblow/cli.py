@@ -276,7 +276,7 @@ def _identity_fields(preset: str, grid: rigidity.HalfPlaneGrid,
         (2.0 * R - R ** 2 * 2.0 * R / 50.0 - epsilon * Z * 2.0 * R / 50.0) * e,
         (-R ** 2 * 2.0 * Z / 50.0 + epsilon * (1.0 - 2.0 * Z ** 2 / 50.0)) * e,
     )
-    return grid.field(lambda *_: U), grid.field(lambda *_: Psi), dU, dPsi
+    return grid.field(U), grid.field(Psi), dU, dPsi
 
 
 def cmd_identity(args) -> int:
@@ -426,6 +426,8 @@ def _load_series(path) -> cylsim.BlowupSeries:
 
 
 def cmd_fit(args) -> int:
+    if not (math.isfinite(args.rate) and args.rate > 0):
+        raise UsageError(f"--rate must be finite and positive, got {args.rate}")
     import numpy as np
     from . import cylsim, rigidity
 

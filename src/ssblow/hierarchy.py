@@ -76,11 +76,6 @@ def _fields(indices) -> tuple:
         for field, leading in LEADING)
 
 
-def ansatz_fields(a: AnsatzSpec):
-    """(u1, omega1, psi1) as symbolic expressions in (R, Z, tau)."""
-    return _fields(range(a.kmax + 1))
-
-
 def _velocities(psi1: SymExpr):
     # u^r = -r d_z psi1, u^z = 2 psi1 + r d_r psi1 with r = 1 + tau^gamma R
     r = term(1) + term(r=1, tau=exponent(0, 1))
@@ -138,11 +133,6 @@ def _assemble(linear: SymExpr, products: list,
     return kept
 
 
-def build_velocities(a: AnsatzSpec):
-    """(u^r, u^z) from the stream-function reconstruction with r = 1 + tau^g R."""
-    return _velocities(ansatz_fields(a)[2])
-
-
 def substitute(a: AnsatzSpec, M: int, order: Optional[int] = None):
     """The three substituted equations (lhs = 0 form) in (R, Z, tau).
 
@@ -160,7 +150,7 @@ def substitute(a: AnsatzSpec, M: int, order: Optional[int] = None):
         raise ValueError("geometric truncation order must cover the depth")
     if order is not None and order < 0:
         raise ValueError("lattice order must be >= 0")
-    eqs = _system(*ansatz_fields(a), M, order)
+    eqs = _system(*_fields(range(a.kmax + 1)), M, order)
     return [SymEquation(e, name) for name, e in zip(EQ_NAMES, eqs)]
 
 

@@ -32,18 +32,18 @@ class BoundaryViolation(ValueError):
 
 @dataclass(frozen=True)
 class HalfPlaneGrid:
-    """Uniform truncation of the left half-plane {R <= 0}."""
+    """Uniform truncation of the left half-plane {R <= 0}: R runs from
+    R_min to the boundary R = 0, which is always the grid's last column."""
 
     R_min: float = -40.0
-    R_max: float = 0.0
     Z_min: float = -40.0
     Z_max: float = 40.0
     nR: int = 401
     nZ: int = 801
 
     def __post_init__(self):
-        if not (self.R_min < self.R_max <= 0.0):
-            raise ValueError("need R_min < R_max <= 0")
+        if not (self.R_min < 0.0):
+            raise ValueError("need R_min < 0")
         if not (self.Z_min < self.Z_max):
             raise ValueError("need Z_min < Z_max")
         if self.nR < 3 or self.nZ < 3:
@@ -51,7 +51,7 @@ class HalfPlaneGrid:
 
     @property
     def hR(self) -> float:
-        return (self.R_max - self.R_min) / (self.nR - 1)
+        return -self.R_min / (self.nR - 1)
 
     @property
     def hZ(self) -> float:
@@ -59,7 +59,7 @@ class HalfPlaneGrid:
 
     def axes(self):
         return (
-            np.linspace(self.R_min, self.R_max, self.nR),
+            np.linspace(self.R_min, 0.0, self.nR),
             np.linspace(self.Z_min, self.Z_max, self.nZ),
         )
 
@@ -67,10 +67,8 @@ class HalfPlaneGrid:
         R, Z = self.axes()
         return np.meshgrid(R, Z, indexing="ij")
 
-    def field(self, fn: Callable) -> ScalarField2D:
-        R, Z = self.mesh()
-        return ScalarField2D(np.asarray(fn(R, Z), dtype=float),
-                             self.hR, self.hZ, self.R_min, self.Z_min)
+    def field(self, values: np.ndarray) -> ScalarField2D:
+        return ScalarField2D(values, self.hR, self.hZ, self.R_min, self.Z_min)
 
 
 # ---------------------------------------------------------------------------
@@ -357,7 +355,7 @@ def _laplace_solve(grid: HalfPlaneGrid, boundary: Callable) -> ScalarField2D:
     solver = KroneckerSolver(off, np.full(grid.nR - 2, 2.0 / hR ** 2), off,
                              grid.nZ - 2, hZ, "dirichlet")
     psi[1:-1, 1:-1] = solver.solve(rhs)
-    return ScalarField2D(psi, hR, hZ, grid.R_min, grid.Z_min)
+    return grid.field(psi)
 
 
 def psi_endgame(omega_is_zero: bool, grid: HalfPlaneGrid,
@@ -395,7 +393,7 @@ def psi_endgame(omega_is_zero: bool, grid: HalfPlaneGrid,
 
     decay = []
     for half in radii:
-        sub = HalfPlaneGrid(-half, 0.0, -half, half, grid.nR, grid.nZ)
+        sub = HalfPlaneGrid(-half, -half, half, grid.nR, grid.nZ)
         psih = _laplace_solve(sub, far_field)
         _, dZ = gradient(psih)
         Rh, Zh = sub.mesh()

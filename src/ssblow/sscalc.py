@@ -23,11 +23,10 @@ from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
 from functools import total_ordering
 from operator import attrgetter
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable
 
 __all__ = [
     "CommensurabilityError",
-    "MissingBinding",
     "SsExponent",
     "ProfileRef",
     "SymTerm",
@@ -36,23 +35,14 @@ __all__ = [
     "exponent",
     "term",
     "prof",
-    "R_var",
-    "Z_var",
-    "gamma_sym",
-    "tau_pow",
-    "canonicalize",
     "diff_tau",
     "diff_r",
     "diff_z",
     "geometric_expand",
     "product_terms",
     "collect_orders",
-    "reconstruct_orders",
-    "eval_numeric",
     "expr_to_json",
-    "expr_from_json",
     "equation_to_json",
-    "equation_from_json",
     "expr_to_latex",
     "equation_to_latex",
     "json_text",
@@ -61,10 +51,6 @@ __all__ = [
 
 class CommensurabilityError(ValueError):
     """tau-exponents of an expression do not lie on a base0 + k*gamma lattice."""
-
-
-class MissingBinding(KeyError):
-    """A profile derivative has no numeric evaluator."""
 
 
 def _rat(x):
@@ -168,10 +154,6 @@ class SsExponent(_Value):
     def to_json(self) -> dict:
         return {"base": str(self.base), "gamma": str(self.gamma_coeff)}
 
-    @staticmethod
-    def from_json(d: Mapping) -> "SsExponent":
-        return SsExponent(Fraction(d["base"]), Fraction(d["gamma"]))
-
 
 _TAU0 = SsExponent()
 
@@ -210,10 +192,6 @@ class ProfileRef(_Value):
 
     def to_json(self) -> dict:
         return {"f": self.field, "k": self.series_index, "dR": self.dR, "dZ": self.dZ}
-
-    @staticmethod
-    def from_json(d: Mapping) -> "ProfileRef":
-        return ProfileRef(d["f"], d["k"], d["dR"], d["dZ"])
 
     def latex(self) -> str:
         sym = {"U": "U", "Omega": "\\Omega", "Psi": "\\Psi"}[self.field]
@@ -423,27 +401,6 @@ def prof(field: str, k: int = 0, dR: int = 0, dZ: int = 0) -> SymExpr:
     return term(factors=(ProfileRef(field, k, dR, dZ),))
 
 
-def R_var(n: int = 1) -> SymExpr:
-    return term(r=n)
-
-
-def Z_var(n: int = 1) -> SymExpr:
-    return term(z=n)
-
-
-def gamma_sym(n: int = 1) -> SymExpr:
-    return term(g=n)
-
-
-def tau_pow(base=0, gamma=0) -> SymExpr:
-    return term(tau=exponent(base, gamma))
-
-
-def canonicalize(e: SymExpr) -> SymExpr:
-    """Idempotent: merge like terms, drop zeros, sort by the fixed term order."""
-    return SymExpr.from_terms(e.terms)
-
-
 # ---------------------------------------------------------------------------
 # derivatives
 
@@ -566,38 +523,6 @@ def lattice_base(eq: SymEquation) -> SsExponent:
         return SsExponent()
     return SsExponent(e.terms[0].tau.base,
                       min(t.tau.gamma_coeff for t in e.terms))
-
-
-def reconstruct_orders(orders: Mapping[int, SymEquation], base0: SsExponent) -> SymExpr:
-    """Inverse of collect_orders: sum_k tau^{base0 + k*gamma} * order_k."""
-    total = SymExpr.zero()
-    for k, oeq in orders.items():
-        total = total + tau_pow(base0.base, base0.gamma_coeff + k) * oeq.lhs
-    return total
-
-
-# ---------------------------------------------------------------------------
-# numeric evaluation
-
-Binding = Callable[[ProfileRef, float, float], float]
-
-
-def eval_numeric(e: SymExpr, bindings: Binding, point, tau_pow_gamma: float,
-                 gamma: float) -> float:
-    """Evaluate at (R, Z) with tau^gamma := tau_pow_gamma, tau := tpg^(1/gamma)."""
-    R, Z = point
-    total = 0.0
-    for t in e.terms:
-        v = float(t.coeff) * gamma ** t.g_pow * R ** t.r_pow * Z ** t.z_pow
-        ev = t.tau
-        if ev.base != 0:
-            v *= tau_pow_gamma ** (float(ev.base) / gamma)
-        if ev.gamma_coeff != 0:
-            v *= tau_pow_gamma ** float(ev.gamma_coeff)
-        for f in t.factors:
-            v *= bindings(f, R, Z)
-        total += v
-    return total
 
 
 # ---------------------------------------------------------------------------
@@ -748,31 +673,12 @@ def term_to_json(t: SymTerm) -> dict:
     }
 
 
-def term_from_json(d: Mapping) -> SymTerm:
-    return SymTerm(
-        Fraction(d["coeff"]),
-        d.get("gpow", 0),
-        d.get("rpow", 0),
-        d.get("zpow", 0),
-        tuple(ProfileRef.from_json(f) for f in d.get("factors", ())),
-        SsExponent.from_json(d["tau"]),
-    )
-
-
 def expr_to_json(e: SymExpr) -> dict:
     return {"terms": [term_to_json(t) for t in e.terms]}
 
 
-def expr_from_json(d: Mapping) -> SymExpr:
-    return SymExpr.from_terms(term_from_json(t) for t in d["terms"])
-
-
 def equation_to_json(eq: SymEquation) -> dict:
     return {"label": eq.label, "lhs": expr_to_json(eq.lhs)}
-
-
-def equation_from_json(d: Mapping) -> SymEquation:
-    return SymEquation(expr_from_json(d["lhs"]), d.get("label", ""))
 
 
 def _term_latex(t: SymTerm) -> str:

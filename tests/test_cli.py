@@ -465,6 +465,10 @@ def test_scaling_reference_gamma(monkeypatch, tmp_path, capsys):
     (["demo-1d", "--n", "32", "--t-end", "nan"], 2, "usage"),
     (["demo-1d", "--n", "32", "--amplitude", "inf"], 2, "usage"),
     (["fit", "--series", "missing.csv"], 3, "FileNotFoundError"),
+    (["fit", "--series", "missing.csv", "--rate", "nan"], 2, "usage"),
+    (["fit", "--series", "missing.csv", "--rate", "inf"], 2, "usage"),
+    (["fit", "--series", "missing.csv", "--rate", "-1"], 2, "usage"),
+    (["fit", "--series", "missing.csv", "--rate", "0"], 2, "usage"),
     (["scaling", "--gamma", "4", "--lengths", "1,-1"], 2, "usage"),
     (["scaling", "--gamma", "4", "--lengths", "1,nan"], 2, "usage"),
     (["scaling", "--gamma", "4", "--lengths", "abc"], 2, "usage"),
@@ -617,7 +621,7 @@ def test_simulate_and_endgame_leave_scipy_unloaded(tmp_path):
         "import sys\n"
         "from ssblow import cli, rigidity\n"
         f"assert cli.main(['simulate', '--config', {str(cfg)!r}]) == 0\n"
-        "grid = rigidity.HalfPlaneGrid(-4.0, 0.0, -4.0, 4.0, 21, 41)\n"
+        "grid = rigidity.HalfPlaneGrid(-4.0, -4.0, 4.0, 21, 41)\n"
         "rep = rigidity.psi_endgame(True, grid, lambda R, Z: 2 * R + 1)\n"
         "assert abs(rep.a - 2) < 1e-8, rep\n"
         "sys.exit(any(m == 'scipy' or m.startswith('scipy.')\n"

@@ -2,30 +2,24 @@
 reference forms, induction system, and report emission."""
 
 import json
-import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from ssblow import hierarchy as hy
-from ssblow.profiles import ProfileBindings, random_bindings
 from ssblow.sscalc import (
     ProfileRef,
     SymEquation,
     SymExpr,
-    canonicalize,
     collect_orders,
-    diff_r,
-    diff_z,
-    eval_numeric,
     exponent,
+    expr_to_json,
     lattice_base,
     prof,
-    reconstruct_orders,
-    tau_pow,
     term,
 )
+from sympy_oracle import exp_profiles, truncation_errors
 
 
 # -- comparison -------------------------------------------------------------
@@ -70,30 +64,31 @@ def test_ansatz_spec_validation():
 
 
 def test_build_velocities_single_mode():
-    a = hy.AnsatzSpec(mode="single", depth=1)
-    u_r, u_z = hy.build_velocities(a)
+    u_r, u_z = hy._velocities(hy._fields((0,))[2])
     rfac = term(1) + term(r=1, tau=exponent(0, 1))
-    want_ur = canonicalize(-(rfac * tau_pow(-1, 1) * prof("Psi", dZ=1)))
-    want_uz = canonicalize(2 * tau_pow(-1, 2) * prof("Psi")
-                           + rfac * tau_pow(-1, 1) * prof("Psi", dR=1))
+    psi = term(factors=(ProfileRef("Psi"),), tau=exponent(-1, 2))
+    want_ur = -(rfac * term(factors=(ProfileRef("Psi", dZ=1),),
+                            tau=exponent(-1, 1)))
+    want_uz = 2 * psi + rfac * term(factors=(ProfileRef("Psi", dR=1),),
+                                    tau=exponent(-1, 1))
     assert u_r == want_ur
     assert u_z == want_uz
 
 
 def test_build_velocities_zero_stream_function():
-    a = hy.AnsatzSpec(mode="single", depth=1)
-    u_r, u_z = hy.build_velocities(a)
-    zero = ProfileBindings.constant(0.0)
+    # every term carries a Psi factor, so Psi = 0 gives zero velocity
+    u_r, u_z = hy._velocities(hy._fields((0,))[2])
     for e in (u_r, u_z):
-        assert eval_numeric(e, zero, (-0.3, 0.7), 0.2, 1.5) == 0.0
+        assert e.terms and all(
+            any(f.field == "Psi" for f in t.factors) for t in e.terms)
 
 
 def test_substitute_zero_ansatz_numeric():
-    # with every profile bound to zero the three equations vanish
+    # every term carries a profile factor, so with every profile zero the
+    # three equations vanish
     a = hy.AnsatzSpec(mode="generalized", depth=1)
-    zero = ProfileBindings.constant(0.0, kmax=1)
     for eq in hy.substitute(a, 2):
-        assert eval_numeric(eq.lhs, zero, (-0.4, 0.9), 0.3, 1.2) == 0.0
+        assert eq.lhs.terms and all(t.factors for t in eq.lhs.terms)
 
 
 def test_substitute_truncation_guard():
@@ -106,7 +101,7 @@ def test_omega_equation_rhs_term():
     # the substituted omega-equation contains -tau^{-2} d_Z(U^2)
     a = hy.AnsatzSpec(mode="single", depth=1)
     eqs = {e.label: e for e in hy.substitute(a, 1)}
-    want = canonicalize(-(2 * tau_pow(-2) * prof("U") * prof("U", dZ=1)))
+    want = -(2 * term(tau=exponent(-2)) * prof("U") * prof("U", dZ=1))
     sigs = {t.signature(): t.coeff for t in eqs["omega"].lhs.terms}
     for t in want.terms:
         assert sigs.get(t.signature()) == t.coeff
@@ -141,8 +136,8 @@ def test_generalized_mode_verdicts():
 
 
 def test_generalized_with_zero_higher_matches_single():
-    """Binding index >= 1 profiles to zero reduces the generalized
-    order-0/1 equations to the single-mode hierarchy numerically."""
+    """Dropping the terms with an index >= 1 profile reduces the
+    generalized order-0/1 equations to the single-mode hierarchy."""
     single = hy.derive_hierarchy(hy.AnsatzSpec(mode="single", depth=1))
     general = hy.derive_hierarchy(hy.AnsatzSpec(mode="generalized", depth=1))
 
@@ -153,22 +148,19 @@ def test_generalized_with_zero_higher_matches_single():
 
     for eq in ("u", "omega", "psi"):
         for k in (0, 1):
-            gen = canonicalize(drop_high(general.orders[eq][k].lhs))
-            sin = canonicalize(single.orders[eq][k].lhs)
-            assert gen == sin, (eq, k)
+            gen = drop_high(general.orders[eq][k].lhs)
+            assert gen == single.orders[eq][k].lhs, (eq, k)
 
 
 def test_order_zero_psi_is_laplacian():
     report = hy.derive_hierarchy(hy.AnsatzSpec(mode="single", depth=1))
-    want = canonicalize(-prof("Psi", dR=2) - prof("Psi", dZ=2)
-                        - prof("Omega"))
+    want = -prof("Psi", dR=2) - prof("Psi", dZ=2) - prof("Omega")
     assert report.orders["psi"][0].lhs == want
 
 
 def test_order_one_psi_single_mode():
     report = hy.derive_hierarchy(hy.AnsatzSpec(mode="single", depth=1))
-    assert report.orders["psi"][1].lhs == canonicalize(
-        -3 * prof("Psi", dR=1))
+    assert report.orders["psi"][1].lhs == -3 * prof("Psi", dR=1)
 
 
 # -- numeric order-reconstruction invariant ---------------------------------
@@ -176,26 +168,22 @@ def test_order_one_psi_single_mode():
 
 @pytest.mark.parametrize("gamma", [0.5, 1.0, 2.0, 3.0])
 def test_numeric_order_reconstruction_slope(gamma):
-    """Residual of (full - reconstruction through depth) decays at least
-    like tau^(base0 + (M+1) gamma)."""
+    """The PDE residual minus the orders through M decays at least like
+    tau^(base0 + (M+1) gamma)."""
     rng = np.random.default_rng(int(10 * gamma) + 3)
     a = hy.AnsatzSpec(mode="single", depth=1)
     M = 1
     eqs = hy.substitute(a, M)
-    bind = random_bindings(rng, kmax=0)
+    profiles = exp_profiles(rng)
     point = (-0.6, 0.8)
     for eq in eqs:
-        orders = collect_orders(eq)
         base0 = lattice_base(eq)
-        kept = {k: v for k, v in orders.items() if k <= M}
-        recon = reconstruct_orders(kept, base0)
+        kept = {k: expr_to_json(v.lhs) for k, v in collect_orders(eq).items()
+                if k <= M}
         taus = [1e-2, 1e-3, 1e-4, 1e-5]
-        errs = []
-        for tau in taus:
-            tg = tau ** gamma
-            full = eval_numeric(eq.lhs, bind, point, tg, gamma)
-            part = eval_numeric(recon, bind, point, tg, gamma)
-            errs.append(abs(full - part))
+        errs = truncation_errors(eq.label, kept, (base0.base,
+                                 base0.gamma_coeff), profiles, point, gamma,
+                                 taus)
         if max(errs) < 1e-14:
             continue  # truncation already exact for this equation
         slope = np.polyfit(np.log(taus), np.log(np.maximum(errs, 1e-300)),
@@ -246,11 +234,11 @@ def test_assemble_raises_when_leading_order_cancels():
     # product U*(Psi + tau^g Omega), so the lattice starts at gamma and a
     # cut counted from g0 would drop a kept order
     U, Psi, Om = prof("U"), prof("Psi"), prof("Omega")
-    linear = -(U * Psi) + tau_pow(0, 2) * term(r=1) \
-        + tau_pow(0, 3) * term(z=1)
-    products = [(U, Psi + tau_pow(0, 1) * Om)]
+    linear = -(U * Psi) + term(r=1, tau=exponent(0, 2)) \
+        + term(z=1, tau=exponent(0, 3))
+    products = [(U, Psi + term(tau=exponent(0, 1)) * Om)]
     full = hy._assemble(linear, products, None)
-    assert full == canonicalize(linear + products[0][0] * products[0][1])
+    assert full == linear + products[0][0] * products[0][1]
     assert lattice_base(SymEquation(full)) == exponent(0, 1)
     for order in (0, 1, 2):
         with pytest.raises(ArithmeticError):
@@ -274,7 +262,7 @@ def test_induction_matches_reference():
         derived = hy.induction_system(a, k)
         refs = hy.reference_induction(k)
         for d, r in zip(derived, refs):
-            assert canonicalize(d.lhs) == r, (k, d.label)
+            assert d.lhs == r, (k, d.label)
 
 
 def test_induction_u1_coefficient():
@@ -299,9 +287,9 @@ def test_induction_psi_equation_any_k():
     a = hy.AnsatzSpec(mode="generalized", depth=3)
     for k in (1, 2, 3):
         eq_psi = hy.induction_system(a, k)[2]
-        want = canonicalize(-prof("Psi", k, dR=2) - prof("Psi", k, dZ=2)
-                            - prof("Omega", k))
-        assert canonicalize(eq_psi.lhs) == want
+        want = -prof("Psi", k, dR=2) - prof("Psi", k, dZ=2) \
+            - prof("Omega", k)
+        assert eq_psi.lhs == want
 
 
 def test_induction_guards():

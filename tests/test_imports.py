@@ -111,3 +111,108 @@ def test_symbolic_modules_import_nothing_numeric(name):
                                           filename=str(path)))
     numeric = {m: line for m, line in found.items() if m in NUMERIC}
     assert not numeric, f"{name}: module-level numeric imports {numeric}"
+
+
+#: definitions no command reaches yet, each kept for a stated reason
+REACHABILITY_ROOTS = {
+    ("rigidity", "psi_endgame"):
+        "the harmonic endgame step of the triviality argument; perfbench "
+        "times it, and no command runs it yet",
+    ("rigidity", "separability_check"):
+        "the separability step of the order-0 argument, not yet run by a "
+        "command",
+    ("rigidity", "max_principle_scan"):
+        "the maximum-principle step of the order-0 argument, not yet run by "
+        "a command",
+    ("rigidity", "ray_solution"):
+        "the general homogeneous solution along rays, not yet run by a "
+        "command",
+    ("hierarchy", "reference_induction"):
+        "the hand-entered reference that induction_system is tested against",
+}
+
+
+def package_trees() -> dict:
+    return {p.stem: ast.parse(p.read_text(), filename=str(p))
+            for p in sorted(PACKAGE.glob("*.py"))}
+
+
+def reachable_definitions(trees: dict, roots) -> set:
+    """(module, name) of every top-level function and class reached from
+    the roots.  A definition reaches every name its body reads: a
+    definition of its own module, a name imported from a package module,
+    or `module.name` for an imported package module.  A class reaches its
+    methods, and a reached module's own top-level statements are walked
+    too."""
+    defs = {(m, node.name): node for m, tree in trees.items()
+            for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    # per module: local name -> (module, name), or -> module for `from .
+    # import module`, from imports anywhere in the module
+    bound = {}
+    for m, tree in trees.items():
+        names = bound[m] = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (
+                    node.level == 1 or node.module == "ssblow"):
+                for alias in node.names:
+                    local = alias.asname or alias.name
+                    names[local] = alias.name if node.module in (
+                        None, "ssblow") else (node.module, alias.name)
+
+    seen, loaded = set(), set()
+    todo = list(roots)
+    while todo:
+        key = todo.pop()
+        if key in seen:
+            continue
+        seen.add(key)
+        module = key[0]
+        nodes = [defs[key]]
+        if module not in loaded:
+            loaded.add(module)
+            nodes += [n for n in trees[module].body
+                      if not isinstance(n, (ast.FunctionDef, ast.ClassDef))]
+        for node in nodes:
+            for sub in ast.walk(node):
+                if isinstance(sub, ast.Name):
+                    target = bound[module].get(sub.id, (module, sub.id))
+                    if isinstance(target, tuple) and target in defs:
+                        todo.append(target)
+                elif isinstance(sub, ast.Attribute) and isinstance(
+                        sub.value, ast.Name):
+                    target = bound[module].get(sub.value.id)
+                    if isinstance(target, str) and (target, sub.attr) in defs:
+                        todo.append((target, sub.attr))
+    return seen
+
+
+def test_every_definition_is_reached_from_the_cli():
+    trees = package_trees()
+    roots = [("cli", "main"), *REACHABILITY_ROOTS]
+    reached = reachable_definitions(trees, roots)
+    defined = {(m, node.name) for m, tree in trees.items()
+               for node in tree.body
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    assert sorted(defined - reached) == []
+    # every allowlist entry names a definition that is there
+    assert set(REACHABILITY_ROOTS) <= defined
+
+
+def test_reachability_follows_names_attributes_and_methods():
+    trees = {
+        "cli": ast.parse("from . import lib\nfrom .lib import helper\n"
+                         "def main():\n    return cmd_run()\n"
+                         "def cmd_run():\n    return lib.Box().get()\n"
+                         "def dead():\n    return helper()\n"),
+        "lib": ast.parse("LIMIT = limit()\n"
+                         "def limit():\n    return 3\n"
+                         "def helper():\n    return 1\n"
+                         "class Box:\n    def get(self):\n"
+                         "        return inner()\n"
+                         "def inner():\n    return 2\n"
+                         "def unused():\n    return 0\n"),
+    }
+    assert reachable_definitions(trees, [("cli", "main")]) == {
+        ("cli", "main"), ("cli", "cmd_run"), ("lib", "Box"),
+        ("lib", "inner"), ("lib", "limit")}

@@ -101,7 +101,7 @@ def test_ray_solution_pde_residual():
 
 def test_ray_homogeneity_annulus_scaling():
     gamma, c = 2.0, 1.0
-    grid = rg.HalfPlaneGrid(-5.0, 0.0, -5.0, 5.0, 501, 1001)
+    grid = rg.HalfPlaneGrid(-5.0, -5.0, 5.0, 501, 1001)
     R, Z = grid.mesh()
     rad = np.hypot(R, Z)
 
@@ -151,16 +151,18 @@ def test_separability_constant():
 
 
 def test_max_principle_zero_field():
-    grid = rg.HalfPlaneGrid(-4.0, 0.0, -4.0, 4.0, 81, 161)
-    zero = grid.field(lambda R, Z: np.zeros_like(R))
+    grid = rg.HalfPlaneGrid(-4.0, -4.0, 4.0, 81, 161)
+    R, Z = grid.mesh()
+    zero = grid.field(np.zeros_like(R))
     rep = rg.max_principle_scan(zero, zero, 2.0, 1.0)
     assert not rep.nonzero_extremum
 
 
 def test_max_principle_interior_stationary_point():
-    grid = rg.HalfPlaneGrid(-8.0, 0.0, -8.0, 8.0, 321, 641)
-    F = grid.field(lambda R, Z: np.exp(-((R + 4.0) ** 2 + Z ** 2)))
-    Psi = grid.field(lambda R, Z: np.zeros_like(R))
+    grid = rg.HalfPlaneGrid(-8.0, -8.0, 8.0, 321, 641)
+    R, Z = grid.mesh()
+    F = grid.field(np.exp(-((R + 4.0) ** 2 + Z ** 2)))
+    Psi = grid.field(np.zeros_like(R))
     c, gamma = 1.3, 2.0
     rep = rg.max_principle_scan(F, Psi, gamma, c)
     assert rep.nonzero_extremum
@@ -172,9 +174,10 @@ def test_max_principle_interior_stationary_point():
 
 
 def test_max_principle_boundary_extremum():
-    grid = rg.HalfPlaneGrid(-8.0, 0.0, -8.0, 8.0, 321, 641)
-    F = grid.field(lambda R, Z: np.exp(R) * np.exp(-Z ** 2))
-    Psi = grid.field(lambda R, Z: R ** 2 * np.exp(-Z ** 2))
+    grid = rg.HalfPlaneGrid(-8.0, -8.0, 8.0, 321, 641)
+    R, Z = grid.mesh()
+    F = grid.field(np.exp(R) * np.exp(-Z ** 2))
+    Psi = grid.field(R ** 2 * np.exp(-Z ** 2))
     rep = rg.max_principle_scan(F, Psi, 2.0, 1.0, bc_tol=1e-10)
     mx = rep.maximum
     assert mx.on_boundary
@@ -184,9 +187,10 @@ def test_max_principle_boundary_extremum():
 
 
 def test_max_principle_boundary_violation():
-    grid = rg.HalfPlaneGrid(-4.0, 0.0, -4.0, 4.0, 81, 161)
-    F = grid.field(lambda R, Z: np.exp(R))
-    bad_psi = grid.field(lambda R, Z: Z)
+    grid = rg.HalfPlaneGrid(-4.0, -4.0, 4.0, 81, 161)
+    R, Z = grid.mesh()
+    F = grid.field(np.exp(R))
+    bad_psi = grid.field(Z)
     with pytest.raises(rg.BoundaryViolation):
         rg.max_principle_scan(F, bad_psi, 2.0, 1.0)
 
@@ -218,7 +222,7 @@ def compact_bump(grid):
     U = np.where(inside, np.exp(-1.0 / denom), 0.0)
     chain = np.where(inside, U / denom ** 2, 0.0)
     dU = (-2.0 * (R + 5.0) / 9.0 * chain, -2.0 * Z / 9.0 * chain)
-    return grid.field(lambda a, b: U), dU
+    return grid.field(U), dU
 
 
 def psi_even(grid, eps=0.0):
@@ -229,7 +233,7 @@ def psi_even(grid, eps=0.0):
         (2.0 * R - (R ** 2 + eps * Z) * 2.0 * R / 50.0) * e,
         (-R ** 2 * 2.0 * Z / 50.0 + eps * (1.0 - 2.0 * Z ** 2 / 50.0)) * e,
     )
-    return grid.field(lambda a, b: Psi), dPsi
+    return grid.field(Psi), dPsi
 
 
 def test_ibp_compact_support():
@@ -243,23 +247,26 @@ def test_ibp_compact_support():
 
 
 def test_ibp_zero_field():
-    grid = rg.HalfPlaneGrid(-10.0, 0.0, -10.0, 10.0, 101, 201)
-    zero = grid.field(lambda R, Z: np.zeros_like(R))
+    grid = rg.HalfPlaneGrid(-10.0, -10.0, 10.0, 101, 201)
+    R, Z = grid.mesh()
+    zero = grid.field(np.zeros_like(R))
     res = rg.ibp_identity_check(zero, zero, 1.5)
     assert (res.lhs, res.rhs, res.boundary_term) == (0.0, 0.0, 0.0)
 
 
 def test_ibp_rejects_odd_power():
-    grid = rg.HalfPlaneGrid(-10.0, 0.0, -10.0, 10.0, 51, 101)
-    zero = grid.field(lambda R, Z: np.zeros_like(R))
+    grid = rg.HalfPlaneGrid(-10.0, -10.0, 10.0, 51, 101)
+    R, Z = grid.mesh()
+    zero = grid.field(np.zeros_like(R))
     with pytest.raises(ValueError):
         rg.ibp_identity_check(zero, zero, 1.5, p=3)
 
 
 def test_ibp_boundary_violation_raises():
-    grid = rg.HalfPlaneGrid(-10.0, 0.0, -10.0, 10.0, 101, 201)
-    U = grid.field(lambda R, Z: np.exp(R))
-    Psi = grid.field(lambda R, Z: Z)
+    grid = rg.HalfPlaneGrid(-10.0, -10.0, 10.0, 101, 201)
+    R, Z = grid.mesh()
+    U = grid.field(np.exp(R))
+    Psi = grid.field(Z)
     with pytest.raises(rg.BoundaryViolation):
         rg.ibp_identity_check(U, Psi, 2.0)
 
@@ -272,8 +279,8 @@ def test_ibp_rho_sweep_constant_on_rays():
     with np.errstate(invalid="ignore"):
         vals = np.where(rad > 0, np.exp(-(Z / np.maximum(rad, 1e-30)) ** 2),
                         1.0)
-    U = grid.field(lambda a, b: vals)
-    Psi = grid.field(lambda a, b: np.zeros_like(R))
+    U = grid.field(vals)
+    Psi = grid.field(np.zeros_like(R))
     lhs = {}
     for rho in (5.0, 10.0, 15.0):
         res = rg.ibp_identity_check(U, Psi, 2.0, rho=rho, bc_tol=1e30)
@@ -286,7 +293,7 @@ def test_ibp_rho_sweep_constant_on_rays():
 def test_ibp_boundary_term_linear_in_epsilon():
     grid = rg.HalfPlaneGrid()
     R, Z = grid.mesh()
-    U = grid.field(lambda a, b: np.exp(-((R + 4.0) ** 2 + Z ** 2) / 8.0))
+    U = grid.field(np.exp(-((R + 4.0) ** 2 + Z ** 2) / 8.0))
     dU = (-(R + 4.0) / 4.0 * U.values, -Z / 4.0 * U.values)
     terms = {}
     for eps in (1e-2, 1e-3):
@@ -301,7 +308,7 @@ def test_ibp_boundary_term_linear_in_epsilon():
 
 
 def test_psi_endgame_affine():
-    grid = rg.HalfPlaneGrid(-10.0, 0.0, -10.0, 10.0, 81, 161)
+    grid = rg.HalfPlaneGrid(-10.0, -10.0, 10.0, 81, 161)
     rep = rg.psi_endgame(True, grid, lambda R, Z: 3.0 * R + 7.0)
     assert rep.a == pytest.approx(3.0, abs=1e-8)
     assert rep.b == pytest.approx(7.0, abs=1e-8)
@@ -315,7 +322,7 @@ def test_psi_endgame_affine():
 ], ids=["affine", "cubic"])
 @pytest.mark.parametrize("grid", [
     rg.HalfPlaneGrid(),
-    rg.HalfPlaneGrid(-3.0, 0.0, -2.0, 5.0, 30, 17),
+    rg.HalfPlaneGrid(-3.0, -2.0, 5.0, 30, 17),
 ], ids=["default", "uneven"])
 def test_psi_endgame_fit_matches_lstsq(grid, far_field):
     # reference: the least-squares fit over every grid point
@@ -331,9 +338,9 @@ def test_psi_endgame_fit_matches_lstsq(grid, far_field):
 
 @pytest.mark.parametrize("grid", [
     rg.HalfPlaneGrid(),
-    rg.HalfPlaneGrid(-3.0, 0.0, -2.0, 5.0, 30, 17),
-    rg.HalfPlaneGrid(-1.0, 0.0, -1.0, 1.0, 3, 3),
-    rg.HalfPlaneGrid(-1.0, 0.0, -1.0, 1.0, 3, 4),
+    rg.HalfPlaneGrid(-3.0, -2.0, 5.0, 30, 17),
+    rg.HalfPlaneGrid(-1.0, -1.0, 1.0, 3, 3),
+    rg.HalfPlaneGrid(-1.0, -1.0, 1.0, 3, 4),
 ], ids=["default", "uneven", "one-point", "two-point"])
 def test_laplace_solve_reproduces_discrete_harmonic(grid):
     # second differences of a quadratic are exact, so this Psi is
@@ -349,13 +356,13 @@ def test_laplace_solve_reproduces_discrete_harmonic(grid):
 
 
 def test_psi_endgame_rejects_z_dependent_boundary():
-    grid = rg.HalfPlaneGrid(-10.0, 0.0, -10.0, 10.0, 81, 161)
+    grid = rg.HalfPlaneGrid(-10.0, -10.0, 10.0, 81, 161)
     with pytest.raises(rg.BoundaryViolation):
         rg.psi_endgame(True, grid, lambda R, Z: R ** 2 - Z ** 2)
 
 
 def test_psi_endgame_requires_zero_vorticity():
-    grid = rg.HalfPlaneGrid(-10.0, 0.0, -10.0, 10.0, 41, 81)
+    grid = rg.HalfPlaneGrid(-10.0, -10.0, 10.0, 41, 81)
     with pytest.raises(ValueError):
         rg.psi_endgame(False, grid, lambda R, Z: R)
 
@@ -400,11 +407,24 @@ def test_window_too_few_samples():
 
 
 def test_half_plane_grid_validation():
-    with pytest.raises(ValueError):
-        rg.HalfPlaneGrid(R_min=0.0, R_max=0.0)
-    with pytest.raises(ValueError):
-        rg.HalfPlaneGrid(R_max=1.0)
+    for R_min in (0.0, 1.0, math.nan):
+        with pytest.raises(ValueError):
+            rg.HalfPlaneGrid(R_min=R_min)
     with pytest.raises(ValueError):
         rg.HalfPlaneGrid(Z_min=2.0, Z_max=1.0)
-    g = rg.HalfPlaneGrid(-2.0, 0.0, -1.0, 1.0, 21, 41)
+    g = rg.HalfPlaneGrid(-2.0, -1.0, 1.0, 21, 41)
     assert g.hR == pytest.approx(0.1)
+
+
+@pytest.mark.parametrize("grid", [
+    rg.HalfPlaneGrid(),
+    rg.HalfPlaneGrid(-3.0, -2.0, 5.0, 30, 17),
+    rg.HalfPlaneGrid(-0.7, -1.0, 1.0, 3, 3),
+], ids=["default", "uneven", "one-point"])
+def test_half_plane_grid_ends_on_the_boundary(grid):
+    # psi_endgame checks d_Z Psi at R = 0, so that must be the last column
+    R, Z = grid.mesh()
+    assert np.all(R[-1] == 0.0) and R[0, 0] == grid.R_min
+    assert grid.field(R).axis1()[-1] == pytest.approx(0.0, abs=1e-12)
+    with pytest.raises(TypeError):
+        rg.HalfPlaneGrid(R_max=-2.0)

@@ -1,5 +1,5 @@
 """Exact-algebra engine: canonicalization, derivative rules, order
-collection, numeric evaluation, serialization round-trips, and the
+collection and serialization, checked against their sympy images, and the
 immutable int/Fraction value representation."""
 
 import copy
@@ -9,46 +9,39 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import sympy as sp
 from hypothesis import given, settings, strategies as st
 
-from ssblow.profiles import ExpProfile, ProfileBindings, random_bindings
 from ssblow.sscalc import (
     CommensurabilityError,
-    MissingBinding,
     ProfileRef,
     SsExponent,
     SymEquation,
     SymExpr,
     SymTerm,
     _rat,
-    R_var,
-    Z_var,
-    canonicalize,
     collect_orders,
     diff_r,
     diff_tau,
     diff_z,
-    equation_from_json,
     equation_to_json,
     equation_to_latex,
-    eval_numeric,
     exponent,
-    expr_from_json,
     expr_to_json,
     expr_to_latex,
-    gamma_sym,
     geometric_expand,
     lattice_base,
     prof,
     product_terms,
-    reconstruct_orders,
-    tau_pow,
     term,
 )
+from sympy_oracle import (COORDINATES, R, Z, gamma, profile, r, s, similarity,
+                          sympy_of_json, t, tau, z)
 
 
-def random_expr(rng, kmax=1, nterms=4):
-    out = SymExpr.zero()
+def random_terms(rng, kmax=1, nterms=4):
+    """The (coeff, g, r, z, factors, tau) arguments of 1..nterms terms."""
+    out = []
     for _ in range(rng.integers(1, nterms + 1)):
         factors = []
         for _ in range(rng.integers(0, 3)):
@@ -58,22 +51,32 @@ def random_expr(rng, kmax=1, nterms=4):
                 int(rng.integers(0, 2)),
                 int(rng.integers(0, 2)),
             ))
-        out = out + term(
-            coeff=Fraction(int(rng.integers(-5, 6)), int(rng.integers(1, 5))),
-            g=int(rng.integers(0, 3)),
-            r=int(rng.integers(0, 3)),
-            z=int(rng.integers(0, 3)),
-            factors=factors,
-            tau=exponent(int(rng.integers(-2, 3)), int(rng.integers(-2, 3))),
-        )
+        out.append((
+            Fraction(int(rng.integers(-5, 6)), int(rng.integers(1, 5))),
+            int(rng.integers(0, 3)),
+            int(rng.integers(0, 3)),
+            int(rng.integers(0, 3)),
+            factors,
+            exponent(int(rng.integers(-2, 3)), int(rng.integers(-2, 3))),
+        ))
     return out
+
+
+def random_expr(rng, kmax=1, nterms=4):
+    return sum((term(*args) for args in random_terms(rng, kmax, nterms)),
+               SymExpr.zero())
+
+
+def image(e: SymExpr):
+    """The sympy expression in (R, Z, tau) that e stands for."""
+    return sympy_of_json(expr_to_json(e))
 
 
 # -- canonicalization -------------------------------------------------------
 
 
 def test_like_terms_merge():
-    e = R_var() * prof("U") + R_var() * prof("U")
+    e = term(r=1) * prof("U") + term(r=1) * prof("U")
     assert len(e.terms) == 1
     assert e.terms[0].coeff == 2
 
@@ -85,18 +88,18 @@ def test_cancellation_gives_zero():
 
 
 def test_triple_merge_single_term():
-    om = tau_pow(-1) * prof("Omega")
+    om = term(tau=exponent(-1)) * prof("Omega")
     e = om + om - om
     assert len(e.terms) == 1
-    assert e == canonicalize(om)
+    assert e == om
 
 
 def test_canonicalize_idempotent_random():
     rng = np.random.default_rng(7)
     for _ in range(200):
         e = random_expr(rng)
-        assert canonicalize(e) == e
-        assert canonicalize(canonicalize(e)) == canonicalize(e)
+        assert SymExpr.from_terms(e.terms) == e
+        assert SymExpr.from_terms(reversed(e.terms)) == e
 
 
 def test_ring_axioms_random():
@@ -256,7 +259,8 @@ def test_rat_rejects_inexact_floats(x):
 VALUES = {
     "SsExponent": exponent(-1, Fraction(1, 2)),
     "ProfileRef": ProfileRef("Psi", 1, 2, 0),
-    "SymTerm": (tau_pow(-1, 2) * R_var() * prof("U", 1, dZ=1)).terms[0],
+    "SymTerm": term(r=1, factors=(ProfileRef("U", 1, 0, 1),),
+                    tau=exponent(-1, 2)).terms[0],
 }
 
 
@@ -289,23 +293,23 @@ def test_values_copy_and_pickle(name):
 def test_diff_tau_swirl_leading_term():
     # d/dt [tau^(-1+g/2) U] = (1 - g/2) tau^(-2+g/2) U
     #                         + g tau^(-2+g/2) (R U_R + Z U_Z)
-    e = tau_pow(-1, Fraction(1, 2)) * prof("U")
+    e = term(tau=exponent(-1, Fraction(1, 2))) * prof("U")
     got = diff_tau(e)
-    shift = tau_pow(-2, Fraction(1, 2))
-    want = (term(1) - Fraction(1, 2) * gamma_sym()) * shift * prof("U") \
-        + gamma_sym() * shift * (R_var() * prof("U", dR=1)
-                                 + Z_var() * prof("U", dZ=1))
-    assert got == canonicalize(want)
+    shift = term(tau=exponent(-2, Fraction(1, 2)))
+    want = (term(1) - term(Fraction(1, 2), g=1)) * shift * prof("U") \
+        + term(g=1) * shift * (term(r=1) * prof("U", dR=1)
+                               + term(z=1) * prof("U", dZ=1))
+    assert got == want
 
 
 def test_diff_tau_vorticity_leading_term():
-    e = tau_pow(-1) * prof("Omega")
+    e = term(tau=exponent(-1)) * prof("Omega")
     got = diff_tau(e)
-    shift = tau_pow(-2)
+    shift = term(tau=exponent(-2))
     want = shift * prof("Omega") \
-        + gamma_sym() * shift * (R_var() * prof("Omega", dR=1)
-                                 + Z_var() * prof("Omega", dZ=1))
-    assert got == canonicalize(want)
+        + term(g=1) * shift * (term(r=1) * prof("Omega", dR=1)
+                               + term(z=1) * prof("Omega", dZ=1))
+    assert got == want
 
 
 def test_diff_tau_constant_is_zero():
@@ -313,12 +317,12 @@ def test_diff_tau_constant_is_zero():
 
 
 def test_diff_z_stream_function():
-    e = tau_pow(-1, 2) * prof("Psi")
-    assert diff_z(e) == canonicalize(tau_pow(-1, 1) * prof("Psi", dZ=1))
+    e = term(tau=exponent(-1, 2)) * prof("Psi")
+    assert diff_z(e) == term(tau=exponent(-1, 1)) * prof("Psi", dZ=1)
 
 
 def test_diff_r_power_rule():
-    assert diff_r(R_var(2)) == canonicalize(2 * tau_pow(0, -1) * R_var())
+    assert diff_r(term(r=2)) == term(2, r=1, tau=exponent(0, -1))
 
 
 def test_mixed_partials_commute():
@@ -334,7 +338,7 @@ def test_leibniz_rule_random():
         for _ in range(60):
             a = random_expr(rng, nterms=2)
             b = random_expr(rng, nterms=2)
-            assert d(a * b) == canonicalize(d(a) * b + a * d(b))
+            assert d(a * b) == d(a) * b + a * d(b)
 
 
 # -- geometric expansion ----------------------------------------------------
@@ -342,18 +346,15 @@ def test_leibniz_rule_random():
 
 def test_geometric_expand_orders():
     assert geometric_expand(0) == term(1)
-    assert geometric_expand(2) == canonicalize(
-        term(1) - R_var() * tau_pow(0, 1) + R_var(2) * tau_pow(0, 2))
+    assert geometric_expand(2) == term(1) - term(r=1, tau=exponent(0, 1)) \
+        + term(r=2, tau=exponent(0, 2))
     with pytest.raises(ValueError):
         geometric_expand(-1)
-
-
-def test_geometric_expand_numeric_remainder():
-    tg, R = 0.1, -0.5
-    bind = ProfileBindings.constant()
-    approx = eval_numeric(geometric_expand(4), bind, (R, 0.0), tg, 1.0)
-    exact = 1.0 / (1.0 + tg * R)
-    assert abs(approx - exact) <= 0.05 ** 5 / (1 - 0.05) * (1 + 1e-9)
+    # with s = tau^gamma, the Taylor polynomial of 1/(1 + R s) in s
+    for M in range(7):
+        got = image(geometric_expand(M)).subs(tau, s ** (1 / gamma))
+        want = sp.series(1 / (1 + R * s), s, 0, M + 1).removeO()
+        assert sp.expand(got - want) == 0, M
 
 
 # -- order collection -------------------------------------------------------
@@ -374,7 +375,7 @@ def lattice_expr(rng, base=exponent(-2, Fraction(1, 2))):
                                 int(rng.integers(0, 2))),),
             tau=base + exponent(0, k),
         )
-    return canonicalize(out)
+    return out
 
 
 def test_collect_orders_strips_tau_and_reconstructs():
@@ -390,7 +391,11 @@ def test_collect_orders_strips_tau_and_reconstructs():
                 ref = SymTerm(t.coeff, t.g_pow, t.r_pow, t.z_pow, t.factors)
                 assert [getattr(t, s) for s in SymTerm.__slots__] == \
                     [getattr(ref, s) for s in SymTerm.__slots__]
-        assert reconstruct_orders(orders, lattice_base(eq)) == e
+        # sum_k tau^(base0 + k gamma) order_k is e again
+        base = lattice_base(eq)
+        back = sum(tau ** (base.base + (base.gamma_coeff + k) * gamma)
+                   * image(oeq.lhs) for k, oeq in orders.items())
+        assert sp.expand(back - image(e)) == 0
 
 
 def test_collect_orders_zero_input():
@@ -398,71 +403,70 @@ def test_collect_orders_zero_input():
 
 
 def test_commensurability_error_on_mixed_bases():
-    e = tau_pow(-1) * prof("U") + tau_pow(Fraction(-1, 2)) * prof("U")
+    e = term(factors=(ProfileRef("U"),), tau=exponent(-1)) \
+        + term(factors=(ProfileRef("U"),), tau=exponent(Fraction(-1, 2)))
     with pytest.raises(CommensurabilityError):
         collect_orders(SymEquation(e))
 
 
 def test_commensurability_error_on_fractional_step():
-    e = tau_pow(0, 0) * prof("U") + tau_pow(0, Fraction(1, 2)) * prof("U")
+    e = prof("U") + term(factors=(ProfileRef("U"),),
+                         tau=exponent(0, Fraction(1, 2)))
     with pytest.raises(CommensurabilityError):
         collect_orders(SymEquation(e))
 
 
-# -- numeric evaluation -----------------------------------------------------
+# -- the sympy image --------------------------------------------------------
 
 
 def test_eval_simple_term():
     # 2 R U with U = 1 at R = -1
-    e = 2 * R_var() * prof("U")
-    bind = ProfileBindings.constant(1.0)
-    assert eval_numeric(e, bind, (-1.0, 0.0), 0.1, 2.0) == -2.0
+    e = image(2 * term(r=1) * prof("U"))
+    assert e.subs(sp.Function("U0")(R, Z), 1).subs(R, -1) == -2
 
 
 def test_eval_transport_form_closed_profile():
     # (1 - g/2) U + g (R U_R + Z U_Z) with U = e^{Z-R}, gamma = 2 at (-1, 1)
-    e = (term(1) - Fraction(1, 2) * gamma_sym()) * prof("U") \
-        + gamma_sym() * (R_var() * prof("U", dR=1)
-                         + Z_var() * prof("U", dZ=1))
-    bind = ProfileBindings({("U", 0): ExpProfile(-1.0, 1.0)})
-    got = eval_numeric(e, bind, (-1.0, 1.0), 1.0, 2.0)
-    assert got == pytest.approx(4.0 * math.e ** 2, rel=1e-12)
+    e = image((term(1) - term(Fraction(1, 2), g=1)) * prof("U")
+              + term(g=1) * (term(r=1) * prof("U", dR=1)
+                             + term(z=1) * prof("U", dZ=1)))
+    e = e.replace(sp.Function("U0"), sp.Lambda((R, Z), sp.exp(Z - R)))
+    assert e.doit().subs({R: -1, Z: 1, gamma: 2}) == 4 * sp.E ** 2
 
 
-def test_eval_missing_binding():
-    bind = ProfileBindings({("U", 0): ExpProfile(0.1, 0.2)})
-    with pytest.raises(MissingBinding):
-        eval_numeric(prof("Omega"), bind, (0.0, 0.0), 0.1, 1.0)
-
-
-def test_symbolic_vs_finite_difference():
+def test_derivatives_match_sympy_chain_rule():
+    # d/dt, d/dr and d/dz through R = (r - 1)/tau^gamma, Z = z/tau^gamma
+    # and tau = T - t, every partial derivative taken by sympy
     rng = np.random.default_rng(41)
-    h = 1e-4
+    jacobian = {var: {x: similarity(sp.diff(x_of, var))
+                      for x, x_of in COORDINATES.items()}
+                for var in (t, r, z)}
     for _ in range(25):
         e = random_expr(rng)
-        bind = random_bindings(rng, kmax=1)
-        R, Z = rng.uniform(-2, -0.5), rng.uniform(0.5, 2)
-        gamma, tg = 1.5, 0.3
-        sym = eval_numeric(diff_z(e), bind, (R, Z), tg, gamma)
-        fd = (eval_numeric(e, bind, (R, Z + h), tg, gamma)
-              - eval_numeric(e, bind, (R, Z - h), tg, gamma)) / (2 * h)
-        # diff_z carries the tau^{-gamma} chain factor
-        fd /= tg
-        scale = max(abs(sym), abs(fd), 1.0)
-        assert abs(sym - fd) / scale <= 1e-6
+        partials = {x: sp.diff(image(e), x) for x in COORDINATES}
+        for d, var in ((diff_tau, t), (diff_r, r), (diff_z, z)):
+            want = sum(partials[x] * jacobian[var][x] for x in COORDINATES)
+            assert sp.expand(image(d(e)) - want) == 0, (str(e), d.__name__)
 
 
 # -- serialization ----------------------------------------------------------
 
 
 def test_json_round_trip_random():
+    # the JSON, read into sympy, is the sum of the generating terms
     rng = np.random.default_rng(43)
     for _ in range(50):
-        e = canonicalize(random_expr(rng))
-        assert expr_from_json(expr_to_json(e)) == e
-    eq = SymEquation(canonicalize(random_expr(rng)), "label")
-    back = equation_from_json(equation_to_json(eq))
-    assert back.lhs == eq.lhs and back.label == eq.label
+        args = random_terms(rng)
+        want = sum(c * gamma ** g * R ** rp * Z ** zp
+                   * tau ** (ex.base + ex.gamma_coeff * gamma)
+                   * sp.Mul(*(profile(f.field, f.series_index, f.dR, f.dZ)
+                              for f in fs))
+                   for c, g, rp, zp, fs, ex in args)
+        e = sum((term(*a) for a in args), SymExpr.zero())
+        assert sp.expand(sympy_of_json(expr_to_json(e)) - want) == 0
+    eq = SymEquation(random_expr(rng), "label")
+    d = equation_to_json(eq)
+    assert d == {"label": "label", "lhs": expr_to_json(eq.lhs)}
 
 
 def test_json_rational_coefficients():
@@ -474,8 +478,8 @@ def test_json_rational_coefficients():
 
 
 def test_latex_contains_notation():
-    e = (term(1) - Fraction(1, 2) * gamma_sym()) * prof("U") \
-        + tau_pow(-1, 2) * prof("Psi", dR=1)
+    e = (term(1) - term(Fraction(1, 2), g=1)) * prof("U") \
+        + term(factors=(ProfileRef("Psi", 0, 1),), tau=exponent(-1, 2))
     s = expr_to_latex(e)
     assert "\\gamma" in s
     assert "\\partial_R \\Psi" in s
@@ -488,5 +492,5 @@ def test_exponent_arithmetic_and_strings():
     b = exponent(0, 1)
     assert a + b == exponent(-1, Fraction(3, 2))
     assert (a - a).is_zero
-    assert SsExponent.from_json(a.to_json()) == a
+    assert a.to_json() == {"base": "-1", "gamma": "1/2"}
     assert str(exponent(-1, 2)) == "-1+2g"
