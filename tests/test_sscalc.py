@@ -357,6 +357,14 @@ def test_geometric_expand_orders():
         assert sp.expand(got - want) == 0, M
 
 
+def test_geometric_expand_numeric_remainder():
+    tg, R_val = 0.1, -0.5
+    got = image(geometric_expand(4)).subs(tau, s ** (1 / gamma))
+    approx = float(got.subs({s: tg, R: R_val}))
+    exact = 1.0 / (1.0 + tg * R_val)
+    assert abs(approx - exact) <= 0.05 ** 5 / (1 - 0.05) * (1 + 1e-9)
+
+
 # -- order collection -------------------------------------------------------
 
 
