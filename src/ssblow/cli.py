@@ -68,7 +68,7 @@ class RunManifest:
         if error is not None:
             payload["error"] = error
         path = out_dir / "manifest.json"
-        path.write_text(json_text(payload) + "\n")
+        _write_json(path, payload)
         return path
 
 
@@ -356,6 +356,13 @@ def cmd_simulate(args) -> int:
         "amplitude": amplitude,
         "preset_note": "initial data is an artifact choice, not prescribed",
     })
+
+    def write_fields(suffix: str) -> None:
+        for name, vals in (("u1", state.u1), ("omega1", state.omega1),
+                           ("psi1", state.psi1)):
+            path = manifest.add(out / f"{name}_{suffix}.bin", "grid/bin")
+            grid.field(vals).to_binary(path)
+
     hmin = min(grid.hr, grid.hz)
     istep = 0
     nsnap = 0
@@ -383,14 +390,8 @@ def cmd_simulate(args) -> int:
             series.append_sample(state, grid)
         if snapshots and istep % snapshots == 0:
             nsnap += 1
-            for name, vals in (("u1", state.u1), ("omega1", state.omega1),
-                               ("psi1", state.psi1)):
-                path = manifest.add(out / f"{name}_{nsnap:04d}.bin", "grid/bin")
-                grid.field(vals).to_binary(path)
-    for name, vals in (("u1", state.u1), ("omega1", state.omega1),
-                       ("psi1", state.psi1)):
-        path = manifest.add(out / f"{name}_final.bin", "grid/bin")
-        grid.field(vals).to_binary(path)
+            write_fields(f"{nsnap:04d}")
+    write_fields("final")
     _write_series(manifest.add(out / "series.csv", "series/csv"), series)
     manifest.write(out, started)
     print(f"simulated to t={state.t:.6g} in {istep} steps; "

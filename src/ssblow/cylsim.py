@@ -340,9 +340,12 @@ def track_blowup(series: BlowupSeries, rate: float = 1.0) -> BlowupFit:
 
     T is found by golden-section search on the residual of the fixed-rate
     log fit; gamma then comes from log-log regression of the window
-    width.  Needs at least 6 strictly growing vorticity samples, and
-    raises FitRejected when the search ends at t_last + 10 span, the far
-    end of its bracket.
+    width.  The window is classified against the gamma the swirl implies:
+    u1 ~ (T-t)^(-1 + gamma/2) (hierarchy.LEADING), so gamma = 2 (1 + s)
+    with s the log-log slope of max|u1|; a max|u1| sample that is not
+    positive and finite leaves the window indeterminate.  Needs at least
+    6 strictly growing vorticity samples, and raises FitRejected when the
+    search ends at t_last + 10 span, the far end of its bracket.
     """
     t = np.asarray(series.t, dtype=float)
     M = np.asarray(series.max_omega1, dtype=float)
@@ -370,11 +373,14 @@ def track_blowup(series: BlowupSeries, rate: float = 1.0) -> BlowupFit:
 
     d = np.asarray(series.delta, dtype=float)
     ok = np.isfinite(d) & (d > 0)
+    gamma_fit = math.nan
     if ok.sum() >= 2:
         gamma_fit = float(np.polyfit(x[ok], np.log(d[ok]), 1)[0])
-        window = window_classify(list(zip(t[ok], d[ok])), T_fit, gamma_fit)
+    u = np.asarray(series.max_u1, dtype=float)
+    if np.all(np.isfinite(u) & (u > 0)):
+        gamma_swirl = 2.0 * (1.0 + float(np.polyfit(x, np.log(u), 1)[0]))
+        window = window_classify(list(zip(t[ok], d[ok])), T_fit, gamma_swirl)
     else:
-        gamma_fit = math.nan
         window = WindowVerdict("indeterminate")
     return BlowupFit(float(T_fit), gamma_fit, amp, window)
 

@@ -1,10 +1,9 @@
 """Computational verification of the profile-triviality arguments.
 
 Covers the characteristics/homogeneity classification of the transport
-equations, maximum-principle residual scans on synthetic fields, the
-additive-separability step, the cutoff integration-by-parts identity,
-the harmonic stream-function endgame, and the self-similar window
-classifier.  Everything here is a numerical diagnostic, not a proof.
+equations, the cutoff integration-by-parts identity, the harmonic
+stream-function endgame, and the self-similar window classifier.
+Everything here is a numerical diagnostic, not a proof.
 """
 
 from __future__ import annotations
@@ -12,12 +11,12 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .elliptic import KroneckerSolver
-from .gridio import ScalarField2D, diff2, gradient, trapezoid_2d
+from .gridio import ScalarField2D, diff1, diff2, gradient, trapezoid_2d
 
 SCHEMA = "rigidity/1"
 
@@ -128,101 +127,6 @@ def classify_triviality(gamma, k: int, field: str,
     case = "zero_coefficient_ray_constant" if czero else "nonzero_coefficient"
     conclusion = "trivial_under_decay" if decay_at_infinity else "inconclusive"
     return TrivialityVerdict(case, d_f, c_f, conclusion, field, k, float(g))
-
-
-def ray_solution(gamma: float, c: float, trace: Callable, Y) -> float:
-    """|Y|^(-c/gamma) * trace(Y/|Y|): the general kernel along rays."""
-    R, Z = Y
-    rad = math.hypot(R, Z)
-    if rad == 0.0:
-        if c / gamma > 0:
-            raise ValueError("ray solution singular at the origin for c/gamma > 0")
-        if c == 0:
-            raise ValueError("trace direction undefined at the origin")
-        return 0.0
-    return rad ** (-c / gamma) * trace((R / rad, Z / rad))
-
-
-# ---------------------------------------------------------------------------
-# separability
-
-
-def separability_check(U2: ScalarField2D):
-    """Least-squares additive split U^2 ~ f(Z) + g(R), g mean-zero.
-
-    Returns (f, g, residual) with residual the max absolute deviation of
-    the two-way additive fit (axis 0 = R, axis 1 = Z).
-    """
-    M = U2.values
-    m = M.mean()
-    g = M.mean(axis=1) - m  # over R, mean-zero
-    f = M.mean(axis=0)      # over Z, absorbs the overall level
-    fit = g[:, None] + f[None, :]
-    residual = float(np.max(np.abs(M - fit)))
-    return f, g, residual
-
-
-# ---------------------------------------------------------------------------
-# maximum-principle scan
-
-
-@dataclass(frozen=True)
-class ExtremumReport:
-    location: tuple  # (R, Z)
-    value: float
-    on_boundary: bool
-    transport_residual: float
-    dZ_at_point: float
-    drift_normal: float  # gamma R - d_Z Psi at the point
-
-
-@dataclass(frozen=True)
-class MaxPrincipleReport:
-    nonzero_extremum: bool
-    maximum: Optional[ExtremumReport] = None
-    minimum: Optional[ExtremumReport] = None
-
-    def to_json(self) -> dict:
-        return {"schema": SCHEMA, **asdict(self)}
-
-
-def max_principle_scan(F: ScalarField2D, Psi: ScalarField2D, gamma: float,
-                       c: float, bc_tol: float = 1e-6) -> MaxPrincipleReport:
-    """Locate the grid extrema of F and evaluate the transport residual
-    c F + gamma Y.grad F + (perp-grad Psi).grad F there.
-
-    At an interior stationary point the residual reduces to c*F; at a
-    boundary extremum (R = 0) the tangential derivative d_Z F must vanish
-    and the normal drift gamma R - d_Z Psi vanishes by the boundary
-    condition on Psi.
-    """
-    psi_R, psi_Z = gradient(Psi)
-    if float(np.max(np.abs(psi_Z[-1, :]))) > bc_tol:
-        raise BoundaryViolation("d_Z Psi != 0 on the R = 0 column")
-    vals = F.values
-    if float(np.max(np.abs(vals))) == 0.0:
-        return MaxPrincipleReport(nonzero_extremum=False)
-    F_R, F_Z = gradient(F)
-    Rax = F.axis1()
-    Zax = F.axis2()
-
-    def report(idx) -> ExtremumReport:
-        i, j = idx
-        R, Z = Rax[i], Zax[j]
-        resid = (c * vals[i, j]
-                 + gamma * (R * F_R[i, j] + Z * F_Z[i, j])
-                 - psi_Z[i, j] * F_R[i, j] + psi_R[i, j] * F_Z[i, j])
-        return ExtremumReport(
-            (float(R), float(Z)), float(vals[i, j]),
-            on_boundary=(i == vals.shape[0] - 1),
-            transport_residual=float(resid),
-            dZ_at_point=float(F_Z[i, j]),
-            drift_normal=float(gamma * R - psi_Z[i, j]),
-        )
-
-    imax = np.unravel_index(np.argmax(vals), vals.shape)
-    imin = np.unravel_index(np.argmin(vals), vals.shape)
-    return MaxPrincipleReport(True, report(imax), report(imin))
 
 
 # ---------------------------------------------------------------------------
@@ -341,10 +245,16 @@ class PsiEndgameReport:
 
 def _laplace_solve(grid: HalfPlaneGrid, boundary: Callable) -> ScalarField2D:
     """Dirichlet Laplace solve on the truncated half-plane: the boundary
-    values are lifted into the right-hand side of -Delta on the interior."""
+    values are lifted into the right-hand side of -Delta on the interior.
+    `boundary` is evaluated on the four edges only."""
     hR, hZ = grid.hR, grid.hZ
-    R, Z = grid.mesh()
-    psi = np.asarray(boundary(R, Z), dtype=float).copy()
+    r, z = grid.axes()
+    psi = np.empty((grid.nR, grid.nZ))
+    # the R = R_min and R = 0 rows, then the Z = Z_min and Z = Z_max
+    # columns between them; the solve fills the interior
+    psi[[0, -1]] = boundary(*np.meshgrid(r[[0, -1]], z, indexing="ij"))
+    psi[1:-1, [0, -1]] = boundary(*np.meshgrid(r[1:-1], z[[0, -1]],
+                                               indexing="ij"))
 
     rhs = np.zeros((grid.nR - 2, grid.nZ - 2))
     rhs[0, :] += psi[0, 1:-1] / hR ** 2
@@ -371,8 +281,8 @@ def psi_endgame(omega_is_zero: bool, grid: HalfPlaneGrid,
     """
     if not omega_is_zero:
         raise ValueError("endgame applies only once the vorticity profile is zero")
-    Zb = np.linspace(grid.Z_min, grid.Z_max, grid.nZ)
-    edge = np.asarray(far_field(np.zeros_like(Zb), Zb), dtype=float)
+    r, z = grid.axes()
+    edge = np.asarray(far_field(np.zeros_like(z), z), dtype=float)
     bc_residual = float(np.max(np.abs(np.diff(edge) / grid.hZ)))
     if bc_residual > max(bc_tol, 1e-12 * (1 + np.max(np.abs(edge)))):
         raise BoundaryViolation(
@@ -384,7 +294,6 @@ def psi_endgame(omega_is_zero: bool, grid: HalfPlaneGrid,
 
     # least squares of Psi ~ a R + b over every grid point: R is constant
     # along Z, so the fit of the Z-means on R gives the same a and b
-    r, _ = grid.axes()
     m = psi.values.mean(axis=1)
     dr = r - r.mean()
     a = float(dr @ (m - m.mean()) / (dr @ dr))
@@ -395,10 +304,11 @@ def psi_endgame(omega_is_zero: bool, grid: HalfPlaneGrid,
     for half in radii:
         sub = HalfPlaneGrid(-half, -half, half, grid.nR, grid.nZ)
         psih = _laplace_solve(sub, far_field)
-        _, dZ = gradient(psih)
-        Rh, Zh = sub.mesh()
-        core = (np.abs(Rh) <= half / 4) & (np.abs(Zh) <= half / 4)
-        decay.append((float(half), float(np.max(np.abs(dZ[core])))))
+        rh, zh = sub.axes()
+        # d_Z on the core |R|, |Z| <= half/4: the core rows, then columns
+        dZ = diff1(psih.values[np.abs(rh) <= half / 4], psih.h2, 1)
+        core = dZ[:, np.abs(zh) <= half / 4]
+        decay.append((float(half), float(np.max(np.abs(core)))))
     return PsiEndgameReport(a, b, fit_residual, bc_residual,
                             solver_residual, tuple(decay))
 

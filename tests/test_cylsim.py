@@ -455,6 +455,39 @@ def test_track_blowup_exact_series():
     assert fit.window.tag == "shrinks_selfsimilar"
 
 
+def swirl_series(u_rate, delta):
+    # max|omega1| = tau^-1, max|u1| = tau^-u_rate, window delta(tau)
+    s = synthetic_series()
+    tau = 1.0 - np.asarray(s.t)
+    s.max_u1 = list(tau ** -u_rate)
+    s.delta = list(delta(tau))
+    return s
+
+
+@pytest.mark.parametrize("u_rate, delta, tag, slope, decays", [
+    # u1 ~ tau^-0.8 implies gamma = 2 (1 - 0.8) = 0.4
+    (0.8, lambda tau: tau ** 0.4, "shrinks_selfsimilar", 0.0, True),
+    (0.8, lambda tau: np.full_like(tau, 0.3), "wider_than_selfsimilar",
+     -0.4, False),
+    # u1 ~ tau^-0.6 implies gamma = 0.8, a faster shrink than tau^0.4
+    (0.6, lambda tau: tau ** 0.4, "wider_than_selfsimilar", -0.4, True),
+], ids=["selfsimilar", "constant-width", "slower-than-swirl"])
+def test_track_blowup_window_against_swirl_gamma(u_rate, delta, tag, slope,
+                                                 decays):
+    fit = cs.track_blowup(swirl_series(u_rate, delta))
+    assert fit.window.tag == tag
+    assert fit.window.ratio_slope == pytest.approx(slope, abs=1e-6)
+    assert fit.window.delta_decays is decays
+
+
+def test_track_blowup_window_indeterminate_without_swirl():
+    s = swirl_series(0.8, lambda tau: tau ** 0.4)
+    s.max_u1[3] = 0.0
+    fit = cs.track_blowup(s)
+    assert fit.window.tag == "indeterminate"
+    assert abs(fit.gamma_fit - 0.4) <= 1e-3
+
+
 def test_track_blowup_rejects_constant():
     s = synthetic_series()
     s.max_omega1 = [1.0] * len(s.t)

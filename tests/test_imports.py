@@ -118,15 +118,6 @@ REACHABILITY_ROOTS = {
     ("rigidity", "psi_endgame"):
         "the harmonic endgame step of the triviality argument; perfbench "
         "times it, and no command runs it yet",
-    ("rigidity", "separability_check"):
-        "the separability step of the order-0 argument, not yet run by a "
-        "command",
-    ("rigidity", "max_principle_scan"):
-        "the maximum-principle step of the order-0 argument, not yet run by "
-        "a command",
-    ("rigidity", "ray_solution"):
-        "the general homogeneous solution along rays, not yet run by a "
-        "command",
     ("hierarchy", "reference_induction"):
         "the hand-entered reference that induction_system is tested against",
 }
@@ -187,6 +178,12 @@ def reachable_definitions(trees: dict, roots) -> set:
     return seen
 
 
+def stale_entries(trees: dict, allowlist) -> list:
+    """Allowlist entries that cli.main reaches without the allowlist."""
+    return sorted(set(allowlist)
+                  & reachable_definitions(trees, [("cli", "main")]))
+
+
 def test_every_definition_is_reached_from_the_cli():
     trees = package_trees()
     roots = [("cli", "main"), *REACHABILITY_ROOTS]
@@ -195,8 +192,10 @@ def test_every_definition_is_reached_from_the_cli():
                for node in tree.body
                if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
     assert sorted(defined - reached) == []
-    # every allowlist entry names a definition that is there
+    # every allowlist entry names a definition that is there, and one
+    # that a command runs is no longer an exception
     assert set(REACHABILITY_ROOTS) <= defined
+    assert stale_entries(trees, REACHABILITY_ROOTS) == []
 
 
 def test_reachability_follows_names_attributes_and_methods():
@@ -216,3 +215,15 @@ def test_reachability_follows_names_attributes_and_methods():
     assert reachable_definitions(trees, [("cli", "main")]) == {
         ("cli", "main"), ("cli", "cmd_run"), ("lib", "Box"),
         ("lib", "inner"), ("lib", "limit")}
+
+
+def test_allowlist_entry_the_cli_reaches_is_stale():
+    trees = {
+        "cli": ast.parse("from . import lib\n"
+                         "def main():\n    return lib.wired()\n"),
+        "lib": ast.parse("def wired():\n    return 1\n"
+                         "def unwired():\n    return 0\n"),
+    }
+    assert stale_entries(trees, [("lib", "wired"), ("lib", "unwired")]) == [
+        ("lib", "wired")]
+    assert stale_entries(trees, [("lib", "unwired")]) == []

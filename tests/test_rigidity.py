@@ -1,6 +1,5 @@
-"""Triviality classification, ray solutions, separability, the cutoff
-integration-by-parts identity, the harmonic endgame, and window
-classification."""
+"""Triviality classification, the cutoff integration-by-parts identity,
+the harmonic endgame, and window classification."""
 
 import math
 from fractions import Fraction
@@ -9,7 +8,6 @@ import numpy as np
 import pytest
 
 from ssblow import rigidity as rg
-from ssblow.gridio import ScalarField2D, gradient
 
 
 # -- homogeneity degrees and classification ---------------------------------
@@ -65,134 +63,6 @@ def test_classify_degenerate_omega_rates():
     for k in (1, 2, 3):
         v = rg.classify_triviality(Fraction(1, k), k, "Omega")
         assert v.case == "zero_coefficient_ray_constant"
-
-
-# -- ray solutions ----------------------------------------------------------
-
-
-def test_ray_solution_closed_form():
-    val = rg.ray_solution(2.0, 1.0, lambda d: 1.0, (0.0, 4.0))
-    assert val == pytest.approx(0.5, rel=1e-14)
-
-
-def test_ray_solution_constant_on_rays():
-    f = lambda d: 1.0 + d[1]
-    a = rg.ray_solution(1.7, 0.0, f, (-1.0, 2.0))
-    b = rg.ray_solution(1.7, 0.0, f, (-2.0, 4.0))
-    assert a == pytest.approx(b, rel=1e-14)
-
-
-def test_ray_solution_pde_residual():
-    gamma, c = 1.5, 0.8
-    trace = lambda d: math.exp(d[0]) * (1.0 + 0.3 * d[1])
-    h = 1e-3
-    rng = np.random.default_rng(5)
-    for _ in range(20):
-        R = rng.uniform(-3.0, -1.0)
-        Z = rng.uniform(-2.0, 2.0)
-        F = rg.ray_solution(gamma, c, trace, (R, Z))
-        FR = (rg.ray_solution(gamma, c, trace, (R + h, Z))
-              - rg.ray_solution(gamma, c, trace, (R - h, Z))) / (2 * h)
-        FZ = (rg.ray_solution(gamma, c, trace, (R, Z + h))
-              - rg.ray_solution(gamma, c, trace, (R, Z - h))) / (2 * h)
-        resid = c * F + gamma * (R * FR + Z * FZ)
-        assert abs(resid) <= 1e-6 * max(1.0, abs(F))
-
-
-def test_ray_homogeneity_annulus_scaling():
-    gamma, c = 2.0, 1.0
-    grid = rg.HalfPlaneGrid(-5.0, -5.0, 5.0, 501, 1001)
-    R, Z = grid.mesh()
-    rad = np.hypot(R, Z)
-
-    def annulus_max(lo, hi):
-        on = (rad >= lo) & (rad <= hi)
-        return max(abs(rg.ray_solution(gamma, c, lambda d: 1.0, Y))
-                   for Y in zip(R[on], Z[on]))
-
-    m1 = annulus_max(1, 2)
-    m2 = annulus_max(2, 4)
-    assert m1 / m2 == pytest.approx(2.0 ** (c / gamma), rel=5e-3)
-
-
-# -- separability -----------------------------------------------------------
-
-
-def grid_RZ(n=61):
-    R = np.linspace(-1.0, 0.0, n)
-    Z = np.linspace(-1.0, 1.0, n)
-    return np.meshgrid(R, Z, indexing="ij"), R, Z
-
-
-def test_separability_exact_split():
-    (R, Z), Rax, _ = grid_RZ()
-    f = ScalarField2D(np.sin(Z) + R ** 2, Rax[1] - Rax[0], 2.0 / 60)
-    _, _, resid = rg.separability_check(f)
-    assert resid <= 1e-12
-
-
-def test_separability_product_fails():
-    (R, Z), Rax, _ = grid_RZ()
-    f = ScalarField2D(R * Z, Rax[1] - Rax[0], 2.0 / 60)
-    _, _, resid = rg.separability_check(f)
-    assert resid > 0.1
-
-
-def test_separability_constant():
-    (R, Z), Rax, _ = grid_RZ()
-    f = ScalarField2D(np.full_like(R, 3.5), Rax[1] - Rax[0], 2.0 / 60)
-    fz, gr, resid = rg.separability_check(f)
-    assert resid <= 1e-12
-    assert np.allclose(fz + gr[:, None] * 0, 3.5)
-    assert np.allclose(gr, 0.0, atol=1e-12)
-
-
-# -- maximum-principle scan -------------------------------------------------
-
-
-def test_max_principle_zero_field():
-    grid = rg.HalfPlaneGrid(-4.0, -4.0, 4.0, 81, 161)
-    R, Z = grid.mesh()
-    zero = grid.field(np.zeros_like(R))
-    rep = rg.max_principle_scan(zero, zero, 2.0, 1.0)
-    assert not rep.nonzero_extremum
-
-
-def test_max_principle_interior_stationary_point():
-    grid = rg.HalfPlaneGrid(-8.0, -8.0, 8.0, 321, 641)
-    R, Z = grid.mesh()
-    F = grid.field(np.exp(-((R + 4.0) ** 2 + Z ** 2)))
-    Psi = grid.field(np.zeros_like(R))
-    c, gamma = 1.3, 2.0
-    rep = rg.max_principle_scan(F, Psi, gamma, c)
-    assert rep.nonzero_extremum
-    mx = rep.maximum
-    assert not mx.on_boundary
-    assert mx.value == pytest.approx(1.0, rel=1e-10)
-    # at an interior stationary point the residual reduces to c*F
-    assert mx.transport_residual == pytest.approx(c * mx.value, abs=1e-6)
-
-
-def test_max_principle_boundary_extremum():
-    grid = rg.HalfPlaneGrid(-8.0, -8.0, 8.0, 321, 641)
-    R, Z = grid.mesh()
-    F = grid.field(np.exp(R) * np.exp(-Z ** 2))
-    Psi = grid.field(R ** 2 * np.exp(-Z ** 2))
-    rep = rg.max_principle_scan(F, Psi, 2.0, 1.0, bc_tol=1e-10)
-    mx = rep.maximum
-    assert mx.on_boundary
-    h = grid.hZ
-    assert abs(mx.dZ_at_point) <= 10 * h ** 2
-    assert abs(mx.drift_normal) <= 1e-10
-
-
-def test_max_principle_boundary_violation():
-    grid = rg.HalfPlaneGrid(-4.0, -4.0, 4.0, 81, 161)
-    R, Z = grid.mesh()
-    F = grid.field(np.exp(R))
-    bad_psi = grid.field(Z)
-    with pytest.raises(rg.BoundaryViolation):
-        rg.max_principle_scan(F, bad_psi, 2.0, 1.0)
 
 
 # -- cutoff -----------------------------------------------------------------
@@ -353,6 +223,30 @@ def test_laplace_solve_reproduces_discrete_harmonic(grid):
     want = harmonic(R, Z)
     # relative: |Psi| reaches 1600 on the default grid
     assert np.max(np.abs(psi.values - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("grid", [
+    rg.HalfPlaneGrid(-3.0, -2.0, 5.0, 30, 17),
+    rg.HalfPlaneGrid(-1.0, -1.0, 1.0, 3, 4),
+], ids=["uneven", "two-point"])
+def test_laplace_solve_evaluates_the_far_field_on_the_edges_only(grid):
+    given = []
+
+    def far_field(R, Z):
+        given.append((np.ravel(R), np.ravel(Z)))
+        return 2.0 * R + 1.0
+
+    psi = rg._laplace_solve(grid, far_field).values
+    R = np.concatenate([g[0] for g in given])
+    Z = np.concatenate([g[1] for g in given])
+    on_edge = ((R == grid.R_min) | (R == 0.0)
+               | (Z == grid.Z_min) | (Z == grid.Z_max))
+    assert on_edge.all()
+    # each boundary point once
+    assert R.size == 2 * grid.nZ + 2 * (grid.nR - 2)
+    assert len(set(zip(R, Z))) == R.size
+    r, _ = grid.axes()
+    assert np.allclose(psi, (2.0 * r + 1.0)[:, None], rtol=0, atol=1e-12)
 
 
 def test_psi_endgame_rejects_z_dependent_boundary():
