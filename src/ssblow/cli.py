@@ -270,13 +270,14 @@ def _identity_fields(preset: str, grid: rigidity.HalfPlaneGrid,
         dU = (-2.0 * (R + 4.0) / 8.0 * U, -2.0 * Z / 8.0 * U)
     else:
         raise UsageError(f"unknown identity preset {preset!r}")
+    # the gradient of Psi = R^2 e + epsilon Z e, e = exp(-|Y|^2 / 50): the
+    # identity reads Psi only through it
     e = np.exp(-(R ** 2 + Z ** 2) / 50.0)
-    Psi = R ** 2 * e + epsilon * Z * e
     dPsi = (
         (2.0 * R - R ** 2 * 2.0 * R / 50.0 - epsilon * Z * 2.0 * R / 50.0) * e,
         (-R ** 2 * 2.0 * Z / 50.0 + epsilon * (1.0 - 2.0 * Z ** 2 / 50.0)) * e,
     )
-    return grid.field(U), grid.field(Psi), dU, dPsi
+    return U, dU, dPsi
 
 
 def cmd_identity(args) -> int:
@@ -289,11 +290,10 @@ def cmd_identity(args) -> int:
 
     started = time.monotonic()
     grid = rigidity.HalfPlaneGrid()
-    U, Psi, dU, dPsi = _identity_fields(args.preset, grid, args.epsilon)
+    U, dU, dPsi = _identity_fields(args.preset, grid, args.epsilon)
     bc_tol = max(1e-8, 10.0 * abs(args.epsilon))
-    result = rigidity.ibp_identity_check(U, Psi, gamma, p=args.p,
-                                         rho=args.rho, dU=dU, dPsi=dPsi,
-                                         bc_tol=bc_tol)
+    result = rigidity.ibp_identity_check(grid, U, dU, dPsi, gamma, p=args.p,
+                                         rho=args.rho, bc_tol=bc_tol)
     out = _out_dir(args)
     payload = result.to_json()
     payload["preset"] = args.preset
@@ -310,8 +310,17 @@ def cmd_identity(args) -> int:
     return EXIT_OK
 
 
+#: the keys a simulate config may set
+SIMULATE_KEYS = ("nr", "nz", "r_min", "z_len", "z_bc", "t_end", "dt", "cfl",
+                 "cadence", "snapshot_every", "preset", "amplitude")
+
+
 def cmd_simulate(args) -> int:
     cfg_raw = parse_config(args.config) if args.config else {}
+    unknown = [key for key in cfg_raw if key not in SIMULATE_KEYS]
+    if unknown:
+        raise UsageError(f"unknown config key {unknown[0]!r}; known keys: "
+                         + ", ".join(SIMULATE_KEYS))
     nr = _cfg_get(cfg_raw, "nr", int, 65)
     nz = _cfg_get(cfg_raw, "nz", int, 128)
     r_min = _cfg_get(cfg_raw, "r_min", float, 0.5)
@@ -332,6 +341,9 @@ def cmd_simulate(args) -> int:
         raise UsageError("need t_end > 0, cadence >= 1, cfl > 0")
     if "dt" in cfg_raw and dt_cfg <= 0:
         raise UsageError(f"config key 'dt' must be positive, got {dt_cfg}")
+    if snapshots < 0:
+        raise UsageError("config key 'snapshot_every' must be >= 0, "
+                         f"got {snapshots}")
     # RK4 is stable on the imaginary axis up to |lambda dt| = 2 sqrt(2), and
     # the centred advection terms have |lambda| <= 2 max|u| / h_min
     if not cfl <= math.sqrt(2.0):

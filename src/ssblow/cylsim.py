@@ -11,14 +11,13 @@ the boundary circle exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import asdict, dataclass, field as dc_field
 from typing import Callable, Optional
 
 import numpy as np
 
 from .elliptic import KroneckerSolver
 from .gridio import ScalarField2D, diff1, diff2
-from .rigidity import WindowVerdict, window_classify
 
 #: blow-up rate reported at high resolution elsewhere; a reference value
 #: for the scaling diagnostics only, never a target this desk-scale
@@ -328,6 +327,16 @@ def _golden_min(f: Callable[[float], float], lo: float, hi: float,
 
 
 @dataclass(frozen=True)
+class WindowVerdict:
+    tag: str  # "shrinks_selfsimilar" | "wider_than_selfsimilar" | "indeterminate"
+    ratio_slope: float = float("nan")
+    delta_decays: bool = True
+
+    def to_json(self) -> dict:
+        return {"schema": "rigidity/1", **asdict(self)}
+
+
+@dataclass(frozen=True)
 class BlowupFit:
     T_fit: float
     gamma_fit: float
@@ -341,16 +350,24 @@ def track_blowup(series: BlowupSeries, rate: float = 1.0) -> BlowupFit:
     T is found by golden-section search on the residual of the fixed-rate
     log fit; gamma then comes from log-log regression of the window
     width.  The window is classified against the gamma the swirl implies:
-    u1 ~ (T-t)^(-1 + gamma/2) (hierarchy.LEADING), so gamma = 2 (1 + s)
-    with s the log-log slope of max|u1|; a max|u1| sample that is not
-    positive and finite leaves the window indeterminate.  Needs at least
-    6 strictly growing vorticity samples, and raises FitRejected when the
-    search ends at t_last + 10 span, the far end of its bracket.
+    u1 ~ (T-t)^(-1 + gamma/2) (hierarchy.LEADING), so gamma_swirl =
+    2 (1 + s) with s the log-log slope of max|u1|, and the ratio
+    delta / (T-t)^gamma_swirl has the slope gamma_fit - gamma_swirl.
+    Fewer than 4 positive finite delta samples, or a max|u1| sample that
+    is not positive and finite, leave the window indeterminate.  Needs at
+    least 6 samples at finite, strictly increasing times with finite,
+    strictly growing vorticity, and raises FitRejected when the search ends at
+    t_last + 10 span, the far end of its bracket.
     """
     t = np.asarray(series.t, dtype=float)
     M = np.asarray(series.max_omega1, dtype=float)
     if t.size < 6:
         raise FitRejected("need at least 6 samples")
+    if not (np.all(np.isfinite(t)) and np.all(np.diff(t) > 0)):
+        raise FitRejected("sample times must be finite and strictly "
+                          "increasing")
+    if not np.all(np.isfinite(M)):
+        raise FitRejected("vorticity maximum must be finite")
     if np.any(np.diff(M) <= 0) or np.any(M <= 0):
         raise FitRejected("vorticity maximum must grow monotonically")
 
@@ -377,11 +394,16 @@ def track_blowup(series: BlowupSeries, rate: float = 1.0) -> BlowupFit:
     if ok.sum() >= 2:
         gamma_fit = float(np.polyfit(x[ok], np.log(d[ok]), 1)[0])
     u = np.asarray(series.max_u1, dtype=float)
-    if np.all(np.isfinite(u) & (u > 0)):
+    window = WindowVerdict("indeterminate")
+    if ok.sum() >= 4 and np.all(np.isfinite(u) & (u > 0)):
         gamma_swirl = 2.0 * (1.0 + float(np.polyfit(x, np.log(u), 1)[0]))
-        window = window_classify(list(zip(t[ok], d[ok])), T_fit, gamma_swirl)
-    else:
-        window = WindowVerdict("indeterminate")
+        ratio_slope = gamma_fit - gamma_swirl
+        # log-log slopes within slope_tol of zero count as zero: the ratio
+        # diverges below it, and delta ~ (T-t)^gamma_fit decays above it
+        slope_tol = 0.05
+        tag = "wider_than_selfsimilar" if ratio_slope < -slope_tol \
+            else "shrinks_selfsimilar"
+        window = WindowVerdict(tag, ratio_slope, gamma_fit > slope_tol)
     return BlowupFit(float(T_fit), gamma_fit, amp, window)
 
 

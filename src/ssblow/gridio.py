@@ -1,6 +1,6 @@
-"""Discretized scalar fields on uniform rectangular grids, their binary
-interchange format, and the difference stencils shared by the
-verification and simulation modules.
+"""The binary snapshot record of a field on a uniform rectangular grid,
+and the difference stencils and quadrature shared by the verification
+and simulation modules.
 
 Binary layout: a header of six float64 values (n1, n2, h1, h2, x1_0,
 x2_0) followed by the row-major float64 field data, axis 0 first.
@@ -19,7 +19,8 @@ _HEADER = struct.Struct("<6d")
 
 @dataclass
 class ScalarField2D:
-    """values[i, j] at (x1_0 + i*h1, x2_0 + j*h2)."""
+    """Snapshot record: values[i, j] at (x1_0 + i*h1, x2_0 + j*h2).  The
+    grid that wrote it owns the mesh; this keeps only the header."""
 
     values: np.ndarray
     h1: float
@@ -31,17 +32,6 @@ class ScalarField2D:
         self.values = np.asarray(self.values, dtype=float)
         if self.values.ndim != 2:
             raise ValueError("field values must be 2-D")
-
-    def axis1(self) -> np.ndarray:
-        return self.x1_0 + self.h1 * np.arange(self.values.shape[0])
-
-    def axis2(self) -> np.ndarray:
-        return self.x2_0 + self.h2 * np.arange(self.values.shape[1])
-
-    def mesh(self):
-        return np.meshgrid(self.axis1(), self.axis2(), indexing="ij")
-
-    # -- interchange -------------------------------------------------------
 
     def to_binary(self, path) -> None:
         n1, n2 = self.values.shape
@@ -58,11 +48,6 @@ class ScalarField2D:
         data = np.frombuffer(raw, dtype="<f8", offset=_HEADER.size,
                              count=n1 * n2).reshape(n1, n2).copy()
         return ScalarField2D(data, h1, h2, x1_0, x2_0)
-
-
-def gradient(field: ScalarField2D):
-    """Centered interior / one-sided 2nd-order boundary differences."""
-    return diff1(field.values, field.h1, 0), diff1(field.values, field.h2, 1)
 
 
 def diff1(v: np.ndarray, h: float, axis: int,

@@ -315,12 +315,6 @@ class HierarchyReport:
     induction: dict  # k -> [SymEquation, SymEquation, SymEquation]
     truncation_note: str = ""
 
-    def verdict(self, equation: str, order: int) -> ComparisonVerdict:
-        for v in self.verdicts:
-            if v.equation == equation and v.order == order:
-                return v
-        raise KeyError((equation, order))
-
     @property
     def all_acceptable(self) -> bool:
         return all(v.acceptable for v in self.verdicts)

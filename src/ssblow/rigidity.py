@@ -1,8 +1,9 @@
 """Computational verification of the profile-triviality arguments.
 
 Covers the characteristics/homogeneity classification of the transport
-equations, the cutoff integration-by-parts identity, the harmonic
-stream-function endgame, and the self-similar window classifier.
+equations, the cutoff integration-by-parts identity and the harmonic
+stream-function endgame; `cylsim.track_blowup` classifies the
+self-similar window.
 Everything here is a numerical diagnostic, not a proof.
 """
 
@@ -16,7 +17,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .elliptic import KroneckerSolver
-from .gridio import ScalarField2D, diff1, diff2, gradient, trapezoid_2d
+from .gridio import diff1, diff2, trapezoid_2d
 
 SCHEMA = "rigidity/1"
 
@@ -65,9 +66,6 @@ class HalfPlaneGrid:
     def mesh(self):
         R, Z = self.axes()
         return np.meshgrid(R, Z, indexing="ij")
-
-    def field(self, values: np.ndarray) -> ScalarField2D:
-        return ScalarField2D(values, self.hR, self.hZ, self.R_min, self.Z_min)
 
 
 # ---------------------------------------------------------------------------
@@ -160,9 +158,8 @@ class IbpResult:
         return {"schema": SCHEMA, **asdict(self)}
 
 
-def ibp_identity_check(U: ScalarField2D, Psi: ScalarField2D, gamma: float,
-                       p: int = 2, rho: float = 10.0,
-                       dU=None, dPsi=None,
+def ibp_identity_check(grid: HalfPlaneGrid, U: np.ndarray, dU, dPsi,
+                       gamma: float, p: int = 2, rho: float = 10.0,
                        bc_tol: float = 1e-8) -> IbpResult:
     """Cutoff integration-by-parts identity on the half-plane.
 
@@ -178,23 +175,23 @@ def ibp_identity_check(U: ScalarField2D, Psi: ScalarField2D, gamma: float,
     (sum of the two volume integrals) and the R = 0 boundary flux, which
     is zero when d_Z Psi vanishes there.
 
-    dU/dPsi may supply analytic gradients as (d/dR, d/dZ) array pairs;
-    otherwise centered differences are used and the achievable tolerance
-    degrades to O(h^2).
+    U holds the values on grid.mesh(); dU and dPsi are the (d/dR, d/dZ)
+    array pairs of U and Psi on the same mesh.  Psi itself enters only
+    through its gradient.
     """
     if p < 2 or p % 2:
         raise ValueError("p must be a positive even integer")
-    hR, hZ = U.h1, U.h2
-    R, Z = U.mesh()
+    hR, hZ = grid.hR, grid.hZ
+    R, Z = grid.mesh()
     rad = np.hypot(R, Z)
 
-    psi_R, psi_Z = dPsi if dPsi is not None else gradient(Psi)
+    psi_R, psi_Z = dPsi
     bc_resid = float(np.max(np.abs(psi_Z[-1, :])))
     if bc_resid > bc_tol:
         raise BoundaryViolation(
             f"max |d_Z Psi| on R=0 column is {bc_resid:.3e} > {bc_tol:.3e}")
 
-    U_R, U_Z = dU if dU is not None else gradient(U)
+    U_R, U_Z = dU
 
     sigma = smooth_cutoff(rad / rho)
     with np.errstate(invalid="ignore", divide="ignore"):
@@ -204,18 +201,18 @@ def ibp_identity_check(U: ScalarField2D, Psi: ScalarField2D, gamma: float,
     dsig_Z = sfac * Z
     # every array here is a full grid (2.6 MB on the default one); dropping
     # each once no term needs it keeps about 15 alive at the peak, the
-    # caller's six included, instead of 19
+    # caller's five included, instead of 18
     del rad, sfac
 
     bR = gamma * R - psi_Z
     bZ = gamma * Z + psi_R
-    Up = U.values ** p
+    Up = U ** p
 
     lhs = 2.0 * gamma * trapezoid_2d(Up * sigma, hR, hZ)
     cutoff_term = -trapezoid_2d(Up * (dsig_R * bR + dsig_Z * bZ), hR, hZ)
     del dsig_R, dsig_Z
-    gradUp_R = p * U.values ** (p - 1) * U_R
-    gradUp_Z = p * U.values ** (p - 1) * U_Z
+    gradUp_R = p * U ** (p - 1) * U_R
+    gradUp_Z = p * U ** (p - 1) * U_Z
     transport_term = trapezoid_2d(sigma * (bR * gradUp_R + bZ * gradUp_Z), hR, hZ)
     rhs = cutoff_term - transport_term
 
@@ -243,7 +240,7 @@ class PsiEndgameReport:
         return {"schema": SCHEMA, **asdict(self)}
 
 
-def _laplace_solve(grid: HalfPlaneGrid, boundary: Callable) -> ScalarField2D:
+def _laplace_solve(grid: HalfPlaneGrid, boundary: Callable) -> np.ndarray:
     """Dirichlet Laplace solve on the truncated half-plane: the boundary
     values are lifted into the right-hand side of -Delta on the interior.
     `boundary` is evaluated on the four edges only."""
@@ -265,7 +262,7 @@ def _laplace_solve(grid: HalfPlaneGrid, boundary: Callable) -> ScalarField2D:
     solver = KroneckerSolver(off, np.full(grid.nR - 2, 2.0 / hR ** 2), off,
                              grid.nZ - 2, hZ, "dirichlet")
     psi[1:-1, 1:-1] = solver.solve(rhs)
-    return grid.field(psi)
+    return psi
 
 
 def psi_endgame(omega_is_zero: bool, grid: HalfPlaneGrid,
@@ -289,16 +286,16 @@ def psi_endgame(omega_is_zero: bool, grid: HalfPlaneGrid,
             f"far-field data varies along R=0 (max |d_Z| ~ {bc_residual:.3e})")
 
     psi = _laplace_solve(grid, far_field)
-    lap = diff2(psi.values, psi.h1, 0) + diff2(psi.values, psi.h2, 1)
+    lap = diff2(psi, grid.hR, 0) + diff2(psi, grid.hZ, 1)
     solver_residual = float(np.max(np.abs(lap[1:-1, 1:-1])))
 
     # least squares of Psi ~ a R + b over every grid point: R is constant
     # along Z, so the fit of the Z-means on R gives the same a and b
-    m = psi.values.mean(axis=1)
+    m = psi.mean(axis=1)
     dr = r - r.mean()
     a = float(dr @ (m - m.mean()) / (dr @ dr))
     b = float(m.mean() - a * r.mean())
-    fit_residual = float(np.max(np.abs(psi.values - (a * r + b)[:, None])))
+    fit_residual = float(np.max(np.abs(psi - (a * r + b)[:, None])))
 
     decay = []
     for half in radii:
@@ -306,50 +303,8 @@ def psi_endgame(omega_is_zero: bool, grid: HalfPlaneGrid,
         psih = _laplace_solve(sub, far_field)
         rh, zh = sub.axes()
         # d_Z on the core |R|, |Z| <= half/4: the core rows, then columns
-        dZ = diff1(psih.values[np.abs(rh) <= half / 4], psih.h2, 1)
+        dZ = diff1(psih[np.abs(rh) <= half / 4], sub.hZ, 1)
         core = dZ[:, np.abs(zh) <= half / 4]
         decay.append((float(half), float(np.max(np.abs(core)))))
     return PsiEndgameReport(a, b, fit_residual, bc_residual,
                             solver_residual, tuple(decay))
-
-
-# ---------------------------------------------------------------------------
-# self-similar window classification
-
-
-@dataclass(frozen=True)
-class WindowVerdict:
-    tag: str  # "shrinks_selfsimilar" | "wider_than_selfsimilar" | "indeterminate"
-    ratio_slope: float = float("nan")
-    delta_decays: bool = True
-
-    def to_json(self) -> dict:
-        return {"schema": SCHEMA, **asdict(self)}
-
-
-def window_classify(delta_samples, T: float, gamma: float) -> WindowVerdict:
-    """Classify the window width delta(t) against the (T-t)^gamma scale.
-
-    Fits (T-t)^{-gamma} delta(t) ~ (T-t)^s by log-log regression; the
-    ratio stays bounded (s >= 0) when the window shrinks at the
-    self-similar rate or faster, and diverges (s < 0) when the window is
-    asymptotically wider.  A non-vanishing delta(t) is reported through
-    delta_decays=False alongside the ratio classification.
-    """
-    samples = [(float(t), float(d)) for t, d in delta_samples]
-    if len(samples) < 4:
-        return WindowVerdict("indeterminate")
-    t = np.array([s[0] for s in samples])
-    d = np.array([s[1] for s in samples])
-    if np.any(d <= 0) or np.any(np.diff(t) <= 0) or np.any(t >= T):
-        return WindowVerdict("indeterminate")
-    x = np.log(T - t)
-    y = np.log(d) - gamma * x
-    slope = float(np.polyfit(x, y, 1)[0])
-    slope_tol = 0.05  # log-log slopes within this of zero count as zero
-    delta_slope = float(np.polyfit(x, np.log(d), 1)[0])
-    # d ~ (T-t)^delta_slope, so delta -> 0 iff delta_slope > 0
-    decays = delta_slope > slope_tol
-    if slope < -slope_tol:
-        return WindowVerdict("wider_than_selfsimilar", slope, decays)
-    return WindowVerdict("shrinks_selfsimilar", slope, decays)

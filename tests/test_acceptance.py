@@ -21,22 +21,29 @@ def report(name, ok, detail):
     assert ok, line
 
 
+def verdict(rep, equation, order):
+    """The report's verdict on one equation at one order."""
+    (v,) = [v for v in rep.verdicts
+            if (v.equation, v.order) == (equation, order)]
+    return v
+
+
 def test_acceptance_1_hierarchy_reproduction():
     t0 = time.monotonic()
     single = hy.derive_hierarchy(hy.AnsatzSpec(mode="single", depth=1))
     want_single = {("u", 0): "match", ("u", 1): "match",
                    ("omega", 0): "match", ("omega", 1): "match",
                    ("psi", 0): "match", ("psi", 1): "equivalent_zero_set"}
-    ok = all(single.verdict(eq, k).status == s
+    ok = all(verdict(single, eq, k).status == s
              for (eq, k), s in want_single.items())
     gen = hy.derive_hierarchy(hy.AnsatzSpec(mode="generalized", depth=1))
     want_gen = {("u", 0): "match", ("u", 1): "match",
                 ("omega", 0): "match", ("omega", 1): "match",
                 ("psi", 0): "match", ("psi", 1): "mismatch"}
-    ok &= all(gen.verdict(eq, k).status == s
+    ok &= all(verdict(gen, eq, k).status == s
               for (eq, k), s in want_gen.items())
-    ok &= gen.verdict("psi", 1).documented
-    ok &= single.verdict("psi", 1).ratio == Fraction(-3)
+    ok &= verdict(gen, "psi", 1).documented
+    ok &= verdict(single, "psi", 1).ratio == Fraction(-3)
     dt = time.monotonic() - t0
     ok &= dt < 1.0
     report("1 hierarchy-reproduction", ok,
@@ -126,28 +133,24 @@ def test_acceptance_4_ibp_identity():
     Uv = np.where(inside, np.exp(-1.0 / denom), 0.0)
     chain = np.where(inside, Uv / denom ** 2, 0.0)
     dU = (-2.0 * (R + 5.0) / 9.0 * chain, -2.0 * Z / 9.0 * chain)
-    U = grid.field(Uv)
 
-    def psi_pair(eps):
+    def grad_psi(eps):
+        # the gradient of Psi = (R^2 + eps Z) exp(-|Y|^2 / 50)
         e = np.exp(-(R ** 2 + Z ** 2) / 50.0)
-        Psi = (R ** 2 + eps * Z) * e
-        dPsi = ((2.0 * R - (R ** 2 + eps * Z) * 2.0 * R / 50.0) * e,
+        return ((2.0 * R - (R ** 2 + eps * Z) * 2.0 * R / 50.0) * e,
                 (eps - (R ** 2 + eps * Z) * 2.0 * Z / 50.0) * e)
-        return grid.field(Psi), dPsi
 
-    Psi0, dPsi0 = psi_pair(0.0)
-    res = rg.ibp_identity_check(U, Psi0, 2.0, dU=dU, dPsi=dPsi0)
+    res = rg.ibp_identity_check(grid, Uv, dU, grad_psi(0.0), 2.0)
     err = abs(res.lhs - res.rhs)
     tol = 1e-6 * max(abs(res.lhs), 1.0)
     ok = err <= tol and abs(res.boundary_term) <= 1e-8
 
     # boundary-condition violation: the flux must scale linearly in eps
-    Ug = grid.field(np.exp(-((R + 4.0) ** 2 + Z ** 2) / 8.0))
-    dUg = (-(R + 4.0) / 4.0 * Ug.values, -Z / 4.0 * Ug.values)
+    Ug = np.exp(-((R + 4.0) ** 2 + Z ** 2) / 8.0)
+    dUg = (-(R + 4.0) / 4.0 * Ug, -Z / 4.0 * Ug)
     flux = {}
     for eps in (1e-2, 1e-3):
-        Psi, dPsi = psi_pair(eps)
-        flux[eps] = rg.ibp_identity_check(Ug, Psi, 2.0, dU=dUg, dPsi=dPsi,
+        flux[eps] = rg.ibp_identity_check(grid, Ug, dUg, grad_psi(eps), 2.0,
                                           bc_tol=10 * eps).boundary_term
     ratio = flux[1e-2] / flux[1e-3]
     ok &= abs(ratio - 10.0) <= 2.0
@@ -233,10 +236,11 @@ def test_acceptance_6_blowup_fitting():
     tgrid = np.linspace(0.2, T - 1e-3, 40)
 
     def series(M, d):
+        # the ansatz's swirl, max|u1| = tau^(-1 + gamma/2)
         s = cs.BlowupSeries()
         s.t = list(tgrid)
         s.max_omega1 = list(M)
-        s.max_u1 = list(M)
+        s.max_u1 = list((T - tgrid) ** (-1.0 + gamma / 2))
         s.delta = list(d)
         s.box = [(0.0, x, 0.0, x) for x in d]
         return s
@@ -244,7 +248,10 @@ def test_acceptance_6_blowup_fitting():
     fit = cs.track_blowup(series((T - tgrid) ** -1.0, (T - tgrid) ** gamma))
     T_err = abs(fit.T_fit - T)
     g_err = abs(fit.gamma_fit - gamma)
+    window = fit.window
     ok = T_err <= 1e-6 and g_err <= 1e-3
+    ok &= window.tag == "shrinks_selfsimilar"
+    ok &= abs(window.ratio_slope) <= 1e-6
 
     rng = np.random.default_rng(606)
     worst = 0.0
@@ -259,6 +266,8 @@ def test_acceptance_6_blowup_fitting():
     ok &= dt < 10.0
     report("6 blowup-fitting", ok,
            f"T err {T_err:.1e} <= 1e-6, gamma err {g_err:.1e} <= 1e-3, "
+           f"window {window.tag} with ratio slope "
+           f"{window.ratio_slope:.1e} (|.| <= 1e-6), "
            f"noisy MC worst {worst:.3f} <= 0.05, runtime {dt:.1f}s < 10s")
 
 

@@ -256,20 +256,29 @@ def test_simulate_and_fit(monkeypatch, tmp_path, capsys):
     assert (tmp_path / "u1_final.bin").exists()
 
     # synthetic series for the fit command (simulated runs need not blow up)
-    t = np.linspace(0.2, 0.99, 12)
-    lines = ["t,max_omega1,max_u1,delta,box_rmin,box_rmax,box_zmin,box_zmax"]
-    for ti in t:
-        m = 1.0 / (1.0 - ti)
-        d = (1.0 - ti) ** 0.4
-        lines.append(",".join(repr(float(v))
-                              for v in (ti, m, m, d, 0, d, 0, d)))
     sfile = tmp_path / "synthetic.csv"
-    sfile.write_text("\n".join(lines) + "\n")
+    write_fit_series(sfile, np.linspace(0.2, 0.99, 12))
     code = run(["fit", "--series", str(sfile)], monkeypatch, tmp_path)
     assert code == 0
     fit = json.loads((tmp_path / "fit.json").read_text())
     assert fit["T_fit"] == pytest.approx(1.0, abs=1e-6)
     assert fit["gamma_fit"] == pytest.approx(0.4, abs=1e-3)
+    # the swirl implies gamma = 0.4 as well; a window compared with its own
+    # slope would read 0.4 here
+    assert fit["window"]["tag"] == "shrinks_selfsimilar"
+    assert abs(fit["window"]["ratio_slope"]) <= 1e-6
+
+
+def write_fit_series(path, t, written_t=None):
+    # rows of max|omega1| = tau^-1, max|u1| = tau^-0.8 and delta = tau^0.4
+    # with tau = 1 - t, so gamma = 0.4; the t column holds written_t if given
+    lines = ["t,max_omega1,max_u1,delta,box_rmin,box_rmax,box_zmin,box_zmax"]
+    for ti, wi in zip(t, t if written_t is None else written_t):
+        tau = 1.0 - ti
+        m, u, d = 1.0 / tau, tau ** -0.8, tau ** 0.4
+        lines.append(",".join(repr(float(v))
+                              for v in (wi, m, u, d, 0, d, 0, d)))
+    path.write_text("\n".join(lines) + "\n")
 
 
 def test_fit_rejects_flat_series(monkeypatch, tmp_path, capsys):
@@ -301,6 +310,32 @@ def test_fit_rejects_blowup_time_beyond_bracket(monkeypatch, tmp_path,
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "FitRejected"
     assert not (tmp_path / "fit.json").exists()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("disorder", ["swapped", "beyond-last", "nan"])
+def test_fit_rejects_times_out_of_order(disorder, monkeypatch, tmp_path,
+                                        capsys):
+    # swapped times were fitted with exit 0; one time past the last one
+    # exited 3 blaming the search bracket, with a numpy warning on stderr
+    t = np.linspace(0.2, 0.99, 12)
+    written = t.copy()
+    if disorder == "swapped":
+        written[[4, 5]] = written[[5, 4]]
+    else:
+        written[5] = 20.0 if disorder == "beyond-last" else np.nan
+    sfile = tmp_path / "disordered.csv"
+    write_fit_series(sfile, t, written)
+    out = tmp_path / "out"
+    monkeypatch.setenv("SSBLOW_OUT_DIR", str(out))
+    assert cli.main(["fit", "--series", str(sfile)]) == 3
+    captured = capsys.readouterr()
+    [line] = captured.err.splitlines()
+    err = json.loads(line)
+    assert err["error"] == "FitRejected"
+    assert "strictly increasing" in err["message"]
+    assert captured.out == ""
+    assert not out.exists()
 
 
 def test_failed_simulate_writes_manifest_with_error(monkeypatch, tmp_path,
@@ -392,13 +427,16 @@ def test_simulate_rejects_unstable_cfl(cfl, monkeypatch, tmp_path, capsys):
                                        ("dt", "-1"), ("amplitude", "nan"),
                                        ("r_min", "nan"), ("z_len", "nan"),
                                        ("z_len", "0"), ("z_len", "-1"),
-                                       ("preset", "vortex_ring")])
+                                       ("preset", "vortex_ring"),
+                                       ("snapshot_every", "-1"),
+                                       ("t_ned", "5")])
 def test_simulate_bad_config_value_is_usage_error(key, value, monkeypatch,
                                                   tmp_path, capsys):
     # t_end = nan ran 0 steps and exited 0, t_end = inf never stopped,
     # dt <= 0 silently took the automatic step, amplitude = nan or
-    # z_len <= 0 failed with exit 3 after creating the output, and an
-    # unknown preset exited 2 leaving an empty output directory
+    # z_len <= 0 failed with exit 3 after creating the output, an unknown
+    # preset exited 2 leaving an empty output directory, snapshot_every < 0
+    # wrote snapshots on every step, and a misspelt key (t_ned) was ignored
     cfg = tmp_path / "cfg.txt"
     cfg.write_text(f"nr = 9\nnz = 9\nt_end = 0.1\n{key} = {value}\n")
     out = tmp_path / "out"

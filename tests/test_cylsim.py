@@ -8,7 +8,6 @@ import pytest
 
 from ssblow import cli
 from ssblow import cylsim as cs
-from ssblow.rigidity import WindowVerdict
 
 
 def manufactured_psi(grid):
@@ -432,9 +431,12 @@ def test_step_bit_identical_to_formula(z_bc):
 
 
 def synthetic_series(T=1.0, gamma=0.4, n=20, noise=None, rng=None):
+    # max|omega1| = tau^-1, delta = tau^gamma and the ansatz's swirl
+    # max|u1| = tau^(-1 + gamma/2)
     s = cs.BlowupSeries()
     t = np.linspace(0.2, T - 1e-3, n)
     M = (T - t) ** -1.0
+    U = (T - t) ** (-1.0 + gamma / 2)
     d = (T - t) ** gamma
     if noise is not None:
         M = M * (1.0 + noise * rng.standard_normal(n))
@@ -442,7 +444,7 @@ def synthetic_series(T=1.0, gamma=0.4, n=20, noise=None, rng=None):
         M = np.maximum.accumulate(np.abs(M)) + 1e-6 * np.arange(n)
     s.t = list(t)
     s.max_omega1 = list(M)
-    s.max_u1 = list(M)
+    s.max_u1 = list(U)
     s.delta = list(np.abs(d))
     s.box = [(0.0, dd, 0.0, dd) for dd in d]
     return s
@@ -452,7 +454,10 @@ def test_track_blowup_exact_series():
     fit = cs.track_blowup(synthetic_series())
     assert abs(fit.T_fit - 1.0) <= 1e-6
     assert abs(fit.gamma_fit - 0.4) <= 1e-3
+    # a window compared with its own slope would read 0.4 here
     assert fit.window.tag == "shrinks_selfsimilar"
+    assert abs(fit.window.ratio_slope) <= 1e-6
+    assert fit.window.delta_decays
 
 
 def swirl_series(u_rate, delta):
@@ -488,10 +493,30 @@ def test_track_blowup_window_indeterminate_without_swirl():
     assert abs(fit.gamma_fit - 0.4) <= 1e-3
 
 
+def test_track_blowup_window_indeterminate_with_few_window_samples():
+    # the window needs 4 positive finite delta samples; gamma_fit needs 2
+    for kept, tag in ((3, "indeterminate"), (4, "shrinks_selfsimilar")):
+        s = synthetic_series()
+        s.delta = [math.nan] * (20 - kept) + s.delta[20 - kept:]
+        fit = cs.track_blowup(s)
+        assert fit.window.tag == tag
+        assert abs(fit.gamma_fit - 0.4) <= 1e-3
+
+
 def test_track_blowup_rejects_constant():
     s = synthetic_series()
     s.max_omega1 = [1.0] * len(s.t)
     with pytest.raises(cs.FitRejected):
+        cs.track_blowup(s)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_track_blowup_rejects_non_finite_vorticity(value):
+    # a NaN passed the growth check and was reported as a blow-up time
+    # beyond the search bracket
+    s = synthetic_series()
+    s.max_omega1[5 if math.isnan(value) else -1] = value
+    with pytest.raises(cs.FitRejected, match="finite"):
         cs.track_blowup(s)
 
 

@@ -1,5 +1,5 @@
-"""Grid field container, binary interchange format and quadrature, and the
-package's JSON writer `sscalc.json_text`."""
+"""Snapshot record and its binary interchange format, the difference
+stencils and quadrature, and the package's JSON writer `sscalc.json_text`."""
 
 import collections
 import enum
@@ -10,13 +10,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ssblow.gridio import (
-    ScalarField2D,
-    diff1,
-    diff2,
-    gradient,
-    trapezoid_2d,
-)
+from ssblow.cylsim import CylGrid
+from ssblow.gridio import ScalarField2D, diff1, diff2, trapezoid_2d
 from ssblow.sscalc import json_text
 
 
@@ -42,11 +37,15 @@ def test_binary_header_size(tmp_path):
 
 
 def test_axes_and_mesh():
-    f = ScalarField2D(np.zeros((3, 4)), 0.5, 0.25, 1.0, 2.0)
-    assert np.allclose(f.axis1(), [1.0, 1.5, 2.0])
-    assert np.allclose(f.axis2(), [2.0, 2.25, 2.5, 2.75])
-    R, Z = f.mesh()
-    assert R.shape == (3, 4) and Z[0, -1] == 2.75
+    # a snapshot's header places values[i, j] at (x1_0 + i h1, x2_0 + j h2),
+    # which is where the grid that wrote it has its mesh
+    for z_bc in ("periodic", "dirichlet"):
+        grid = CylGrid(9, 8, z_bc=z_bc)
+        r, z = grid.mesh()
+        f = grid.field(r)
+        i, j = np.indices(r.shape)
+        assert np.allclose(f.x1_0 + i * f.h1, r, rtol=0, atol=1e-15)
+        assert np.allclose(f.x2_0 + j * f.h2, z, rtol=0, atol=1e-15)
 
 
 def test_rejects_non_2d():
@@ -59,9 +58,9 @@ def test_gradient_second_order():
     x = np.linspace(0.0, 1.0, n)
     y = np.linspace(0.0, 2.0, n)
     X, Y = np.meshgrid(x, y, indexing="ij")
-    f = ScalarField2D(np.sin(X) * np.cos(Y), x[1] - x[0], y[1] - y[0])
-    d1, d2 = gradient(f)
+    f = np.sin(X) * np.cos(Y)
     h = x[1] - x[0]
+    d1, d2 = diff1(f, h, 0), diff1(f, y[1] - y[0], 1)
     assert np.max(np.abs(d1 - np.cos(X) * np.cos(Y))) < 5 * h ** 2
     assert np.max(np.abs(d2 + np.sin(X) * np.sin(Y))) < 5 * (y[1] - y[0]) ** 2
 

@@ -1,5 +1,6 @@
-"""Every module-level import in the package is used by its module, and the
-symbolic modules import no numeric one when they load."""
+"""Every module-level import in the package is used by its module, the
+symbolic modules import no numeric one when they load, and every
+definition and method is reached from the CLI or read in the package."""
 
 import ast
 from pathlib import Path
@@ -227,3 +228,57 @@ def test_allowlist_entry_the_cli_reaches_is_stale():
     assert stale_entries(trees, [("lib", "wired"), ("lib", "unwired")]) == [
         ("lib", "wired")]
     assert stale_entries(trees, [("lib", "unwired")]) == []
+
+
+#: methods no package code reads, each kept for a stated reason
+UNREAD_METHODS = {
+    ("PoissonSolver", "residual"):
+        "the elliptic residual: the tests' oracle for the solve, and the "
+        "planned per-sample diagnostic of simulate (ROADMAP item 5)",
+    ("ScalarField2D", "from_binary"):
+        "the reader of the .bin snapshots that simulate writes; perfbench "
+        "and the tests read them with it",
+}
+
+
+def unread_methods(trees: dict) -> list:
+    """(class, method) of every non-dunder method of a top-level class
+    whose name no module reads as an attribute."""
+    read = {node.attr for tree in trees.values() for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Load)}
+    return sorted(
+        (cls.name, fn.name)
+        for tree in trees.values() for cls in tree.body
+        if isinstance(cls, ast.ClassDef)
+        for fn in cls.body
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not (fn.name.startswith("__") and fn.name.endswith("__"))
+        and fn.name not in read)
+
+
+def test_every_method_is_read_in_the_package():
+    # equality: an allowlisted method that package code starts to read is
+    # no longer an exception
+    assert unread_methods(package_trees()) == sorted(UNREAD_METHODS)
+
+
+def test_method_guard_flags_methods_read_nowhere():
+    trees = {
+        "cli": ast.parse("from . import lib\n"
+                         "def main():\n    return lib.Box().area\n"),
+        "lib": ast.parse("class Box:\n"
+                         "    def __init__(self):\n"
+                         "        self.n = self.size()\n"
+                         "    def size(self):\n        return 1\n"
+                         "    @property\n"
+                         "    def area(self):\n        return 2\n"
+                         "    def unused(self):\n        return 0\n"
+                         "    def _hidden(self):\n        return 0\n"
+                         "    def __repr__(self):\n        return 'Box'\n"
+                         "def f(box):\n    box.stored = 1\n"
+                         "class Stored:\n"
+                         "    def stored(self):\n        return 3\n"),
+    }
+    assert unread_methods(trees) == [("Box", "_hidden"), ("Box", "unused"),
+                                     ("Stored", "stored")]

@@ -1,5 +1,5 @@
-"""Triviality classification, the cutoff integration-by-parts identity,
-the harmonic endgame, and window classification."""
+"""Triviality classification, the cutoff integration-by-parts identity
+and the harmonic endgame."""
 
 import math
 from fractions import Fraction
@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from ssblow import rigidity as rg
+from ssblow.gridio import diff1
 
 
 # -- homogeneity degrees and classification ---------------------------------
@@ -92,25 +93,27 @@ def compact_bump(grid):
     U = np.where(inside, np.exp(-1.0 / denom), 0.0)
     chain = np.where(inside, U / denom ** 2, 0.0)
     dU = (-2.0 * (R + 5.0) / 9.0 * chain, -2.0 * Z / 9.0 * chain)
-    return grid.field(U), dU
+    return U, dU
 
 
 def psi_even(grid, eps=0.0):
+    # the gradient of Psi = (R^2 + eps Z) exp(-|Y|^2 / 50)
     R, Z = grid.mesh()
     e = np.exp(-(R ** 2 + Z ** 2) / 50.0)
-    Psi = R ** 2 * e + eps * Z * e
-    dPsi = (
+    return (
         (2.0 * R - (R ** 2 + eps * Z) * 2.0 * R / 50.0) * e,
         (-R ** 2 * 2.0 * Z / 50.0 + eps * (1.0 - 2.0 * Z ** 2 / 50.0)) * e,
     )
-    return grid.field(Psi), dPsi
+
+
+def zero_gradient(grid):
+    return np.zeros((grid.nR, grid.nZ)), np.zeros((grid.nR, grid.nZ))
 
 
 def test_ibp_compact_support():
     grid = rg.HalfPlaneGrid()
     U, dU = compact_bump(grid)
-    Psi, dPsi = psi_even(grid)
-    res = rg.ibp_identity_check(U, Psi, 2.0, dU=dU, dPsi=dPsi)
+    res = rg.ibp_identity_check(grid, U, dU, psi_even(grid), 2.0)
     assert res.boundary_term == 0.0
     assert res.cutoff_term == 0.0  # support inside the sigma = 1 plateau
     assert abs(res.lhs - res.rhs) <= 1e-6 * max(abs(res.lhs), 1.0)
@@ -118,27 +121,28 @@ def test_ibp_compact_support():
 
 def test_ibp_zero_field():
     grid = rg.HalfPlaneGrid(-10.0, -10.0, 10.0, 101, 201)
-    R, Z = grid.mesh()
-    zero = grid.field(np.zeros_like(R))
-    res = rg.ibp_identity_check(zero, zero, 1.5)
+    zero = np.zeros((grid.nR, grid.nZ))
+    res = rg.ibp_identity_check(grid, zero, zero_gradient(grid),
+                                zero_gradient(grid), 1.5)
     assert (res.lhs, res.rhs, res.boundary_term) == (0.0, 0.0, 0.0)
 
 
 def test_ibp_rejects_odd_power():
     grid = rg.HalfPlaneGrid(-10.0, -10.0, 10.0, 51, 101)
-    R, Z = grid.mesh()
-    zero = grid.field(np.zeros_like(R))
+    zero = np.zeros((grid.nR, grid.nZ))
     with pytest.raises(ValueError):
-        rg.ibp_identity_check(zero, zero, 1.5, p=3)
+        rg.ibp_identity_check(grid, zero, zero_gradient(grid),
+                              zero_gradient(grid), 1.5, p=3)
 
 
 def test_ibp_boundary_violation_raises():
     grid = rg.HalfPlaneGrid(-10.0, -10.0, 10.0, 101, 201)
     R, Z = grid.mesh()
-    U = grid.field(np.exp(R))
-    Psi = grid.field(Z)
+    # Psi = Z: d_Z Psi = 1 on the R = 0 column
+    dPsi = (np.zeros_like(R), np.ones_like(Z))
     with pytest.raises(rg.BoundaryViolation):
-        rg.ibp_identity_check(U, Psi, 2.0)
+        rg.ibp_identity_check(grid, np.exp(R), (np.exp(R), np.zeros_like(R)),
+                              dPsi, 2.0)
 
 
 def test_ibp_rho_sweep_constant_on_rays():
@@ -149,11 +153,11 @@ def test_ibp_rho_sweep_constant_on_rays():
     with np.errstate(invalid="ignore"):
         vals = np.where(rad > 0, np.exp(-(Z / np.maximum(rad, 1e-30)) ** 2),
                         1.0)
-    U = grid.field(vals)
-    Psi = grid.field(np.zeros_like(R))
+    dU = (diff1(vals, grid.hR, 0), diff1(vals, grid.hZ, 1))
     lhs = {}
     for rho in (5.0, 10.0, 15.0):
-        res = rg.ibp_identity_check(U, Psi, 2.0, rho=rho, bc_tol=1e30)
+        res = rg.ibp_identity_check(grid, vals, dU, zero_gradient(grid), 2.0,
+                                    rho=rho, bc_tol=1e30)
         lhs[rho] = res.lhs
     # lhs grows ~ rho^2 for a non-decaying field: the identity forces the
     # contradiction used against non-decaying ray constants
@@ -163,12 +167,11 @@ def test_ibp_rho_sweep_constant_on_rays():
 def test_ibp_boundary_term_linear_in_epsilon():
     grid = rg.HalfPlaneGrid()
     R, Z = grid.mesh()
-    U = grid.field(np.exp(-((R + 4.0) ** 2 + Z ** 2) / 8.0))
-    dU = (-(R + 4.0) / 4.0 * U.values, -Z / 4.0 * U.values)
+    U = np.exp(-((R + 4.0) ** 2 + Z ** 2) / 8.0)
+    dU = (-(R + 4.0) / 4.0 * U, -Z / 4.0 * U)
     terms = {}
     for eps in (1e-2, 1e-3):
-        Psi, dPsi = psi_even(grid, eps)
-        res = rg.ibp_identity_check(U, Psi, 2.0, dU=dU, dPsi=dPsi,
+        res = rg.ibp_identity_check(grid, U, dU, psi_even(grid, eps), 2.0,
                                     bc_tol=10 * eps)
         terms[eps] = res.boundary_term
     assert terms[1e-2] / terms[1e-3] == pytest.approx(10.0, rel=0.2)
@@ -197,7 +200,7 @@ def test_psi_endgame_affine():
 def test_psi_endgame_fit_matches_lstsq(grid, far_field):
     # reference: the least-squares fit over every grid point
     rep = rg.psi_endgame(True, grid, far_field)
-    psi = rg._laplace_solve(grid, far_field).values
+    psi = rg._laplace_solve(grid, far_field)
     R, _ = grid.mesh()
     A = np.column_stack([R.ravel(), np.ones(R.size)])
     (a, b), *_ = np.linalg.lstsq(A, psi.ravel(), rcond=None)
@@ -222,7 +225,7 @@ def test_laplace_solve_reproduces_discrete_harmonic(grid):
     R, Z = grid.mesh()
     want = harmonic(R, Z)
     # relative: |Psi| reaches 1600 on the default grid
-    assert np.max(np.abs(psi.values - want)) <= 1e-12 * np.max(np.abs(want))
+    assert np.max(np.abs(psi - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 @pytest.mark.parametrize("grid", [
@@ -236,7 +239,7 @@ def test_laplace_solve_evaluates_the_far_field_on_the_edges_only(grid):
         given.append((np.ravel(R), np.ravel(Z)))
         return 2.0 * R + 1.0
 
-    psi = rg._laplace_solve(grid, far_field).values
+    psi = rg._laplace_solve(grid, far_field)
     R = np.concatenate([g[0] for g in given])
     Z = np.concatenate([g[1] for g in given])
     on_edge = ((R == grid.R_min) | (R == 0.0)
@@ -261,42 +264,6 @@ def test_psi_endgame_requires_zero_vorticity():
         rg.psi_endgame(False, grid, lambda R, Z: R)
 
 
-# -- window classification --------------------------------------------------
-
-
-def samples(fn, T=1.0, n=12):
-    t = np.linspace(0.2, T - 1e-3, n)
-    return list(zip(t, fn(T - t)))
-
-
-def test_window_selfsimilar_rate():
-    gamma = 0.7
-    v = rg.window_classify(samples(lambda s: s ** gamma), 1.0, gamma)
-    assert v.tag == "shrinks_selfsimilar"
-    assert abs(v.ratio_slope) <= 0.05
-    assert v.delta_decays
-
-
-def test_window_wider_than_selfsimilar():
-    gamma = 0.8
-    v = rg.window_classify(samples(lambda s: s ** (gamma / 2)), 1.0, gamma)
-    assert v.tag == "wider_than_selfsimilar"
-    assert v.delta_decays
-
-
-def test_window_constant_width():
-    gamma = 0.5
-    v = rg.window_classify(samples(lambda s: np.full_like(s, 0.3)), 1.0,
-                           gamma)
-    assert v.tag == "wider_than_selfsimilar"
-    assert not v.delta_decays
-
-
-def test_window_too_few_samples():
-    v = rg.window_classify([(0.1, 1.0), (0.2, 0.9), (0.3, 0.8)], 1.0, 0.5)
-    assert v.tag == "indeterminate"
-
-
 # -- grid guards ------------------------------------------------------------
 
 
@@ -319,6 +286,7 @@ def test_half_plane_grid_ends_on_the_boundary(grid):
     # psi_endgame checks d_Z Psi at R = 0, so that must be the last column
     R, Z = grid.mesh()
     assert np.all(R[-1] == 0.0) and R[0, 0] == grid.R_min
-    assert grid.field(R).axis1()[-1] == pytest.approx(0.0, abs=1e-12)
+    last = grid.R_min + (grid.nR - 1) * grid.hR
+    assert last == pytest.approx(0.0, abs=1e-12)
     with pytest.raises(TypeError):
         rg.HalfPlaneGrid(R_max=-2.0)
