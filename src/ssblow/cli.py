@@ -98,37 +98,26 @@ def _write_csv(path: Path, header: str, rows) -> None:
 # value parsing
 
 
-def parse_rational(text: str):
-    """'p/q' -> exact Fraction; decimal literals -> float.  Values with no
-    finite float (inf, nan, too large) are rejected."""
-    text = text.strip()
+def parse_gamma(text: str) -> Fraction:
+    """--gamma: 'p/q', an integer or a decimal, read as an exact Fraction
+    ('2.91' is 291/100).  It must be positive, and gamma and 1/gamma must
+    be finite floats, since the reports give degrees such as k - 1/gamma
+    as floats."""
     try:
-        if "/" in text:
-            value = Fraction(text)
-        elif "." in text or "e" in text.lower():
-            value = float(text)
-        else:
-            value = Fraction(int(text))
-        finite = math.isfinite(float(value))
+        # a decimal outside the float range is rejected before Fraction
+        # builds its 10**exponent ('1e-999999999' has a billion digits)
+        if "/" not in text:
+            x = float(text)
+            if x == 0 or not math.isfinite(x):
+                raise ValueError("zero or outside the float range")
+        gamma = Fraction(text)
+        finite = math.isfinite(float(gamma)) and gamma > 0 \
+            and math.isfinite(float(1 / gamma))
     except (ValueError, ZeroDivisionError, OverflowError) as exc:
-        raise UsageError(f"cannot parse rational {text!r}: {exc}") from exc
+        raise UsageError(f"cannot parse --gamma {text!r}: {exc}") from exc
     if not finite:
-        raise UsageError(f"{text!r} is not a finite number")
-    return value
-
-
-def parse_gamma(text: str):
-    """--gamma: a positive rational whose reciprocal is a finite float as
-    well, since the reports give degrees such as k - 1/gamma as floats."""
-    gamma = parse_rational(text)
-    if gamma <= 0:
-        raise UsageError("--gamma must be positive")
-    try:
-        finite = math.isfinite(float(1 / gamma))
-    except OverflowError:
-        finite = False
-    if not finite:
-        raise UsageError(f"--gamma {text!r}: 1/gamma is not a finite number")
+        raise UsageError(f"--gamma {text!r} must be positive, with gamma "
+                         "and 1/gamma finite floats")
     return gamma
 
 
@@ -252,11 +241,9 @@ def cmd_verify(args) -> int:
     return EXIT_OK
 
 
-def _identity_fields(preset: str, grid: rigidity.HalfPlaneGrid,
-                     epsilon: float):
+def _identity_fields(preset: str, R, Z, epsilon: float):
     import numpy as np
 
-    R, Z = grid.mesh()
     if preset == "compact":
         # compactly supported bump well inside the cutoff plateau
         rho2 = ((R + 5.0) ** 2 + Z ** 2) / 9.0
@@ -290,10 +277,12 @@ def cmd_identity(args) -> int:
 
     started = time.monotonic()
     grid = rigidity.HalfPlaneGrid()
-    U, dU, dPsi = _identity_fields(args.preset, grid, args.epsilon)
+    mesh = grid.mesh()
+    U, dU, dPsi = _identity_fields(args.preset, *mesh, args.epsilon)
     bc_tol = max(1e-8, 10.0 * abs(args.epsilon))
-    result = rigidity.ibp_identity_check(grid, U, dU, dPsi, gamma, p=args.p,
-                                         rho=args.rho, bc_tol=bc_tol)
+    result = rigidity.ibp_identity_check(grid, mesh, U, dU, dPsi, gamma,
+                                         p=args.p, rho=args.rho,
+                                         bc_tol=bc_tol)
     out = _out_dir(args)
     payload = result.to_json()
     payload["preset"] = args.preset
@@ -504,24 +493,25 @@ def cmd_demo_1d(args) -> int:
 
 
 def cmd_scaling(args) -> int:
-    gamma = float(parse_gamma(args.gamma))
+    gamma = parse_gamma(args.gamma)
     lengths = tuple(float(s) for s in args.lengths.split(",")) \
         if args.lengths else (1.0, 2.0, 4.0, 8.0)
     if not all(math.isfinite(L) and L > 0 for L in lengths):
         raise UsageError(f"--lengths must be finite and positive, "
                          f"got {args.lengths!r}")
-    from . import cylsim, rigidity
+    from . import rigidity
 
     started = time.monotonic()
-    report = cylsim.energy_scaling(gamma, lengths)
+    report = rigidity.energy_scaling(gamma, lengths)
     out = _out_dir(args)
-    manifest = RunManifest("scaling", {"gamma": gamma, "lengths": lengths})
+    manifest = RunManifest("scaling", {"gamma": report.gamma,
+                                       "lengths": lengths})
     _write_json(manifest.add(out / "scaling.json", rigidity.SCHEMA),
                 report.to_json())
     _write_csv(manifest.add(out / "scaling_bounds.csv"),
                "L,swirl_pointwise_bound", report.bounds)
     manifest.write(out, started)
-    print(f"gamma={gamma:g} swirl pointwise exponent="
+    print(f"gamma={report.gamma:g} swirl pointwise exponent="
           f"{report.swirl_pointwise_exp:.3f} ({report.swirl_decay}); "
           f"grad-psi exponent={report.gradpsi_pointwise_exp:.3f} "
           f"(sublinear={report.gradpsi_sublinear})")
@@ -560,7 +550,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("verify", help="per-order triviality classification")
     sp.add_argument("--gamma", required=True,
-                    help="similarity exponent; 'p/q' is exact")
+                    help="similarity exponent: p/q, an integer or a "
+                         "decimal, each read exactly (0.4 is 2/5)")
     sp.add_argument("--kmax", type=int, default=5)
     sp.add_argument("--no-decay", action="store_true",
                     help="drop the decay-at-infinity hypothesis")
@@ -601,7 +592,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_demo_1d)
 
     sp = sub.add_parser("scaling", help="energy-scaling exponent report")
-    sp.add_argument("--gamma", required=True)
+    sp.add_argument("--gamma", required=True,
+                    help="similarity exponent, read exactly as for verify")
     sp.add_argument("--lengths", default="",
                     help="comma-separated window sizes L")
     common(sp)

@@ -19,18 +19,6 @@ import numpy as np
 from .elliptic import KroneckerSolver
 from .gridio import ScalarField2D, diff1, diff2
 
-#: blow-up rate reported at high resolution elsewhere; a reference value
-#: for the scaling diagnostics only, never a target this desk-scale
-#: solver attempts (or claims) to reproduce.
-REFERENCE_GAMMA = 2.91
-
-NON_REPRODUCIBILITY_NOTE = (
-    "the reference rate gamma ~ 2.91 comes from high-resolution cylinder "
-    "computations far beyond desk scale; this toolkit checks the scaling "
-    "arithmetic around that value exactly but does not attempt to "
-    "reproduce the rate numerically"
-)
-
 
 class CFLViolation(RuntimeError):
     pass
@@ -405,75 +393,6 @@ def track_blowup(series: BlowupSeries, rate: float = 1.0) -> BlowupFit:
             else "shrinks_selfsimilar"
         window = WindowVerdict(tag, ratio_slope, gamma_fit > slope_tol)
     return BlowupFit(float(T_fit), gamma_fit, amp, window)
-
-
-# ---------------------------------------------------------------------------
-# energy-scaling arithmetic
-
-
-@dataclass(frozen=True)
-class ScalingReport:
-    gamma: float
-    mean_swirl_exp: float       # 1 - 2/gamma
-    mean_gradpsi_exp: float     # 2 - 2/gamma
-    swirl_pointwise_exp: float  # 1/2 - 1/gamma
-    gradpsi_pointwise_exp: float  # 1 - 1/gamma
-    swirl_decay: str            # "decays" | "borderline" | "does_not_apply"
-    gradpsi_sublinear: bool
-    omega_info: str
-    bounds: tuple  # ((L, L^swirl_pointwise_exp), ...)
-    note: str
-
-    def to_json(self) -> dict:
-        return {
-            "schema": "rigidity/1",
-            "gamma": self.gamma,
-            "exponents": {
-                "mean_swirl": self.mean_swirl_exp,
-                "mean_gradpsi": self.mean_gradpsi_exp,
-                "swirl_pointwise": self.swirl_pointwise_exp,
-                "gradpsi_pointwise": self.gradpsi_pointwise_exp,
-            },
-            "swirl_decay": self.swirl_decay,
-            "gradpsi_sublinear": self.gradpsi_sublinear,
-            "omega_info": self.omega_info,
-            "bounds": [list(b) for b in self.bounds],
-            "note": self.note,
-        }
-
-
-def energy_scaling(gamma: float, L_values=()) -> ScalingReport:
-    """Exponent bookkeeping of the bounded-energy heuristic.
-
-    The average swirl bound scales like L^(1-2/gamma), suggesting the
-    pointwise rate |Y|^(1/2-1/gamma): decay (hence the far-field
-    hypothesis) for gamma < 2, borderline at gamma = 2, and no
-    information for gamma > 2.  The stream-function gradient is
-    sublinear for every positive gamma; nothing follows for the
-    vorticity profile.
-    """
-    if gamma <= 0:
-        raise ValueError("gamma must be positive")
-    e_u = 0.5 - 1.0 / gamma
-    if e_u < 0:
-        decay = "decays"
-    elif e_u == 0:
-        decay = "borderline"
-    else:
-        decay = "does_not_apply"
-    bounds = tuple((float(L), float(L) ** e_u) for L in L_values)
-    return ScalingReport(
-        gamma=float(gamma),
-        mean_swirl_exp=1.0 - 2.0 / gamma,
-        mean_gradpsi_exp=2.0 - 2.0 / gamma,
-        swirl_pointwise_exp=e_u,
-        gradpsi_pointwise_exp=1.0 - 1.0 / gamma,
-        swirl_decay=decay,
-        gradpsi_sublinear=True,
-        omega_info="no information on the vorticity profile",
-        bounds=bounds,
-        note=NON_REPRODUCIBILITY_NOTE,
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -62,8 +62,6 @@ def _rat(x):
         return x.numerator if x.denominator == 1 else x
     if isinstance(x, (int, str)):
         return _rat(Fraction(x))
-    if isinstance(x, float) and x.is_integer():
-        return int(x)
     raise TypeError(f"not an exact rational: {x!r}")
 
 

@@ -3,18 +3,21 @@ output files."""
 
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import ssblow
 from ssblow import __version__
-from ssblow import cli, cylsim
+from ssblow import cli, cylsim, rigidity
 
 
 def run(argv, monkeypatch, tmp_path, capsys=None):
@@ -30,21 +33,56 @@ def read_manifest(tmp_path):
 
 
 def test_parse_rational():
-    assert cli.parse_rational("2/5") == Fraction(2, 5)
-    assert isinstance(cli.parse_rational("2/5"), Fraction)
-    assert cli.parse_rational("2.91") == pytest.approx(2.91)
-    assert cli.parse_rational("3") == Fraction(3)
+    assert cli.parse_gamma("2/5") == Fraction(2, 5)
+    assert isinstance(cli.parse_gamma("2/5"), Fraction)
+    assert cli.parse_gamma("2.91") == Fraction(291, 100)
+    assert cli.parse_gamma("3") == Fraction(3)
     with pytest.raises(cli.UsageError):
-        cli.parse_rational("1/0")
+        cli.parse_gamma("1/0")
     with pytest.raises(cli.UsageError):
-        cli.parse_rational("abc")
+        cli.parse_gamma("abc")
 
 
 @pytest.mark.parametrize("text", ["1e400", "-1e400", "1" + "0" * 400],
                          ids=["1e400", "-1e400", "integer-10**400"])
 def test_parse_rational_rejects_non_finite(text):
     with pytest.raises(cli.UsageError):
-        cli.parse_rational(text)
+        cli.parse_gamma(text)
+
+
+_SIGNS = st.sampled_from(["", "+", "-"])
+_NATURALS = st.integers(min_value=0, max_value=10 ** 30)
+_GAMMA_TEXTS = st.one_of(
+    st.builds("{}{}/{}".format, _SIGNS, _NATURALS, _NATURALS),
+    st.builds("{}{}".format, _SIGNS, _NATURALS),
+    # str(Decimal) spells signs, exponents and the special values
+    st.builds(lambda sign, digits, exp: str(Decimal((sign, digits, exp))),
+              st.integers(0, 1),
+              st.lists(st.integers(0, 9), min_size=1, max_size=25)
+              .map(tuple),
+              st.integers(-400, 400)),
+    st.sampled_from(["NaN", "-Infinity", "Infinity", "sNaN", "0", "1e-400",
+                     "1/1" + "0" * 400]),
+)
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(_GAMMA_TEXTS)
+def test_parse_gamma_is_the_exact_fraction_of_its_text(text):
+    # --gamma is Fraction(text) when that is positive with gamma and
+    # 1/gamma finite floats, and a UsageError otherwise
+    try:
+        want = Fraction(text)
+        valid = want > 0 and math.isfinite(float(want)) \
+            and math.isfinite(float(1 / want))
+    except (ValueError, ZeroDivisionError, OverflowError):
+        valid = False
+    if valid:
+        got = cli.parse_gamma(text)
+        assert type(got) is Fraction and got == want
+    else:
+        with pytest.raises(cli.UsageError):
+            cli.parse_gamma(text)
 
 
 def test_parse_config(tmp_path):
@@ -177,6 +215,26 @@ def test_verify_exact_gamma(monkeypatch, tmp_path, capsys):
     assert u2[0]["case"] == "zero_coefficient_ray_constant"
 
 
+@pytest.mark.parametrize("decimal,ratio,u2_case", [
+    ("0.4", "2/5", "zero_coefficient_ray_constant"),
+    # 1e-13 off 2/5, so c = -2.5e-13 at U_2: small, but not zero
+    ("0.4000000000001", "4000000000001/10000000000000",
+     "nonzero_coefficient"),
+])
+def test_verify_decimal_gamma_is_exact(decimal, ratio, u2_case, monkeypatch,
+                                       tmp_path):
+    payloads = []
+    for i, text in enumerate((decimal, ratio)):
+        assert run(["verify", "--gamma", text, "--kmax", "5"], monkeypatch,
+                   tmp_path / str(i)) == 0
+        payloads.append((tmp_path / str(i) / "triviality.json").read_text())
+    assert payloads[0] == payloads[1]
+    payload = json.loads(payloads[0])
+    assert payload["gamma"] == ratio
+    by = {(v["field"], v["k"]): v for v in payload["verdicts"]}
+    assert by[("U", 2)]["case"] == u2_case
+
+
 def test_verify_gamma_two(monkeypatch, tmp_path):
     code = run(["verify", "--gamma", "2", "--kmax", "3"],
                monkeypatch, tmp_path)
@@ -237,6 +295,21 @@ def test_identity_compact(monkeypatch, tmp_path):
     payload = json.loads((tmp_path / "identity.json").read_text())
     assert payload["abs_error"] <= 1e-6 * max(abs(payload["lhs"]), 1.0)
     assert abs(payload["boundary_term"]) <= 1e-8
+
+
+def test_identity_builds_the_mesh_once(monkeypatch, tmp_path):
+    # the fields and the check share one R, Z pair (2.6 MB each)
+    builds = []
+    mesh = rigidity.HalfPlaneGrid.mesh
+
+    def counted(grid):
+        builds.append(grid)
+        return mesh(grid)
+
+    monkeypatch.setattr(rigidity.HalfPlaneGrid, "mesh", counted)
+    assert run(["identity", "--preset", "gaussian"], monkeypatch,
+               tmp_path) == 0
+    assert len(builds) == 1
 
 
 # -- simulate and fit -------------------------------------------------------
@@ -490,8 +563,22 @@ def test_scaling_reference_gamma(monkeypatch, tmp_path, capsys):
     assert "0.156" in out
     assert "does_not_apply" in out
     payload = json.loads((tmp_path / "scaling.json").read_text())
-    assert payload["exponents"]["swirl_pointwise"] == pytest.approx(
-        0.5 - 1 / 2.91)
+    # the correctly rounded 1/2 - 100/291
+    assert payload["exponents"]["swirl_pointwise"] == float(
+        Fraction(1, 2) - Fraction(100, 291))
+
+
+@pytest.mark.parametrize("gamma,decision", [
+    ("2", "borderline"),
+    ("4/2", "borderline"),
+    # 1/2 - 1/gamma is 2.5e-18 > 0 here, and 0.0 in floats
+    ("2.00000000000000001", "does_not_apply"),
+    ("1.99999999999999999", "decays"),
+])
+def test_scaling_decision_is_exact(gamma, decision, monkeypatch, tmp_path):
+    assert run(["scaling", "--gamma", gamma], monkeypatch, tmp_path) == 0
+    payload = json.loads((tmp_path / "scaling.json").read_text())
+    assert payload["swirl_decay"] == decision
 
 
 @pytest.mark.parametrize("argv,code,error", [
@@ -606,10 +693,15 @@ def test_import_leaves_scipy_linalg_unloaded():
     (["identity", "--rho", "0"], 2),
     (["demo-1d", "--n", "4"], 2),
     (["scaling", "--gamma", "-1"], 2),
+    # exact parsing would build 10**999999999 for each of these
+    (["verify", "--gamma", "1e-999999999"], 2),
+    (["verify", "--gamma", "1e999999999"], 2),
+    (["scaling", "--gamma", "0e-999999999"], 2),
     *[(["derive", "--mode", mode, "--depth", "2", "--format", fmt], 0)
       for mode in ("single", "generalized") for fmt in ("json", "latex")],
 ], ids=["import", "version", "help", "bad-choice", "depth-0",
         "verify-gamma", "identity-rho", "demo-1d-n", "scaling-gamma",
+        "gamma-1e-999999999", "gamma-1e999999999", "gamma-0e-999999999",
         "single-json", "single-latex", "generalized-json",
         "generalized-latex"])
 def test_derive_and_usage_errors_leave_numpy_unloaded(argv, code, tmp_path):

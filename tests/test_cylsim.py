@@ -8,6 +8,7 @@ import pytest
 
 from ssblow import cli
 from ssblow import cylsim as cs
+from ssblow import rigidity as rg
 
 
 def manufactured_psi(grid):
@@ -616,7 +617,7 @@ def test_series_csv_round_trip(tmp_path):
 
 
 def test_energy_scaling_gamma_two():
-    rep = cs.energy_scaling(2.0, (1.0, 4.0))
+    rep = rg.energy_scaling(2.0, (1.0, 4.0))
     assert rep.mean_swirl_exp == pytest.approx(0.0)
     assert rep.mean_gradpsi_exp == pytest.approx(1.0)
     assert rep.swirl_pointwise_exp == pytest.approx(0.0)
@@ -626,19 +627,19 @@ def test_energy_scaling_gamma_two():
 
 
 def test_energy_scaling_reference_rate():
-    rep = cs.energy_scaling(cs.REFERENCE_GAMMA)
+    rep = rg.energy_scaling(rg.REFERENCE_GAMMA)
     assert rep.swirl_pointwise_exp == pytest.approx(0.5 - 1 / 2.91)
     assert rep.swirl_decay == "does_not_apply"
-    assert rep.note == cs.NON_REPRODUCIBILITY_NOTE
+    assert rep.note == rg.NON_REPRODUCIBILITY_NOTE
 
 
 def test_energy_scaling_small_gamma_decays():
-    rep = cs.energy_scaling(1.0, (2.0,))
+    rep = rg.energy_scaling(1.0, (2.0,))
     assert rep.swirl_pointwise_exp == pytest.approx(-0.5)
     assert rep.swirl_decay == "decays"
     assert rep.bounds == ((2.0, 2.0 ** -0.5),)
     with pytest.raises(ValueError):
-        cs.energy_scaling(0.0)
+        rg.energy_scaling(0.0)
 
 
 # -- 1D demo ----------------------------------------------------------------

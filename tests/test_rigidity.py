@@ -113,7 +113,7 @@ def zero_gradient(grid):
 def test_ibp_compact_support():
     grid = rg.HalfPlaneGrid()
     U, dU = compact_bump(grid)
-    res = rg.ibp_identity_check(grid, U, dU, psi_even(grid), 2.0)
+    res = rg.ibp_identity_check(grid, grid.mesh(), U, dU, psi_even(grid), 2.0)
     assert res.boundary_term == 0.0
     assert res.cutoff_term == 0.0  # support inside the sigma = 1 plateau
     assert abs(res.lhs - res.rhs) <= 1e-6 * max(abs(res.lhs), 1.0)
@@ -122,7 +122,7 @@ def test_ibp_compact_support():
 def test_ibp_zero_field():
     grid = rg.HalfPlaneGrid(-10.0, -10.0, 10.0, 101, 201)
     zero = np.zeros((grid.nR, grid.nZ))
-    res = rg.ibp_identity_check(grid, zero, zero_gradient(grid),
+    res = rg.ibp_identity_check(grid, grid.mesh(), zero, zero_gradient(grid),
                                 zero_gradient(grid), 1.5)
     assert (res.lhs, res.rhs, res.boundary_term) == (0.0, 0.0, 0.0)
 
@@ -131,7 +131,7 @@ def test_ibp_rejects_odd_power():
     grid = rg.HalfPlaneGrid(-10.0, -10.0, 10.0, 51, 101)
     zero = np.zeros((grid.nR, grid.nZ))
     with pytest.raises(ValueError):
-        rg.ibp_identity_check(grid, zero, zero_gradient(grid),
+        rg.ibp_identity_check(grid, grid.mesh(), zero, zero_gradient(grid),
                               zero_gradient(grid), 1.5, p=3)
 
 
@@ -141,8 +141,8 @@ def test_ibp_boundary_violation_raises():
     # Psi = Z: d_Z Psi = 1 on the R = 0 column
     dPsi = (np.zeros_like(R), np.ones_like(Z))
     with pytest.raises(rg.BoundaryViolation):
-        rg.ibp_identity_check(grid, np.exp(R), (np.exp(R), np.zeros_like(R)),
-                              dPsi, 2.0)
+        rg.ibp_identity_check(grid, (R, Z), np.exp(R),
+                              (np.exp(R), np.zeros_like(R)), dPsi, 2.0)
 
 
 def test_ibp_rho_sweep_constant_on_rays():
@@ -156,8 +156,9 @@ def test_ibp_rho_sweep_constant_on_rays():
     dU = (diff1(vals, grid.hR, 0), diff1(vals, grid.hZ, 1))
     lhs = {}
     for rho in (5.0, 10.0, 15.0):
-        res = rg.ibp_identity_check(grid, vals, dU, zero_gradient(grid), 2.0,
-                                    rho=rho, bc_tol=1e30)
+        res = rg.ibp_identity_check(grid, (R, Z), vals, dU,
+                                    zero_gradient(grid), 2.0, rho=rho,
+                                    bc_tol=1e30)
         lhs[rho] = res.lhs
     # lhs grows ~ rho^2 for a non-decaying field: the identity forces the
     # contradiction used against non-decaying ray constants
@@ -171,8 +172,8 @@ def test_ibp_boundary_term_linear_in_epsilon():
     dU = (-(R + 4.0) / 4.0 * U, -Z / 4.0 * U)
     terms = {}
     for eps in (1e-2, 1e-3):
-        res = rg.ibp_identity_check(grid, U, dU, psi_even(grid, eps), 2.0,
-                                    bc_tol=10 * eps)
+        res = rg.ibp_identity_check(grid, (R, Z), U, dU, psi_even(grid, eps),
+                                    2.0, bc_tol=10 * eps)
         terms[eps] = res.boundary_term
     assert terms[1e-2] / terms[1e-3] == pytest.approx(10.0, rel=0.2)
 

@@ -239,12 +239,13 @@ def test_integral_values_are_held_as_int():
     half = two.terms[0].tau + exponent(Fraction(1, 2), Fraction(1, 2))
     assert (type(half.base), type(half.gamma_coeff)) == (int, int)
     assert type(e.terms[0].coeff) is Fraction
-    assert exponent(2.0, "4/2")._key == (2, 2)
+    assert exponent(2, "4/2")._key == (2, 2)
     assert str(two) == "1*tau^(-1/2+3/2g)" and str(e) == "1/2*tau^(-1/2+3/2g)"
 
 
-@pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan, 0.5],
-                         ids=["inf", "-inf", "nan", "non-integral"])
+@pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan, 0.5, 2.0],
+                         ids=["inf", "-inf", "nan", "non-integral",
+                              "integral"])
 def test_rat_rejects_inexact_floats(x):
     with pytest.raises(TypeError, match="not an exact rational"):
         _rat(x)
