@@ -20,7 +20,6 @@ import argparse
 import functools
 import json
 import math
-import os
 import sys
 import time
 from dataclasses import asdict, dataclass, field as dc_field
@@ -73,13 +72,12 @@ class RunManifest:
 
 
 def _out_dir(args) -> Path:
-    d = os.environ.get("SSBLOW_OUT_DIR") or args.out
-    path = Path(d)
+    path = Path(args.out)
     try:
         path.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
-        raise UsageError(f"cannot create output directory {d!r}: {exc}") \
-            from exc
+        raise UsageError(f"cannot create output directory {args.out!r}: "
+                         f"{exc}") from exc
     return path
 
 
@@ -137,11 +135,12 @@ def parse_config(path) -> dict:
     return cfg
 
 
-def _cfg_get(cfg: dict, key: str, cast, default):
+def _cfg_get(cfg: dict, key: str, default):
+    """cfg[key] read with the type of its default, or the default."""
     if key not in cfg:
         return default
     try:
-        return cast(cfg[key])
+        return type(default)(cfg[key])
     except ValueError as exc:
         raise UsageError(f"config key {key!r}: {exc}") from exc
 
@@ -217,7 +216,7 @@ def cmd_verify(args) -> int:
             rows.append(rigidity.classify_triviality(
                 gamma, k, field, decay_at_infinity=decay))
     out = _out_dir(args)
-    threshold = 1.0 / float(gamma)
+    threshold = float(1 / gamma)
     payload = {
         "schema": rigidity.SCHEMA,
         "gamma": str(gamma),
@@ -299,33 +298,28 @@ def cmd_identity(args) -> int:
     return EXIT_OK
 
 
-#: the keys a simulate config may set
-SIMULATE_KEYS = ("nr", "nz", "r_min", "z_len", "z_bc", "t_end", "dt", "cfl",
-                 "cadence", "snapshot_every", "preset", "amplitude")
+#: every key a simulate config may set, in manifest order, with its
+#: default; a value is read with the type of its default
+SIMULATE_DEFAULTS = {
+    "nr": 65, "nz": 128, "r_min": 0.5, "z_len": 1.0, "z_bc": "periodic",
+    "t_end": 0.5, "dt": 0.0, "cfl": 0.4, "cadence": 10, "snapshot_every": 0,
+    "preset": "swirl_bump", "amplitude": 1.0,
+}
 
 
 def cmd_simulate(args) -> int:
     cfg_raw = parse_config(args.config) if args.config else {}
-    unknown = [key for key in cfg_raw if key not in SIMULATE_KEYS]
+    unknown = [key for key in cfg_raw if key not in SIMULATE_DEFAULTS]
     if unknown:
         raise UsageError(f"unknown config key {unknown[0]!r}; known keys: "
-                         + ", ".join(SIMULATE_KEYS))
-    nr = _cfg_get(cfg_raw, "nr", int, 65)
-    nz = _cfg_get(cfg_raw, "nz", int, 128)
-    r_min = _cfg_get(cfg_raw, "r_min", float, 0.5)
-    z_len = _cfg_get(cfg_raw, "z_len", float, 1.0)
-    z_bc = cfg_raw.get("z_bc", "periodic")
-    t_end = _cfg_get(cfg_raw, "t_end", float, 0.5)
-    dt_cfg = _cfg_get(cfg_raw, "dt", float, 0.0)
-    cfl = _cfg_get(cfg_raw, "cfl", float, 0.4)
-    cadence = _cfg_get(cfg_raw, "cadence", int, 10)
-    snapshots = _cfg_get(cfg_raw, "snapshot_every", int, 0)
-    preset = cfg_raw.get("preset", "swirl_bump")
-    amplitude = _cfg_get(cfg_raw, "amplitude", float, 1.0)
-    for key, value in (("t_end", t_end), ("dt", dt_cfg), ("r_min", r_min),
-                       ("z_len", z_len), ("amplitude", amplitude)):
-        if not math.isfinite(value):
+                         + ", ".join(SIMULATE_DEFAULTS))
+    cfg = {key: _cfg_get(cfg_raw, key, default)
+           for key, default in SIMULATE_DEFAULTS.items()}
+    for key, value in cfg.items():
+        if isinstance(value, float) and not math.isfinite(value):
             raise UsageError(f"config key {key!r} must be finite, got {value}")
+    t_end, dt_cfg, cfl = cfg["t_end"], cfg["dt"], cfg["cfl"]
+    cadence, snapshots = cfg["cadence"], cfg["snapshot_every"]
     if t_end <= 0 or cadence < 1 or cfl <= 0:
         raise UsageError("need t_end > 0, cadence >= 1, cfl > 0")
     if "dt" in cfg_raw and dt_cfg <= 0:
@@ -340,8 +334,9 @@ def cmd_simulate(args) -> int:
                          "sqrt(2)")
     from . import cylsim
 
-    grid = cylsim.CylGrid(nr, nz, r_min, z_len, z_bc)
-    u1, om = initial_data(preset, grid, amplitude)
+    grid = cylsim.CylGrid(cfg["nr"], cfg["nz"], cfg["r_min"], cfg["z_len"],
+                          cfg["z_bc"])
+    u1, om = initial_data(cfg["preset"], grid, cfg["amplitude"])
 
     out = _out_dir(args)
     started = time.monotonic()
@@ -351,10 +346,7 @@ def cmd_simulate(args) -> int:
     series.append_sample(state, grid)
 
     manifest = RunManifest("simulate", {
-        "nr": nr, "nz": nz, "r_min": r_min, "z_len": z_len, "z_bc": z_bc,
-        "t_end": t_end, "dt": dt_cfg, "cfl": cfl, "cadence": cadence,
-        "snapshot_every": snapshots, "preset": preset,
-        "amplitude": amplitude,
+        **cfg,
         "preset_note": "initial data is an artifact choice, not prescribed",
     })
 
@@ -442,7 +434,7 @@ def cmd_fit(args) -> int:
         "T_fit": fit.T_fit,
         "gamma_fit": fit.gamma_fit,
         "amplitude": fit.amplitude,
-        "window": fit.window.to_json(),
+        "window": {"schema": rigidity.SCHEMA, **asdict(fit.window)},
     }
     manifest = RunManifest("fit", {"series": str(args.series),
                                    "rate": args.rate})
@@ -525,10 +517,9 @@ def cmd_scaling(args) -> int:
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    # built once per process: nothing it reads can change between calls
-    # (SSBLOW_OUT_DIR is read when a command runs, in _out_dir); the
-    # set_defaults below bind the cmd_* functions of the first build, so a
-    # later rebinding of cli.cmd_* does not reach main
+    # built once per process: nothing it reads can change between calls;
+    # the set_defaults below bind the cmd_* functions of the first build,
+    # so a later rebinding of cli.cmd_* does not reach main
     p = argparse.ArgumentParser(
         prog="ssblow",
         description="order-by-order ansatz derivation, triviality "
@@ -537,8 +528,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="subcommand", required=True)
 
     def common(sp):
-        sp.add_argument("--out", default="ssblow_out",
-                        help="output directory (SSBLOW_OUT_DIR overrides)")
+        sp.add_argument("--out", default="ssblow_out", help="output directory")
 
     sp = sub.add_parser("derive", help="derive the order-by-order hierarchy")
     sp.add_argument("--mode", choices=("single", "generalized"),

@@ -11,7 +11,7 @@ the boundary circle exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field
 from typing import Callable, Optional
 
 import numpy as np
@@ -218,16 +218,15 @@ def _rhs(u1, omega1, psi, grid: CylGrid, forcing_values):
     return du, dom, ur, uz
 
 
-def step(state: CylState, dt: float, grid: CylGrid,
-         forcing=None, solver: Optional[PoissonSolver] = None,
-         cfl: float = 0.5) -> CylState:
+def step(state: CylState, dt: float, grid: CylGrid, forcing=None, *,
+         solver: PoissonSolver, cfl: float) -> CylState:
     """One explicit RK4 step with an elliptic re-solve per later substage.
 
-    Stage k1 takes state.psi1 as it is, so a step does 4 solves: three
-    substages and the new state's psi1.  The forcing is evaluated once
-    per distinct stage time (t, t + dt/2, t + dt).
+    Stage k1 takes state.psi1 as it is, so a step does 4 solves with the
+    caller's solver: three substages and the new state's psi1.  The
+    forcing is evaluated once per distinct stage time (t, t + dt/2,
+    t + dt).  dt above cfl * h_min / max|u| raises CFLViolation.
     """
-    solver = solver or PoissonSolver(grid)
     u, om = state.u1, state.omega1
     t = state.t
     if forcing is None:
@@ -319,9 +318,6 @@ class WindowVerdict:
     tag: str  # "shrinks_selfsimilar" | "wider_than_selfsimilar" | "indeterminate"
     ratio_slope: float = float("nan")
     delta_decays: bool = True
-
-    def to_json(self) -> dict:
-        return {"schema": "rigidity/1", **asdict(self)}
 
 
 @dataclass(frozen=True)

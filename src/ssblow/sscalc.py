@@ -21,7 +21,6 @@ from __future__ import annotations
 import json
 from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
-from functools import total_ordering
 from operator import attrgetter
 from typing import Callable, Iterable
 
@@ -102,10 +101,8 @@ class _Value:
 # exponents
 
 
-@total_ordering
 class SsExponent(_Value):
-    """Formal exponent base + gamma_coeff * gamma of tau = (T - t), ordered
-    by its _key (base, gamma_coeff)."""
+    """Formal exponent base + gamma_coeff * gamma of tau = (T - t)."""
 
     _fields = ("base", "gamma_coeff")
     __slots__ = _fields + ("_key", "_hash")
@@ -117,16 +114,8 @@ class SsExponent(_Value):
         _set(self, "_key", key)
         _set(self, "_hash", hash(key))
 
-    def __lt__(self, other) -> bool:
-        if type(other) is not SsExponent:
-            return NotImplemented
-        return self._key < other._key
-
     def __add__(self, other: "SsExponent") -> "SsExponent":
         return SsExponent(self.base + other.base, self.gamma_coeff + other.gamma_coeff)
-
-    def __sub__(self, other: "SsExponent") -> "SsExponent":
-        return SsExponent(self.base - other.base, self.gamma_coeff - other.gamma_coeff)
 
     @property
     def is_zero(self) -> bool:

@@ -207,12 +207,13 @@ def test_acceptance_5_solver_convergence():
         grid = cs.CylGrid(nr, nz)
         R, Z = grid.mesh()
         om0 = fns["om"](R, Z, 0.0)
-        state = cs.CylState(fns["u"](R, Z, 0.0), om0,
-                            cs.PoissonSolver(grid).solve(om0), 0.0)
+        solver = cs.PoissonSolver(grid)
+        state = cs.CylState(fns["u"](R, Z, 0.0), om0, solver.solve(om0), 0.0)
         forcing = (lambda R, Z, tt: fns["fu"](R, Z, tt),
                    lambda R, Z, tt: fns["fom"](R, Z, tt))
         for _ in range(nsteps):
-            state = cs.step(state, dt_step, grid, forcing=forcing)
+            state = cs.step(state, dt_step, grid, forcing=forcing,
+                            solver=solver, cfl=0.5)
             ur, _ = cs.reconstruct_velocity(state.psi1, grid)
             wall_ok &= bool(np.all(ur[-1, :] == 0.0))
         return float(np.max(np.abs(state.u1 - fns["u"](R, Z, state.t))))

@@ -21,8 +21,7 @@ from ssblow import cli, cylsim, rigidity
 
 
 def run(argv, monkeypatch, tmp_path, capsys=None):
-    monkeypatch.setenv("SSBLOW_OUT_DIR", str(tmp_path))
-    return cli.main(argv)
+    return cli.main([*argv, "--out", str(tmp_path)])
 
 
 def read_manifest(tmp_path):
@@ -136,18 +135,18 @@ def test_derive_depth_zero_usage_error(monkeypatch, tmp_path, capsys):
 
 @pytest.mark.parametrize("order", ["-1", "1", "2"])
 def test_derive_geometric_order_below_depth_leaves_no_output(
-        order, monkeypatch, tmp_path, capsys):
+        order, tmp_path, capsys):
     # the 1/r expansion follows --depth; there is no flag to set it, so any
     # --geometric-order is a usage error that leaves no output directory
     out = tmp_path / "out"
-    monkeypatch.setenv("SSBLOW_OUT_DIR", str(out))
-    code = cli.main(["derive", "--depth", "3", "--geometric-order", order])
+    flags = ["--depth", "3", "--out", str(out)]
+    code = cli.main(["derive", *flags, "--geometric-order", order])
     assert code == 2
     assert "--geometric-order" in capsys.readouterr().err
     assert not out.exists()
-    assert cli.main(["derive", "--depth", "3", "--geometric-order", "3"]) == 2
+    assert cli.main(["derive", *flags, "--geometric-order", "3"]) == 2
     assert not out.exists()
-    assert cli.main(["derive", "--depth", "3"]) == 0
+    assert cli.main(["derive", *flags]) == 0
     assert (out / "hierarchy.json").exists()
 
 
@@ -213,6 +212,13 @@ def test_verify_exact_gamma(monkeypatch, tmp_path, capsys):
     # U_2 at gamma = 2/5 sits exactly on the zero-coefficient branch
     u2 = [v for v in payload["verdicts"] if v["field"] == "U" and v["k"] == 2]
     assert u2[0]["case"] == "zero_coefficient_ray_constant"
+    # the threshold is the correctly rounded 11/3, rounded once
+    assert run(["verify", "--gamma", "3/11", "--kmax", "1"], monkeypatch,
+               tmp_path) == 0
+    payload = json.loads((tmp_path / "triviality.json").read_text())
+    assert payload["decay_threshold_k"] == 3.6666666666666665
+    assert payload["decay_threshold_note"].endswith(
+        "k > 1/gamma = 3.66667; such orders cannot decay at infinity")
 
 
 @pytest.mark.parametrize("decimal,ratio,u2_case", [
@@ -271,18 +277,16 @@ def test_gamma_with_overflowing_reciprocal_is_usage_error(
     assert not (tmp_path / "manifest.json").exists()
 
 
-def test_verify_gamma_too_large_for_kmax_is_usage_error(monkeypatch, tmp_path,
-                                                       capsys):
+def test_verify_gamma_too_large_for_kmax_is_usage_error(tmp_path, capsys):
     # gamma = 10**308 and 1/gamma are finite floats, but the coefficient
     # 1 - k gamma is not once k = 2
     out = tmp_path / "out"
-    monkeypatch.setenv("SSBLOW_OUT_DIR", str(out))
-    gamma = "1" + "0" * 308
-    assert cli.main(["verify", "--gamma", gamma, "--kmax", "2"]) == 2
+    argv = ["verify", "--gamma", "1" + "0" * 308, "--out", str(out)]
+    assert cli.main([*argv, "--kmax", "2"]) == 2
     err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert err["error"] == "usage"
     assert not out.exists()
-    assert cli.main(["verify", "--gamma", gamma, "--kmax", "0"]) == 0
+    assert cli.main([*argv, "--kmax", "0"]) == 0
     assert (out / "triviality.json").exists()
 
 
@@ -387,8 +391,7 @@ def test_fit_rejects_blowup_time_beyond_bracket(monkeypatch, tmp_path,
 
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("disorder", ["swapped", "beyond-last", "nan"])
-def test_fit_rejects_times_out_of_order(disorder, monkeypatch, tmp_path,
-                                        capsys):
+def test_fit_rejects_times_out_of_order(disorder, tmp_path, capsys):
     # swapped times were fitted with exit 0; one time past the last one
     # exited 3 blaming the search bracket, with a numpy warning on stderr
     t = np.linspace(0.2, 0.99, 12)
@@ -400,8 +403,7 @@ def test_fit_rejects_times_out_of_order(disorder, monkeypatch, tmp_path,
     sfile = tmp_path / "disordered.csv"
     write_fit_series(sfile, t, written)
     out = tmp_path / "out"
-    monkeypatch.setenv("SSBLOW_OUT_DIR", str(out))
-    assert cli.main(["fit", "--series", str(sfile)]) == 3
+    assert cli.main(["fit", "--series", str(sfile), "--out", str(out)]) == 3
     captured = capsys.readouterr()
     [line] = captured.err.splitlines()
     err = json.loads(line)
@@ -430,8 +432,7 @@ def test_failed_simulate_writes_manifest_with_error(monkeypatch, tmp_path,
     cfg.write_text("nr = 9\nnz = 9\nt_end = 0.1\ndt = 0.001\n"
                    "snapshot_every = 1\n")
     out = tmp_path / "out"
-    monkeypatch.setenv("SSBLOW_OUT_DIR", str(out))
-    assert cli.main(["simulate", "--config", str(cfg)]) == 3
+    assert cli.main(["simulate", "--config", str(cfg), "--out", str(out)]) == 3
     err = json.loads(capsys.readouterr().err)
     assert err == {"error": "NumericalBlowup",
                    "message": "non-finite field at t=0.002"}
@@ -450,15 +451,13 @@ def test_failed_simulate_writes_manifest_with_error(monkeypatch, tmp_path,
     assert rows.shape == (1, 8) and rows[0, 0] == 0.0
 
 
-def test_cfl_failure_on_first_step_writes_manifest(monkeypatch, tmp_path,
-                                                   capsys):
+def test_cfl_failure_on_first_step_writes_manifest(tmp_path, capsys):
     # swirl_bump has no meridional flow at t = 0; the swirl alone bounds dt
     cfg = tmp_path / "cfg.txt"
     cfg.write_text("nr = 9\nnz = 9\nz_bc = dirichlet\nt_end = 1\n"
                    "dt = 0.5\namplitude = 1e3\nsnapshot_every = 1\n")
     out = tmp_path / "out"
-    monkeypatch.setenv("SSBLOW_OUT_DIR", str(out))
-    assert cli.main(["simulate", "--config", str(cfg)]) == 3
+    assert cli.main(["simulate", "--config", str(cfg), "--out", str(out)]) == 3
     assert json.loads(capsys.readouterr().err)["error"] == "CFLViolation"
     man = read_manifest(out)
     assert man["outputs"] == [str(out / "series.csv")]
@@ -495,6 +494,33 @@ def test_simulate_rejects_unstable_cfl(cfl, monkeypatch, tmp_path, capsys):
     assert run(["simulate", "--config", str(cfg)], monkeypatch, tmp_path) == 0
 
 
+#: a value for every simulate config key, in the order of the table
+EVERY_KEY = {"nr": 9, "nz": 8, "r_min": 0.4, "z_len": 1.5, "z_bc": "dirichlet",
+             "t_end": 0.004, "dt": 0.001, "cfl": 0.3, "cadence": 2,
+             "snapshot_every": 3, "preset": "parity", "amplitude": 0.5}
+
+
+def test_simulate_config_sets_every_key_in_table_order(monkeypatch, tmp_path,
+                                                      capsys):
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("".join(f"{k} = {v}\n" for k, v in
+                           reversed(EVERY_KEY.items())))
+    out = tmp_path / "out"
+    assert run(["simulate", "--config", str(cfg)], monkeypatch, out) == 0
+    config = read_manifest(out)["config"]
+    assert list(config) == [*EVERY_KEY, "preset_note"]
+    assert list(cli.SIMULATE_DEFAULTS) == list(EVERY_KEY)
+    for key, value in EVERY_KEY.items():
+        assert config[key] == value and type(config[key]) is type(value), key
+    assert (out / "u1_0001.bin").exists()
+
+    cfg.write_text("t_ned = 5\n")
+    assert run(["simulate", "--config", str(cfg)], monkeypatch, out) == 2
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["message"] == ("unknown config key 't_ned'; known keys: "
+                              + ", ".join(EVERY_KEY))
+
+
 @pytest.mark.parametrize("key,value", [("t_end", "nan"), ("t_end", "inf"),
                                        ("dt", "nan"), ("dt", "0"),
                                        ("dt", "-1"), ("amplitude", "nan"),
@@ -503,8 +529,8 @@ def test_simulate_rejects_unstable_cfl(cfl, monkeypatch, tmp_path, capsys):
                                        ("preset", "vortex_ring"),
                                        ("snapshot_every", "-1"),
                                        ("t_ned", "5")])
-def test_simulate_bad_config_value_is_usage_error(key, value, monkeypatch,
-                                                  tmp_path, capsys):
+def test_simulate_bad_config_value_is_usage_error(key, value, tmp_path,
+                                                  capsys):
     # t_end = nan ran 0 steps and exited 0, t_end = inf never stopped,
     # dt <= 0 silently took the automatic step, amplitude = nan or
     # z_len <= 0 failed with exit 3 after creating the output, an unknown
@@ -513,8 +539,7 @@ def test_simulate_bad_config_value_is_usage_error(key, value, monkeypatch,
     cfg = tmp_path / "cfg.txt"
     cfg.write_text(f"nr = 9\nnz = 9\nt_end = 0.1\n{key} = {value}\n")
     out = tmp_path / "out"
-    monkeypatch.setenv("SSBLOW_OUT_DIR", str(out))
-    assert cli.main(["simulate", "--config", str(cfg)]) == 2
+    assert cli.main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
     err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert err["error"] == "usage" and key in err["message"]
     assert not out.exists()
@@ -604,8 +629,7 @@ def test_failing_command_leaves_no_output(argv, code, error, monkeypatch,
     # traceback, or failed after creating an empty output directory
     monkeypatch.chdir(tmp_path)
     out = tmp_path / "out"
-    monkeypatch.setenv("SSBLOW_OUT_DIR", str(out))
-    assert cli.main(argv) == code
+    assert cli.main([*argv, "--out", str(out)]) == code
     err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert err["error"] == error
     assert not out.exists()
@@ -635,17 +659,17 @@ def test_missing_subcommand_is_error(capsys):
 
 
 def test_out_dir_env_override(monkeypatch, tmp_path):
-    target = tmp_path / "env_dir"
-    monkeypatch.setenv("SSBLOW_OUT_DIR", str(target))
-    assert cli.main(["scaling", "--gamma", "1", "--out", "ignored"]) == 0
-    assert (target / "manifest.json").exists()
+    # --out is the only source of the output directory
+    env_dir, out = tmp_path / "env_dir", tmp_path / "out"
+    monkeypatch.setenv("SSBLOW_OUT_DIR", str(env_dir))
+    assert cli.main(["scaling", "--gamma", "1", "--out", str(out)]) == 0
+    assert (out / "manifest.json").exists()
+    assert not env_dir.exists()
 
 
-def test_out_dir_under_a_regular_file_is_usage_error(monkeypatch, tmp_path,
-                                                    capsys):
+def test_out_dir_under_a_regular_file_is_usage_error(tmp_path, capsys):
     blocker = tmp_path / "file"
     blocker.write_text("")
-    monkeypatch.delenv("SSBLOW_OUT_DIR", raising=False)
     assert cli.main(["scaling", "--gamma", "2",
                      "--out", str(blocker / "sub")]) == 2
     err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
@@ -663,12 +687,11 @@ def test_manifest_lists_real_files(monkeypatch, tmp_path):
         assert schema == "rigidity/1"
 
 
-def test_deterministic_reruns(monkeypatch, tmp_path):
+def test_deterministic_reruns(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     for d in (a, b):
-        monkeypatch.setenv("SSBLOW_OUT_DIR", str(d))
         assert cli.main(["derive", "--mode", "generalized",
-                         "--depth", "2"]) == 0
+                         "--depth", "2", "--out", str(d)]) == 0
     assert (a / "hierarchy.json").read_text() == \
         (b / "hierarchy.json").read_text()
 
@@ -709,14 +732,14 @@ def test_derive_and_usage_errors_leave_numpy_unloaded(argv, code, tmp_path):
     # numpy costs about half of a fresh process's start-up, so neither
     # they nor the import may load it
     env = {**os.environ,
-           "PYTHONPATH": str(Path(ssblow.__file__).resolve().parents[1]),
-           "SSBLOW_OUT_DIR": str(tmp_path / "out")}
+           "PYTHONPATH": str(Path(ssblow.__file__).resolve().parents[1])}
     probe = ("import sys\n"
              "from ssblow import cli\n"
              "code = cli.main(sys.argv[1:]) if sys.argv[1:] else None\n"
              "print('numpy' in sys.modules, code, file=sys.stderr)\n")
-    proc = subprocess.run([sys.executable, "-c", probe, *argv], env=env,
-                          capture_output=True, text=True, timeout=60)
+    out = ["--out", str(tmp_path / "out")] if argv else []
+    proc = subprocess.run([sys.executable, "-c", probe, *argv, *out],
+                          env=env, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr.splitlines()[-1] == f"False {code}"
 
@@ -745,12 +768,12 @@ def test_simulate_and_endgame_leave_scipy_unloaded(tmp_path):
     cfg = tmp_path / "cfg.txt"
     cfg.write_text("nr = 9\nnz = 9\nz_bc = dirichlet\nt_end = 0.01\n")
     env = {**os.environ,
-           "PYTHONPATH": str(Path(ssblow.__file__).resolve().parents[1]),
-           "SSBLOW_OUT_DIR": str(tmp_path / "out")}
+           "PYTHONPATH": str(Path(ssblow.__file__).resolve().parents[1])}
+    argv = ["simulate", "--config", str(cfg), "--out", str(tmp_path / "out")]
     probe = (
         "import sys\n"
         "from ssblow import cli, rigidity\n"
-        f"assert cli.main(['simulate', '--config', {str(cfg)!r}]) == 0\n"
+        f"assert cli.main({argv!r}) == 0\n"
         "grid = rigidity.HalfPlaneGrid(-4.0, -4.0, 4.0, 21, 41)\n"
         "rep = rigidity.psi_endgame(True, grid, lambda R, Z: 2 * R + 1)\n"
         "assert abs(rep.a - 2) < 1e-8, rep\n"
@@ -768,8 +791,6 @@ def test_one_process_runs_match_fresh_runs(monkeypatch, tmp_path, capsys):
              ["verify", "--gamma", "2/5", "--kmax", "3"])
     env = {**os.environ,
            "PYTHONPATH": str(Path(ssblow.__file__).resolve().parents[1])}
-    env.pop("SSBLOW_OUT_DIR", None)
-    monkeypatch.delenv("SSBLOW_OUT_DIR", raising=False)
     fresh, inproc = tmp_path / "fresh", tmp_path / "inproc"
     for d in (fresh, inproc):
         d.mkdir()

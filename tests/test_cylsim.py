@@ -203,7 +203,7 @@ def test_zero_state_fixed_point():
     grid = cs.CylGrid(17, 16)
     state = cs.CylState(np.zeros((17, 16)), np.zeros((17, 16)),
                         np.zeros((17, 16)), 0.0)
-    out = cs.step(state, 1e-3, grid)
+    out = cs.step(state, 1e-3, grid, solver=cs.PoissonSolver(grid), cfl=0.5)
     assert np.array_equal(out.u1, state.u1)
     assert np.array_equal(out.omega1, state.omega1)
     assert out.t == pytest.approx(1e-3)
@@ -214,9 +214,10 @@ def test_cfl_violation_raises():
     r, z = grid.mesh()
     om = np.sin(np.pi * z / grid.z_len) * (1 - r) * (r - grid.r_min) * 100
     u = np.ones_like(om)
-    state = cs.CylState(u, om, cs.PoissonSolver(grid).solve(om), 0.0)
+    solver = cs.PoissonSolver(grid)
+    state = cs.CylState(u, om, solver.solve(om), 0.0)
     with pytest.raises(cs.CFLViolation):
-        cs.step(state, 1.0, grid)
+        cs.step(state, 1.0, grid, solver=solver, cfl=0.5)
 
 
 def test_cfl_check_counts_the_swirl():
@@ -226,7 +227,7 @@ def test_cfl_check_counts_the_swirl():
     u1, om = cli.initial_data("swirl_bump", grid)
     state = cs.CylState(u1, om, np.zeros_like(om), 0.0)
     with pytest.raises(cs.CFLViolation):
-        cs.step(state, 0.5, grid)
+        cs.step(state, 0.5, grid, solver=cs.PoissonSolver(grid), cfl=0.5)
     ur, uz = cs.reconstruct_velocity(state.psi1, grid)
     assert cs.max_speed(ur, uz, u1) == np.max(np.abs(u1))
 
@@ -239,10 +240,11 @@ def test_parity_preservation():
     shape = (1 - r) * (r - grid.r_min)
     u = shape * np.cos(zs)
     om = shape * np.sin(zs)
-    state = cs.CylState(u, om, cs.PoissonSolver(grid).solve(om), 0.0)
+    solver = cs.PoissonSolver(grid)
+    state = cs.CylState(u, om, solver.solve(om), 0.0)
     flip = np.concatenate(([0], np.arange(grid.nz - 1, 0, -1)))
     for _ in range(5):
-        state = cs.step(state, 1e-3, grid)
+        state = cs.step(state, 1e-3, grid, solver=solver, cfl=0.5)
     assert np.allclose(state.u1, state.u1[:, flip], atol=1e-12)
     assert np.allclose(state.omega1, -state.omega1[:, flip], atol=1e-12)
 
@@ -256,10 +258,11 @@ def test_swirl_integral_drift_refines():
             * np.cos(np.pi * z / grid.z_len)
         om = 0.3 * np.sin(np.pi * z / grid.z_len) \
             * np.sin(np.pi * (r - grid.r_min) / (1 - grid.r_min))
-        state = cs.CylState(u, om, cs.PoissonSolver(grid).solve(om), 0.0)
+        solver = cs.PoissonSolver(grid)
+        state = cs.CylState(u, om, solver.solve(om), 0.0)
         w = (r ** 3 * state.u1).sum() * grid.hr * grid.hz
         for _ in range(steps):
-            state = cs.step(state, dt, grid)
+            state = cs.step(state, dt, grid, solver=solver, cfl=0.5)
         w2 = (r ** 3 * state.u1).sum() * grid.hr * grid.hz
         return abs(w2 - w) / steps / dt
 
@@ -289,12 +292,13 @@ def test_stepper_mms_convergence():
         grid = cs.CylGrid(nr, nz)
         R, Z = grid.mesh()
         om0 = fns["om"](R, Z, 0.0)
-        state = cs.CylState(fns["u"](R, Z, 0.0), om0,
-                            cs.PoissonSolver(grid).solve(om0), 0.0)
+        solver = cs.PoissonSolver(grid)
+        state = cs.CylState(fns["u"](R, Z, 0.0), om0, solver.solve(om0), 0.0)
         forcing = (lambda R, Z, tt: fns["fu"](R, Z, tt),
                    lambda R, Z, tt: fns["fom"](R, Z, tt))
         for _ in range(nsteps):
-            state = cs.step(state, dt, grid, forcing=forcing)
+            state = cs.step(state, dt, grid, forcing=forcing, solver=solver,
+                            cfl=0.5)
         return float(np.max(np.abs(state.u1 - fns["u"](R, Z, state.t))))
 
     e1 = error(17, 32, 2e-3, 25)
@@ -315,7 +319,8 @@ def parity_state(grid, solver):
 def test_step_reuses_psi1_with_four_solves(z_bc, monkeypatch):
     grid = cs.CylGrid(17, 16, z_bc=z_bc)
     solver = cs.PoissonSolver(grid)
-    state = cs.step(parity_state(grid, solver), 1e-3, grid, solver=solver)
+    state = cs.step(parity_state(grid, solver), 1e-3, grid, solver=solver,
+                    cfl=0.5)
     fresh = cs.CylState(state.u1, state.omega1, solver.solve(state.omega1),
                         state.t)
     assert np.array_equal(state.psi1, fresh.psi1)
@@ -324,9 +329,9 @@ def test_step_reuses_psi1_with_four_solves(z_bc, monkeypatch):
     solve = solver.solve
     monkeypatch.setattr(solver, "solve",
                         lambda om: calls.append(1) or solve(om))
-    carried = cs.step(state, 1e-3, grid, solver=solver)
+    carried = cs.step(state, 1e-3, grid, solver=solver, cfl=0.5)
     assert len(calls) == 4
-    resolved = cs.step(fresh, 1e-3, grid, solver=solver)
+    resolved = cs.step(fresh, 1e-3, grid, solver=solver, cfl=0.5)
     for name in ("u1", "omega1", "psi1"):
         assert np.array_equal(getattr(carried, name),
                               getattr(resolved, name)), name
@@ -347,7 +352,7 @@ def test_step_forcing_once_per_stage_time():
     t0, dt = 0.25, 1e-3
     state.t = t0
     cs.step(state, dt, grid, forcing=(force("u"), force("om")),
-            solver=solver)
+            solver=solver, cfl=0.5)
     for name in ("u", "om"):
         assert sorted(times[name]) == [t0, t0 + 0.5 * dt, t0 + dt], name
 
@@ -421,7 +426,7 @@ def test_step_bit_identical_to_formula(z_bc):
         u_new = u + dt / 6.0 * (k1u + 2 * k2u + 2 * k3u + k4u)
         om_new = om + dt / 6.0 * (k1o + 2 * k2o + 2 * k3o + k4o)
 
-        got = cs.step(state, dt, grid, forcing=fn, solver=solver)
+        got = cs.step(state, dt, grid, forcing=fn, solver=solver, cfl=0.5)
         assert got.t == t + dt
         assert np.array_equal(got.u1, u_new)
         assert np.array_equal(got.omega1, om_new)
@@ -671,11 +676,11 @@ def test_demo_1d_rejects_unknown_bc():
         cs.demo_1d("open", 32, 0.1)
 
 
-def test_demo_csv(tmp_path, monkeypatch):
+def test_demo_csv(tmp_path):
     # demo1d.csv as `ssblow demo-1d` writes it
     rep = cs.demo_1d("periodic", 32, 0.05)
-    monkeypatch.setenv("SSBLOW_OUT_DIR", str(tmp_path))
-    assert cli.main(["demo-1d", "--n", "32", "--t-end", "0.05"]) == 0
+    assert cli.main(["demo-1d", "--n", "32", "--t-end", "0.05",
+                     "--out", str(tmp_path)]) == 0
     path = tmp_path / "demo1d.csv"
     rows = np.loadtxt(path, delimiter=",", skiprows=1)
     assert rows.shape[1] == 2

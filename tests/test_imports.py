@@ -282,3 +282,31 @@ def test_method_guard_flags_methods_read_nowhere():
     }
     assert unread_methods(trees) == [("Box", "_hidden"), ("Box", "unused"),
                                      ("Stored", "stored")]
+
+
+def environment_reads(tree: ast.Module) -> list:
+    """Line of every read of the environment: os.environ, os.getenv, their
+    bytes forms, or a `from os import` of one of them."""
+    names = {"environ", "environb", "getenv", "getenvb"}
+    return sorted(
+        node.lineno for node in ast.walk(tree)
+        if (isinstance(node, ast.Attribute) and node.attr in names
+            and isinstance(node.value, ast.Name) and node.value.id == "os")
+        or (isinstance(node, ast.ImportFrom) and node.module == "os"
+            and any(alias.name in names for alias in node.names)))
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_no_module_reads_the_environment(path):
+    # every run setting has one source, a flag or a config key; an
+    # environment variable would be a second one
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert environment_reads(tree) == [], path.name
+
+
+def test_environment_guard_sees_every_spelling():
+    tree = ast.parse("import os\nfrom os import getenv, path\n"
+                     "d = os.environ.get('X')\ne = os.getenv('Y')\n"
+                     "f = os.path.join('a')\n")
+    assert environment_reads(tree) == [2, 3, 4]

@@ -12,8 +12,7 @@ from ssblow.sscalc import expr_to_json
 from sympy_oracle import mismatches, orders, profile, sympy_of_json
 
 
-def derived(mode, depth, tmp_path, monkeypatch):
-    monkeypatch.delenv("SSBLOW_OUT_DIR", raising=False)
+def derived(mode, depth, tmp_path):
     assert cli.main(["derive", "--mode", mode, "--depth", str(depth),
                      "--out", str(tmp_path)]) == 0
     return json.loads((tmp_path / "hierarchy.json").read_text())
@@ -21,8 +20,8 @@ def derived(mode, depth, tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("mode", ["single", "generalized"])
 @pytest.mark.parametrize("depth", [1, 2, 3])
-def test_derive_matches_sympy_oracle(mode, depth, tmp_path, monkeypatch):
-    report = derived(mode, depth, tmp_path, monkeypatch)
+def test_derive_matches_sympy_oracle(mode, depth, tmp_path):
+    report = derived(mode, depth, tmp_path)
     # generalized depth d carries the induction systems k = 1..d
     want_k = range(1, depth + 1) if mode == "generalized" else ()
     assert sorted(map(int, report["induction"])) == list(want_k)
@@ -40,8 +39,8 @@ def test_oracle_reproduces_documented_psi_discrepancy():
 
 
 @pytest.mark.parametrize("where", ["order", "induction"])
-def test_one_coefficient_mutation_is_caught(where, tmp_path, monkeypatch):
-    report = derived("generalized", 3, tmp_path, monkeypatch)
+def test_one_coefficient_mutation_is_caught(where, tmp_path):
+    report = derived("generalized", 3, tmp_path)
     if where == "order":
         terms = report["orders"]["omega"]["2"]["lhs"]["terms"]
         want = [("omega", 2)]
