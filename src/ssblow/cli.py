@@ -216,15 +216,19 @@ def cmd_verify(args) -> int:
             rows.append(rigidity.classify_triviality(
                 gamma, k, field, decay_at_infinity=decay))
     out = _out_dir(args)
-    threshold = float(1 / gamma)
+    # the degree -c/gamma is k + 1/2 - 1/gamma (U) and k - 1/gamma (Omega)
+    threshold = {"U": float(1 / gamma - Fraction(1, 2)),
+                 "Omega": float(1 / gamma)}
     payload = {
         "schema": rigidity.SCHEMA,
         "gamma": str(gamma),
         "decay_at_infinity": decay,
         "decay_threshold_k": threshold,
         "decay_threshold_note": (
-            "nonnegative homogeneity degree requires k > 1/gamma"
-            f" = {threshold:g}; such orders cannot decay at infinity"),
+            "nonnegative homogeneity degree for k >= 1/gamma - 1/2"
+            f" = {threshold['U']:g} (U) and k >= 1/gamma"
+            f" = {threshold['Omega']:g} (Omega); such orders cannot decay"
+            " at infinity"),
         "verdicts": [v.to_json() for v in rows],
     }
     manifest = RunManifest("verify", {
@@ -278,10 +282,8 @@ def cmd_identity(args) -> int:
     grid = rigidity.HalfPlaneGrid()
     mesh = grid.mesh()
     U, dU, dPsi = _identity_fields(args.preset, *mesh, args.epsilon)
-    bc_tol = max(1e-8, 10.0 * abs(args.epsilon))
     result = rigidity.ibp_identity_check(grid, mesh, U, dU, dPsi, gamma,
-                                         p=args.p, rho=args.rho,
-                                         bc_tol=bc_tol)
+                                         p=args.p, rho=args.rho)
     out = _out_dir(args)
     payload = result.to_json()
     payload["preset"] = args.preset
@@ -456,13 +458,11 @@ def cmd_demo_1d(args) -> int:
     from . import cylsim
 
     started = time.monotonic()
-    t_end = args.t_end if args.t_end is not None else \
-        (1.0 if args.bc == "periodic" else 0.05)
-    report = cylsim.demo_1d(args.bc, args.n, t_end, amplitude=args.amplitude)
+    report = cylsim.demo_1d(args.bc, args.n, args.t_end, args.amplitude)
     out = _out_dir(args)
     manifest = RunManifest("demo-1d", {
-        "bc": args.bc, "n": args.n, "t_end": t_end,
-        "amplitude": args.amplitude})
+        "bc": args.bc, "n": args.n, "t_end": report.t_end,
+        "amplitude": report.amplitude})
     # a run that overflows before its first sample has no gradient samples
     max_gradient = float(np.max(report.max_ux)) if len(report.max_ux) \
         else None

@@ -404,9 +404,12 @@ class Demo1DReport:
     blowup_suspected: bool
     crossing_time: Optional[float]
     aborted: bool
+    t_end: float
+    amplitude: float
 
 
-def demo_1d(bc: str, n: int, t_end: float, amplitude: Optional[float] = None,
+def demo_1d(bc: str, n: int, t_end: Optional[float] = None,
+            amplitude: Optional[float] = None,
             u0: Optional[np.ndarray] = None) -> Demo1DReport:
     """Explicit integration of u_t = u_xx - u_x^4 on the unit interval.
 
@@ -415,7 +418,9 @@ def demo_1d(bc: str, n: int, t_end: float, amplitude: Optional[float] = None,
     steady state once the amplitude exceeds the largest boundary-layer
     profile, so the gradient at x=1 grows without bound.  Default
     Dirichlet initial data is a smoothed square-root ramp; periodic
-    default is amplitude*sin(2 pi x).
+    default is amplitude*sin(2 pi x).  t_end and amplitude default to
+    1.0 and 0.25 (periodic) or 0.05 and 2.0 (Dirichlet), and the report
+    records the values the run used.
 
     The time step is the diffusive limit 0.4 h^2; the centered gradient
     term then needs max|4 u_x^3| <~ 0.5 n to stay stable, which caps the
@@ -429,13 +434,15 @@ def demo_1d(bc: str, n: int, t_end: float, amplitude: Optional[float] = None,
         raise ValueError(f"unknown boundary tag {bc!r}")
     if n < 2:
         raise ValueError(f"need n >= 2 intervals, got {n}")
+    periodic = bc == "periodic"
+    if t_end is None:
+        t_end = 1.0 if periodic else 0.05
+    if amplitude is None:
+        amplitude = 0.25 if periodic else 2.0
     if not (math.isfinite(t_end) and t_end > 0):
         raise ValueError(f"t_end must be finite and positive, got {t_end}")
-    if amplitude is None:
-        amplitude = 0.25 if bc == "periodic" else 2.0
-    elif not math.isfinite(amplitude):
+    if not math.isfinite(amplitude):
         raise ValueError(f"amplitude must be finite, got {amplitude}")
-    periodic = bc == "periodic"
     h = 1.0 / n
     if u0 is not None:
         u0 = np.asarray(u0, dtype=float)
@@ -532,4 +539,6 @@ def demo_1d(bc: str, n: int, t_end: float, amplitude: Optional[float] = None,
         blowup_suspected=crossing is not None or aborted,
         crossing_time=crossing,
         aborted=aborted,
+        t_end=t_end,
+        amplitude=amplitude,
     )

@@ -320,37 +320,25 @@ class HierarchyReport:
         return all(v.acceptable for v in self.verdicts)
 
 
-def substitute_gamma(e: SymExpr, gamma: Fraction) -> SymExpr:
-    """Replace the symbolic gamma coefficient factor by an exact rational."""
-    gamma = Fraction(gamma)
-    return SymExpr.from_terms(
-        SymTerm(t.coeff * gamma ** t.g_pow, 0, t.r_pow, t.z_pow, t.factors, t.tau)
-        for t in e.terms
-    )
+def induction_system(orders: dict, k: int) -> list:
+    """Decoupled equations for (U_k, Omega_k, Psi_k), k >= 1: the terms of
+    the collected orders[name][k] whose profile factors all have index k.
 
-
-def induction_system(a: AnsatzSpec, k: int,
-                     gamma: Optional[Fraction] = None) -> list:
-    """Decoupled equations for (U_k, Omega_k, Psi_k) under the induction
-    hypothesis that all lower-index profiles vanish (lower-index Psi at
-    most constant).  Derived by substituting an index-k-only ansatz and
-    collecting order k, where the nonlinear terms sit at higher orders.
+    That is the induction hypothesis that every lower-index profile
+    vanishes; a higher-index profile first enters above order k, and a
+    product of two index-k profiles at order 2k.  Each lower-index Psi_j
+    merely constant gives the same system: Psi_j then enters only
+    undifferentiated, through u^z = 2 psi + r d_r psi, where at order k
+    it multiplies d_Z of a profile of index k - j - 1 < k.
     """
-    if a.mode != "generalized":
-        raise ValueError("induction system applies to the generalized ansatz")
     if k < 1:
         raise ValueError("k must be >= 1")
-    # the lattice re-bases at the index-k leading exponent, so the
-    # decoupled dominant equation is the relative order-0 slice, which no
-    # term of the 1/r expansion reaches
-    eqs = _system(*_fields((k,)), 0, order=0)
     out = []
-    for name, e in zip(EQ_NAMES, eqs):
-        orders = collect_orders(SymEquation(e, name))
-        lhs = orders[0].lhs if orders else SymExpr.zero()
-        if gamma is not None:
-            lhs = substitute_gamma(lhs, gamma)
-        out.append(SymEquation(lhs, f"{name}[induction k={k}]"))
+    for name in EQ_NAMES:
+        terms = orders[name].get(k, SymEquation(SymExpr.zero())).lhs.terms
+        kept = tuple(t for t in terms
+                     if all(f.series_index == k for f in t.factors))
+        out.append(SymEquation(SymExpr(kept), f"{name}[induction k={k}]"))
     return out
 
 
@@ -374,10 +362,8 @@ def derive_hierarchy(a: AnsatzSpec) -> HierarchyReport:
             documented = a.mode == "generalized" and eq.label == "psi" and order == 1
             verdicts.append(compare(derived, ref, eq.label, order, documented))
 
-    induction = {}
-    if a.mode == "generalized":
-        for k in range(1, a.depth + 1):
-            induction[k] = induction_system(a, k)
+    induction = {k: induction_system(orders, k)
+                 for k in range(1, a.kmax + 1)}
 
     note = (
         f"stream-function equation expanded to geometric order {M}; "

@@ -167,7 +167,9 @@ def mismatches(report: dict) -> list:
             if sp.expand(got - want) != 0:
                 bad.append((name, k))
     for k, eqs in report["induction"].items():
-        # only index k, and no term of the 3/r expansion reaches order 0
+        # a second route to what derive filters out of its orders: the
+        # index-k-only ansatz, whose dominant order no term of the 3/r
+        # expansion reaches
         dominant = orders((int(k),), 0, 0)
         for name, eq in zip(EQ_NAMES, eqs):
             if sp.expand(sympy_of_json(eq["lhs"]) - dominant[name][2][0]):

@@ -20,7 +20,7 @@ from ssblow import __version__
 from ssblow import cli, cylsim, rigidity
 
 
-def run(argv, monkeypatch, tmp_path, capsys=None):
+def run(argv, tmp_path):
     return cli.main([*argv, "--out", str(tmp_path)])
 
 
@@ -96,9 +96,8 @@ def test_parse_config(tmp_path):
 # -- derive -----------------------------------------------------------------
 
 
-def test_derive_single(monkeypatch, tmp_path, capsys):
-    code = run(["derive", "--mode", "single", "--depth", "1"],
-               monkeypatch, tmp_path)
+def test_derive_single(tmp_path, capsys):
+    code = run(["derive", "--mode", "single", "--depth", "1"], tmp_path)
     assert code == 0
     out = capsys.readouterr().out
     assert "equivalent_zero_set" in out
@@ -112,22 +111,20 @@ def test_derive_single(monkeypatch, tmp_path, capsys):
     assert rep["schema"] == "hierarchy/1"
 
 
-def test_derive_latex(monkeypatch, tmp_path):
-    assert run(["derive", "--format", "latex"], monkeypatch, tmp_path) == 0
+def test_derive_latex(tmp_path):
+    assert run(["derive", "--format", "latex"], tmp_path) == 0
     tex = (tmp_path / "hierarchy.tex").read_text()
     assert "\\begin{equation}" in tex
 
 
-def test_derive_generalized_documents_discrepancy(monkeypatch, tmp_path,
-                                                  capsys):
-    code = run(["derive", "--mode", "generalized", "--depth", "1"],
-               monkeypatch, tmp_path)
+def test_derive_generalized_documents_discrepancy(tmp_path, capsys):
+    code = run(["derive", "--mode", "generalized", "--depth", "1"], tmp_path)
     assert code == 0
     assert "documented" in capsys.readouterr().out
 
 
-def test_derive_depth_zero_usage_error(monkeypatch, tmp_path, capsys):
-    code = run(["derive", "--depth", "0"], monkeypatch, tmp_path)
+def test_derive_depth_zero_usage_error(tmp_path, capsys):
+    code = run(["derive", "--depth", "0"], tmp_path)
     assert code == 2
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "usage"
@@ -165,9 +162,9 @@ DERIVE_SHA256 = {
 
 
 @pytest.mark.parametrize("mode,fmt", sorted(DERIVE_SHA256))
-def test_derive_output_is_pinned(mode, fmt, monkeypatch, tmp_path, capsys):
+def test_derive_output_is_pinned(mode, fmt, tmp_path):
     assert run(["derive", "--mode", mode, "--format", fmt, "--depth", "3"],
-               monkeypatch, tmp_path) == 0
+               tmp_path) == 0
     name = "hierarchy.json" if fmt == "json" else "hierarchy.tex"
     data = (tmp_path / name).read_bytes()
     assert hashlib.sha256(data).hexdigest() == DERIVE_SHA256[mode, fmt]
@@ -185,14 +182,14 @@ LARGE_OUTPUT_SHA256 = {
         "a2f48971a7ec1314b9f2fe6f3e678a4d66643e32bad310129ee79a9df036d948"),
     "verify-2_5-kmax50": (
         ["verify", "--gamma", "2/5", "--kmax", "50"], "triviality.json",
-        "87455454f123e3005c8f278f4183e057e775b350d67faedd0abaa9380b674078"),
+        "2d82f9e0727567416aede90c2bac9a9ef2c3fe940609adc44cd8e2926f9280ba"),
 }
 
 
 @pytest.mark.parametrize("name", sorted(LARGE_OUTPUT_SHA256))
-def test_large_outputs_are_pinned(name, monkeypatch, tmp_path, capsys):
+def test_large_outputs_are_pinned(name, tmp_path):
     argv, filename, digest = LARGE_OUTPUT_SHA256[name]
-    assert run(argv, monkeypatch, tmp_path) == 0
+    assert run(argv, tmp_path) == 0
     data = (tmp_path / filename).read_bytes()
     assert hashlib.sha256(data).hexdigest() == digest
 
@@ -200,25 +197,39 @@ def test_large_outputs_are_pinned(name, monkeypatch, tmp_path, capsys):
 # -- verify -----------------------------------------------------------------
 
 
-def test_verify_exact_gamma(monkeypatch, tmp_path, capsys):
-    code = run(["verify", "--gamma", "2/5", "--kmax", "5"],
-               monkeypatch, tmp_path)
+def test_verify_exact_gamma(tmp_path):
+    code = run(["verify", "--gamma", "2/5", "--kmax", "5"], tmp_path)
     assert code == 0
     payload = json.loads((tmp_path / "triviality.json").read_text())
     assert payload["schema"] == "rigidity/1"
-    assert payload["decay_threshold_k"] == pytest.approx(2.5)
+    # U_2 has degree 2 + 1/2 - 5/2 = 0: U's threshold is k >= 2
+    assert payload["decay_threshold_k"] == {"U": 2.0, "Omega": 2.5}
     assert all(v["conclusion"] == "trivial_under_decay"
                for v in payload["verdicts"])
     # U_2 at gamma = 2/5 sits exactly on the zero-coefficient branch
     u2 = [v for v in payload["verdicts"] if v["field"] == "U" and v["k"] == 2]
     assert u2[0]["case"] == "zero_coefficient_ray_constant"
-    # the threshold is the correctly rounded 11/3, rounded once
-    assert run(["verify", "--gamma", "3/11", "--kmax", "1"], monkeypatch,
-               tmp_path) == 0
+    # each threshold is the correctly rounded 11/3 - 1/2 or 11/3, rounded
+    # once
+    assert run(["verify", "--gamma", "3/11", "--kmax", "1"], tmp_path) == 0
     payload = json.loads((tmp_path / "triviality.json").read_text())
-    assert payload["decay_threshold_k"] == 3.6666666666666665
+    assert payload["decay_threshold_k"] == {"U": float(Fraction(19, 6)),
+                                            "Omega": float(Fraction(11, 3))}
     assert payload["decay_threshold_note"].endswith(
-        "k > 1/gamma = 3.66667; such orders cannot decay at infinity")
+        "k >= 1/gamma - 1/2 = 3.16667 (U) and k >= 1/gamma = 3.66667 "
+        "(Omega); such orders cannot decay at infinity")
+
+
+def test_verify_threshold_is_where_the_degree_turns_nonnegative(tmp_path):
+    # at gamma = 1/2, Omega_2 has degree 2 - 2 = 0 and U_1 has degree
+    # 1 + 1/2 - 2 < 0 < 2 + 1/2 - 2
+    assert run(["verify", "--gamma", "1/2", "--kmax", "3"], tmp_path) == 0
+    payload = json.loads((tmp_path / "triviality.json").read_text())
+    assert payload["decay_threshold_k"] == {"U": 1.5, "Omega": 2.0}
+    degree = {(v["field"], v["k"]): v["degree"] for v in payload["verdicts"]}
+    for field, k0 in payload["decay_threshold_k"].items():
+        for k in range(4):
+            assert (degree[field, k] >= 0) == (k >= k0), (field, k)
 
 
 @pytest.mark.parametrize("decimal,ratio,u2_case", [
@@ -227,11 +238,10 @@ def test_verify_exact_gamma(monkeypatch, tmp_path, capsys):
     ("0.4000000000001", "4000000000001/10000000000000",
      "nonzero_coefficient"),
 ])
-def test_verify_decimal_gamma_is_exact(decimal, ratio, u2_case, monkeypatch,
-                                       tmp_path):
+def test_verify_decimal_gamma_is_exact(decimal, ratio, u2_case, tmp_path):
     payloads = []
     for i, text in enumerate((decimal, ratio)):
-        assert run(["verify", "--gamma", text, "--kmax", "5"], monkeypatch,
+        assert run(["verify", "--gamma", text, "--kmax", "5"],
                    tmp_path / str(i)) == 0
         payloads.append((tmp_path / str(i) / "triviality.json").read_text())
     assert payloads[0] == payloads[1]
@@ -241,9 +251,8 @@ def test_verify_decimal_gamma_is_exact(decimal, ratio, u2_case, monkeypatch,
     assert by[("U", 2)]["case"] == u2_case
 
 
-def test_verify_gamma_two(monkeypatch, tmp_path):
-    code = run(["verify", "--gamma", "2", "--kmax", "3"],
-               monkeypatch, tmp_path)
+def test_verify_gamma_two(tmp_path):
+    code = run(["verify", "--gamma", "2", "--kmax", "3"], tmp_path)
     assert code == 0
     payload = json.loads((tmp_path / "triviality.json").read_text())
     by = {(v["field"], v["k"]): v for v in payload["verdicts"]}
@@ -252,26 +261,24 @@ def test_verify_gamma_two(monkeypatch, tmp_path):
         assert by[("U", k)]["case"] == "nonzero_coefficient"
 
 
-def test_verify_invalid_gamma(monkeypatch, tmp_path, capsys):
-    assert run(["verify", "--gamma", "0"], monkeypatch, tmp_path) == 2
-    assert run(["verify", "--gamma", "-1/2"], monkeypatch, tmp_path) == 2
+def test_verify_invalid_gamma(tmp_path):
+    assert run(["verify", "--gamma", "0"], tmp_path) == 2
+    assert run(["verify", "--gamma", "-1/2"], tmp_path) == 2
 
 
 @pytest.mark.parametrize("command", ["verify", "scaling", "identity"])
-def test_non_finite_gamma_is_usage_error(command, monkeypatch, tmp_path,
-                                         capsys):
-    assert run([command, "--gamma", "1e400"], monkeypatch, tmp_path) == 2
+def test_non_finite_gamma_is_usage_error(command, tmp_path, capsys):
+    assert run([command, "--gamma", "1e400"], tmp_path) == 2
     err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert err["error"] == "usage"
     assert not (tmp_path / "manifest.json").exists()
 
 
 @pytest.mark.parametrize("command", ["verify", "scaling", "identity"])
-def test_gamma_with_overflowing_reciprocal_is_usage_error(
-        command, monkeypatch, tmp_path, capsys):
+def test_gamma_with_overflowing_reciprocal_is_usage_error(command, tmp_path,
+                                                          capsys):
     # 1/gamma = 10**400 has no float; verify reports degrees k - 1/gamma
-    assert run([command, "--gamma", "1/1" + "0" * 400],
-               monkeypatch, tmp_path) == 2
+    assert run([command, "--gamma", "1/1" + "0" * 400], tmp_path) == 2
     err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert err["error"] == "usage"
     assert not (tmp_path / "manifest.json").exists()
@@ -293,8 +300,8 @@ def test_verify_gamma_too_large_for_kmax_is_usage_error(tmp_path, capsys):
 # -- identity ---------------------------------------------------------------
 
 
-def test_identity_compact(monkeypatch, tmp_path):
-    code = run(["identity", "--preset", "compact"], monkeypatch, tmp_path)
+def test_identity_compact(tmp_path):
+    code = run(["identity", "--preset", "compact"], tmp_path)
     assert code == 0
     payload = json.loads((tmp_path / "identity.json").read_text())
     assert payload["abs_error"] <= 1e-6 * max(abs(payload["lhs"]), 1.0)
@@ -311,19 +318,18 @@ def test_identity_builds_the_mesh_once(monkeypatch, tmp_path):
         return mesh(grid)
 
     monkeypatch.setattr(rigidity.HalfPlaneGrid, "mesh", counted)
-    assert run(["identity", "--preset", "gaussian"], monkeypatch,
-               tmp_path) == 0
+    assert run(["identity", "--preset", "gaussian"], tmp_path) == 0
     assert len(builds) == 1
 
 
 # -- simulate and fit -------------------------------------------------------
 
 
-def test_simulate_and_fit(monkeypatch, tmp_path, capsys):
+def test_simulate_and_fit(tmp_path):
     cfg = tmp_path / "cfg.txt"
     cfg.write_text("nr = 17\nnz = 32\nt_end = 0.2\ncadence = 2\n"
                    "preset = parity\namplitude = 0.8\n")
-    code = run(["simulate", "--config", str(cfg)], monkeypatch, tmp_path)
+    code = run(["simulate", "--config", str(cfg)], tmp_path)
     assert code == 0
     man = read_manifest(tmp_path)
     assert man["config"]["preset"] == "parity"
@@ -335,7 +341,7 @@ def test_simulate_and_fit(monkeypatch, tmp_path, capsys):
     # synthetic series for the fit command (simulated runs need not blow up)
     sfile = tmp_path / "synthetic.csv"
     write_fit_series(sfile, np.linspace(0.2, 0.99, 12))
-    code = run(["fit", "--series", str(sfile)], monkeypatch, tmp_path)
+    code = run(["fit", "--series", str(sfile)], tmp_path)
     assert code == 0
     fit = json.loads((tmp_path / "fit.json").read_text())
     assert fit["T_fit"] == pytest.approx(1.0, abs=1e-6)
@@ -358,21 +364,20 @@ def write_fit_series(path, t, written_t=None):
     path.write_text("\n".join(lines) + "\n")
 
 
-def test_fit_rejects_flat_series(monkeypatch, tmp_path, capsys):
+def test_fit_rejects_flat_series(tmp_path, capsys):
     lines = ["t,max_omega1,max_u1,delta,box_rmin,box_rmax,box_zmin,box_zmax"]
     for ti in np.linspace(0.1, 0.9, 8):
         lines.append(",".join(repr(float(v))
                               for v in (ti, 1.0, 1.0, 0.5, 0, 1, 0, 1)))
     sfile = tmp_path / "flat.csv"
     sfile.write_text("\n".join(lines) + "\n")
-    code = run(["fit", "--series", str(sfile)], monkeypatch, tmp_path)
+    code = run(["fit", "--series", str(sfile)], tmp_path)
     assert code == 3
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "FitRejected"
 
 
-def test_fit_rejects_blowup_time_beyond_bracket(monkeypatch, tmp_path,
-                                               capsys):
+def test_fit_rejects_blowup_time_beyond_bracket(tmp_path, capsys):
     # max|omega1| = 1 + 0.001 t: the fitted T would sit on the far edge of
     # the search bracket, t_last + 10 span = 11
     lines = ["t,max_omega1,max_u1,delta,box_rmin,box_rmax,box_zmin,box_zmax"]
@@ -382,7 +387,7 @@ def test_fit_rejects_blowup_time_beyond_bracket(monkeypatch, tmp_path,
                                0, 1, 0, 1)))
     sfile = tmp_path / "slow.csv"
     sfile.write_text("\n".join(lines) + "\n")
-    code = run(["fit", "--series", str(sfile)], monkeypatch, tmp_path)
+    code = run(["fit", "--series", str(sfile)], tmp_path)
     assert code == 3
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "FitRejected"
@@ -467,31 +472,31 @@ def test_cfl_failure_on_first_step_writes_manifest(tmp_path, capsys):
                                                      "series.csv"]
 
 
-def test_successful_manifest_has_no_error_key(monkeypatch, tmp_path):
+def test_successful_manifest_has_no_error_key(tmp_path):
     cfg = tmp_path / "cfg.txt"
     cfg.write_text("nr = 9\nnz = 9\nt_end = 0.01\n")
-    assert run(["simulate", "--config", str(cfg)], monkeypatch, tmp_path) == 0
+    assert run(["simulate", "--config", str(cfg)], tmp_path) == 0
     assert "error" not in read_manifest(tmp_path)
 
 
-def test_simulate_bad_preset(monkeypatch, tmp_path, capsys):
+def test_simulate_bad_preset(tmp_path):
     cfg = tmp_path / "cfg.txt"
     cfg.write_text("preset = vortex_ring\nt_end = 0.1\n")
-    assert run(["simulate", "--config", str(cfg)], monkeypatch, tmp_path) == 2
+    assert run(["simulate", "--config", str(cfg)], tmp_path) == 2
 
 
 @pytest.mark.parametrize("cfl", ["50", "1.5", "nan"])
-def test_simulate_rejects_unstable_cfl(cfl, monkeypatch, tmp_path, capsys):
+def test_simulate_rejects_unstable_cfl(cfl, tmp_path, capsys):
     # the automatic dt is 0.9 cfl h / max|u|, which RK4 keeps stable for
     # cfl up to sqrt(2) only
     cfg = tmp_path / "cfg.txt"
     cfg.write_text(f"nr = 9\nnz = 9\nt_end = 0.1\ncfl = {cfl}\n")
-    assert run(["simulate", "--config", str(cfg)], monkeypatch, tmp_path) == 2
+    assert run(["simulate", "--config", str(cfg)], tmp_path) == 2
     err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert err["error"] == "usage"
     assert not (tmp_path / "manifest.json").exists()
     cfg.write_text("nr = 9\nnz = 9\nt_end = 0.1\n")
-    assert run(["simulate", "--config", str(cfg)], monkeypatch, tmp_path) == 0
+    assert run(["simulate", "--config", str(cfg)], tmp_path) == 0
 
 
 #: a value for every simulate config key, in the order of the table
@@ -500,13 +505,12 @@ EVERY_KEY = {"nr": 9, "nz": 8, "r_min": 0.4, "z_len": 1.5, "z_bc": "dirichlet",
              "snapshot_every": 3, "preset": "parity", "amplitude": 0.5}
 
 
-def test_simulate_config_sets_every_key_in_table_order(monkeypatch, tmp_path,
-                                                      capsys):
+def test_simulate_config_sets_every_key_in_table_order(tmp_path, capsys):
     cfg = tmp_path / "cfg.txt"
     cfg.write_text("".join(f"{k} = {v}\n" for k, v in
                            reversed(EVERY_KEY.items())))
     out = tmp_path / "out"
-    assert run(["simulate", "--config", str(cfg)], monkeypatch, out) == 0
+    assert run(["simulate", "--config", str(cfg)], out) == 0
     config = read_manifest(out)["config"]
     assert list(config) == [*EVERY_KEY, "preset_note"]
     assert list(cli.SIMULATE_DEFAULTS) == list(EVERY_KEY)
@@ -515,7 +519,7 @@ def test_simulate_config_sets_every_key_in_table_order(monkeypatch, tmp_path,
     assert (out / "u1_0001.bin").exists()
 
     cfg.write_text("t_ned = 5\n")
-    assert run(["simulate", "--config", str(cfg)], monkeypatch, out) == 2
+    assert run(["simulate", "--config", str(cfg)], out) == 2
     err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert err["message"] == ("unknown config key 't_ned'; known keys: "
                               + ", ".join(EVERY_KEY))
@@ -548,9 +552,9 @@ def test_simulate_bad_config_value_is_usage_error(key, value, tmp_path,
 # -- demo-1d and scaling ----------------------------------------------------
 
 
-def test_demo_1d_periodic(monkeypatch, tmp_path, capsys):
+def test_demo_1d_periodic(tmp_path):
     code = run(["demo-1d", "--bc", "periodic", "--n", "32",
-                "--t-end", "0.1"], monkeypatch, tmp_path)
+                "--t-end", "0.1"], tmp_path)
     assert code == 0
     payload = json.loads((tmp_path / "demo1d.json").read_text())
     assert not payload["blowup_suspected"]
@@ -558,22 +562,29 @@ def test_demo_1d_periodic(monkeypatch, tmp_path, capsys):
     assert rows.shape[1] == 2
 
 
+@pytest.mark.parametrize("bc,t_end,amplitude", [("periodic", 1.0, 0.25),
+                                                ("dirichlet", 0.05, 2.0)])
+def test_demo_1d_manifest_records_the_defaults_used(bc, t_end, amplitude,
+                                                    tmp_path):
+    assert run(["demo-1d", "--bc", bc, "--n", "8"], tmp_path) == 0
+    assert read_manifest(tmp_path)["config"] == {
+        "bc": bc, "n": 8, "t_end": t_end, "amplitude": amplitude}
+
+
 @pytest.mark.parametrize("flags", [["--t-end", "inf"], ["--t-end", "-1"],
                                    ["--amplitude", "nan"]],
                          ids=["t_end-inf", "t_end-negative", "amplitude-nan"])
-def test_demo_1d_bad_input_is_usage_error(flags, monkeypatch, tmp_path,
-                                          capsys):
-    assert run(["demo-1d", "--n", "32", *flags], monkeypatch, tmp_path) == 2
+def test_demo_1d_bad_input_is_usage_error(flags, tmp_path, capsys):
+    assert run(["demo-1d", "--n", "32", *flags], tmp_path) == 2
     err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert err["error"] == "usage"
     assert "finite" in err["message"]
     assert not (tmp_path / "manifest.json").exists()
 
 
-def test_demo_1d_overflow_before_first_sample(monkeypatch, tmp_path,
-                                              capsys):
+def test_demo_1d_overflow_before_first_sample(tmp_path, capsys):
     code = run(["demo-1d", "--bc", "dirichlet", "--n", "32",
-                "--amplitude", "1e200"], monkeypatch, tmp_path)
+                "--amplitude", "1e200"], tmp_path)
     assert code == 0
     payload = json.loads((tmp_path / "demo1d.json").read_text())
     assert payload["aborted"] and payload["blowup_suspected"]
@@ -581,8 +592,8 @@ def test_demo_1d_overflow_before_first_sample(monkeypatch, tmp_path,
     assert "max|u_x|=none" in capsys.readouterr().out
 
 
-def test_scaling_reference_gamma(monkeypatch, tmp_path, capsys):
-    code = run(["scaling", "--gamma", "2.91"], monkeypatch, tmp_path)
+def test_scaling_reference_gamma(tmp_path, capsys):
+    code = run(["scaling", "--gamma", "2.91"], tmp_path)
     assert code == 0
     out = capsys.readouterr().out
     assert "0.156" in out
@@ -600,8 +611,8 @@ def test_scaling_reference_gamma(monkeypatch, tmp_path, capsys):
     ("2.00000000000000001", "does_not_apply"),
     ("1.99999999999999999", "decays"),
 ])
-def test_scaling_decision_is_exact(gamma, decision, monkeypatch, tmp_path):
-    assert run(["scaling", "--gamma", gamma], monkeypatch, tmp_path) == 0
+def test_scaling_decision_is_exact(gamma, decision, tmp_path):
+    assert run(["scaling", "--gamma", gamma], tmp_path) == 0
     payload = json.loads((tmp_path / "scaling.json").read_text())
     assert payload["swirl_decay"] == decision
 
@@ -677,8 +688,8 @@ def test_out_dir_under_a_regular_file_is_usage_error(tmp_path, capsys):
     assert blocker.read_text() == ""
 
 
-def test_manifest_lists_real_files(monkeypatch, tmp_path):
-    run(["verify", "--gamma", "1", "--kmax", "1"], monkeypatch, tmp_path)
+def test_manifest_lists_real_files(tmp_path):
+    run(["verify", "--gamma", "1", "--kmax", "1"], tmp_path)
     man = read_manifest(tmp_path)
     import pathlib
     for f in man["outputs"]:

@@ -234,7 +234,7 @@ def test_allowlist_entry_the_cli_reaches_is_stale():
 UNREAD_METHODS = {
     ("PoissonSolver", "residual"):
         "the elliptic residual: the tests' oracle for the solve, and the "
-        "planned per-sample diagnostic of simulate (ROADMAP item 5)",
+        "planned per-sample diagnostic of simulate (ROADMAP item 7)",
     ("ScalarField2D", "from_binary"):
         "the reader of the .bin snapshots that simulate writes; perfbench "
         "and the tests read them with it",
