@@ -229,8 +229,13 @@ def cmd_verify(args) -> int:
             f" = {threshold['U']:g} (U) and k >= 1/gamma"
             f" = {threshold['Omega']:g} (Omega); such orders cannot decay"
             " at infinity"),
-        "verdicts": [v.to_json() for v in rows],
     }
+    if not decay:
+        payload["no_decay_note"] = (
+            "without decay, continuity at Y = 0 on the boundary R = 0 makes"
+            " F = 0 for degree d < 0 and F constant for d = 0; d > 0 is"
+            " inconclusive, witness |Y|^d Theta(phi)")
+    payload["verdicts"] = [v.to_json() for v in rows]
     manifest = RunManifest("verify", {
         "gamma": str(gamma), "kmax": args.kmax, "decay": decay})
     _write_json(manifest.add(out / "triviality.json", rigidity.SCHEMA),
@@ -247,26 +252,30 @@ def cmd_verify(args) -> int:
 def _identity_fields(preset: str, R, Z, epsilon: float):
     import numpy as np
 
+    # the gradient of Psi = R^2 e + epsilon Z e, e = exp(-|Y|^2 / 50), the
+    # identity's only use of Psi, comes first; each full-grid temporary is
+    # dropped once consumed, so that few are alive at once
+    e = np.exp(-(R ** 2 + Z ** 2) / 50.0)
+    dPsi = (
+        (2.0 * R - R ** 2 * 2.0 * R / 50.0 - epsilon * Z * 2.0 * R / 50.0) * e,
+        (-R ** 2 * 2.0 * Z / 50.0 + epsilon * (1.0 - 2.0 * Z ** 2 / 50.0)) * e,
+    )
+    del e
     if preset == "compact":
         # compactly supported bump well inside the cutoff plateau
         rho2 = ((R + 5.0) ** 2 + Z ** 2) / 9.0
         inside = rho2 < 1.0
         denom = np.where(inside, 1.0 - rho2, 1.0)
+        del rho2
         U = np.where(inside, np.exp(-1.0 / denom), 0.0)
         chain = np.where(inside, U / denom ** 2, 0.0)
+        del inside, denom
         dU = (-2.0 * (R + 5.0) / 9.0 * chain, -2.0 * Z / 9.0 * chain)
     elif preset == "gaussian":
         U = np.exp(-((R + 4.0) ** 2 + Z ** 2) / 8.0)
         dU = (-2.0 * (R + 4.0) / 8.0 * U, -2.0 * Z / 8.0 * U)
     else:
         raise UsageError(f"unknown identity preset {preset!r}")
-    # the gradient of Psi = R^2 e + epsilon Z e, e = exp(-|Y|^2 / 50): the
-    # identity reads Psi only through it
-    e = np.exp(-(R ** 2 + Z ** 2) / 50.0)
-    dPsi = (
-        (2.0 * R - R ** 2 * 2.0 * R / 50.0 - epsilon * Z * 2.0 * R / 50.0) * e,
-        (-R ** 2 * 2.0 * Z / 50.0 + epsilon * (1.0 - 2.0 * Z ** 2 / 50.0)) * e,
-    )
     return U, dU, dPsi
 
 
@@ -289,6 +298,8 @@ def cmd_identity(args) -> int:
     payload["preset"] = args.preset
     payload["epsilon"] = args.epsilon
     payload["abs_error"] = abs(result.lhs - result.rhs)
+    payload["closure_residual"] = (result.lhs - result.rhs
+                                   - result.boundary_term)
     manifest = RunManifest("identity", {
         "preset": args.preset, "gamma": gamma, "p": args.p,
         "rho": args.rho, "epsilon": args.epsilon})

@@ -130,8 +130,11 @@ class PoissonSolver:
                                        upper, nz, grid.hz, grid.z_bc)
 
     def solve(self, omega1: np.ndarray) -> np.ndarray:
-        psi = np.zeros_like(omega1)
-        psi[1:-1, self._z] = self._solver.solve(omega1[1:-1, self._z])
+        psi = np.empty_like(omega1)
+        psi[[0, -1]] = 0.0
+        if self.grid.z_bc == "dirichlet":
+            psi[:, [0, -1]] = 0.0
+        self._solver.solve(omega1[1:-1, self._z], out=psi[1:-1, self._z])
         return psi
 
     def residual(self, psi: np.ndarray, omega1: np.ndarray) -> float:

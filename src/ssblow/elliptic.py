@@ -89,12 +89,15 @@ class KroneckerSolver:
         else:
             raise ValueError(f"unknown z boundary tag {z_bc!r}")
 
-    def solve(self, b: np.ndarray) -> np.ndarray:
+    def solve(self, b: np.ndarray,
+              out: np.ndarray | None = None) -> np.ndarray:
+        """x, written into `out` when given (it may be b itself or a view
+        of a larger array: b is read only before out is written)."""
         if self.z_bc == "periodic":
             c = self._to_modes @ b
             y = np.fft.irfft(np.fft.rfft(c, axis=1) / self._denom,
                              n=c.shape[1], axis=1)
-            return self._from_modes @ y
+            return np.matmul(self._from_modes, y, out=out)
         # the coefficients as (nz, modes), so that each step of the sweeps
         # L y = c, D w = y, L^T x = w reads one contiguous row
         c = np.matmul(b.T, self._to_modes.T, out=self._c)
@@ -106,4 +109,4 @@ class KroneckerSolver:
         for m, nxt, row in self._up:
             mul(m, nxt, tmp)
             sub(row, tmp, row)
-        return self._from_modes @ c.T
+        return np.matmul(self._from_modes, c.T, out=out)

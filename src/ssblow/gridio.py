@@ -92,9 +92,8 @@ def diff2(v: np.ndarray, h: float, axis: int,
     return d
 
 
-def trapezoid_2d(values: np.ndarray, h1: float, h2: float) -> float:
-    w1 = np.ones(values.shape[0])
-    w1[[0, -1]] = 0.5
-    w2 = np.ones(values.shape[1])
-    w2[[0, -1]] = 0.5
-    return float(w1 @ values @ w2) * h1 * h2
+def trapezoid_weights(n: int) -> np.ndarray:
+    """Unit-spacing trapezoid weights: h1 h2 (w1 @ f @ w2) integrates f."""
+    w = np.ones(n)
+    w[[0, -1]] = 0.5
+    return w

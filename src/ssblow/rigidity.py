@@ -18,9 +18,11 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .elliptic import KroneckerSolver
-from .gridio import diff1, diff2, trapezoid_2d
+from .gridio import diff1, diff2, trapezoid_weights
 
 SCHEMA = "rigidity/1"
+
+ROWS = 32  # R rows per block of the grid sweeps: 205 kB at the default nZ
 
 
 class BoundaryViolation(ValueError):
@@ -90,7 +92,7 @@ class TrivialityVerdict:
     case: str  # "nonzero_coefficient" | "zero_coefficient_ray_constant"
     degree: float
     coefficient: float
-    conclusion: str  # "trivial_under_decay" | "inconclusive"
+    conclusion: str  # trivial_under_decay, *_by_continuity or inconclusive
     field: str = ""
     k: int = 0
     gamma: float = 0.0
@@ -106,7 +108,9 @@ def classify_triviality(gamma, k: int, field: str,
     Nonzero c: homogeneous nontrivial solutions blow up along rays either
     at infinity (d > 0) or at the origin (d < 0), so decay plus
     continuity forces F = 0.  Zero c: F is constant along rays and decay
-    forces F = 0.  Without the decay hypothesis nothing follows.
+    forces F = 0.  Without decay, continuity at Y = 0 (on the boundary R = 0)
+    forces F = 0 for d < 0 and F constant for d = 0, as F(Y) = |Y|^d F(Y/|Y|);
+    d > 0 is open, with the witness |Y|^d Theta(phi).
 
     Raises ValueError when c or d has no finite float.
     """
@@ -121,7 +125,10 @@ def classify_triviality(gamma, k: int, field: str,
         raise ValueError(f"gamma={gamma}, k={k}: the coefficient or the "
                          "degree is not a finite float")
     case = "zero_coefficient_ray_constant" if c == 0 else "nonzero_coefficient"
-    conclusion = "trivial_under_decay" if decay_at_infinity else "inconclusive"
+    conclusion = ("trivial_under_decay" if decay_at_infinity
+                  else "trivial_by_continuity" if d < 0
+                  else "constant_by_continuity" if d == 0
+                  else "inconclusive")
     return TrivialityVerdict(case, d_f, c_f, conclusion, field, k, float(g))
 
 
@@ -263,41 +270,39 @@ def ibp_identity_check(grid: HalfPlaneGrid, mesh, U: np.ndarray, dU, dPsi,
     """
     if p < 2 or p % 2:
         raise ValueError("p must be a positive even integer")
-    hR, hZ = grid.hR, grid.hZ
     R, Z = mesh
-    rad = np.hypot(R, Z)
-
     psi_R, psi_Z = dPsi
     U_R, U_Z = dU
-
-    sigma = smooth_cutoff(rad / rho)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        sfac = smooth_cutoff_deriv(rad / rho) / (rho * rad)
-    sfac = np.nan_to_num(sfac, nan=0.0, posinf=0.0, neginf=0.0)
-    dsig_R = sfac * R
-    dsig_Z = sfac * Z
-    # every array here is a full grid (2.6 MB on the default one); dropping
-    # each once no term needs it keeps about 15 alive at the peak, the
-    # caller's five included, instead of 18
-    del rad, sfac
-
-    bR = gamma * R - psi_Z
-    bZ = gamma * Z + psi_R
-    Up = U ** p
-
-    lhs = 2.0 * gamma * trapezoid_2d(Up * sigma, hR, hZ)
-    cutoff_term = -trapezoid_2d(Up * (dsig_R * bR + dsig_Z * bZ), hR, hZ)
-    del dsig_R, dsig_Z
-    gradUp_R = p * U ** (p - 1) * U_R
-    gradUp_Z = p * U ** (p - 1) * U_Z
-    transport_term = trapezoid_2d(sigma * (bR * gradUp_R + bZ * gradUp_Z), hR, hZ)
+    w1, w2 = trapezoid_weights(grid.nR), trapezoid_weights(grid.nZ)
+    # the trapezoid weights are separable, so each integral is a sum over
+    # blocks of R rows: no integrand exists on the full grid
+    lhs = cutoff_term = transport_term = 0.0
+    for i in range(0, grid.nR, ROWS):
+        rows = slice(i, i + ROWS)
+        Rb, Zb, w = R[rows], Z[rows], w1[rows]
+        rad = np.hypot(Rb, Zb)
+        sigma = smooth_cutoff(rad / rho)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            sfac = smooth_cutoff_deriv(rad / rho) / (rho * rad)
+        sfac = np.nan_to_num(sfac, nan=0.0, posinf=0.0, neginf=0.0)
+        bR = gamma * Rb - psi_Z[rows]
+        bZ = gamma * Zb + psi_R[rows]
+        Up = U[rows] ** p
+        lhs += w @ (Up * sigma) @ w2
+        cutoff_term += w @ (Up * (sfac * Rb * bR + sfac * Zb * bZ)) @ w2
+        gradUp_R = p * U[rows] ** (p - 1) * U_R[rows]
+        gradUp_Z = p * U[rows] ** (p - 1) * U_Z[rows]
+        transport_term += w @ (sigma * (bR * gradUp_R + bZ * gradUp_Z)) @ w2
+    lhs = 2.0 * gamma * (float(lhs) * grid.hR * grid.hZ)
+    cutoff_term = -(float(cutoff_term) * grid.hR * grid.hZ)
+    transport_term = float(transport_term) * grid.hR * grid.hZ
     rhs = cutoff_term - transport_term
 
-    # outward normal (1, 0) on the R = 0 column; gamma*R vanishes there
-    flux = (Up[-1, :] * sigma[-1, :] * (gamma * R[-1, :] - psi_Z[-1, :]))
-    boundary = float(np.trapezoid(flux, dx=hZ))
-    return IbpResult(float(lhs), float(rhs), boundary,
-                     float(cutoff_term), float(-transport_term))
+    # outward normal (1, 0) on the R = 0 row, the last block's last;
+    # gamma*R vanishes there
+    flux = Up[-1] * sigma[-1] * (gamma * Rb[-1] - psi_Z[-1])
+    boundary = float(np.trapezoid(flux, dx=grid.hZ))
+    return IbpResult(lhs, rhs, boundary, cutoff_term, -transport_term)
 
 
 # ---------------------------------------------------------------------------
@@ -323,14 +328,15 @@ def _laplace_solve(grid: HalfPlaneGrid, boundary: Callable) -> np.ndarray:
     `boundary` is evaluated on the four edges only."""
     hR, hZ = grid.hR, grid.hZ
     r, z = grid.axes()
-    psi = np.empty((grid.nR, grid.nZ))
+    psi = np.zeros((grid.nR, grid.nZ))
     # the R = R_min and R = 0 rows, then the Z = Z_min and Z = Z_max
     # columns between them; the solve fills the interior
     psi[[0, -1]] = boundary(*np.meshgrid(r[[0, -1]], z, indexing="ij"))
     psi[1:-1, [0, -1]] = boundary(*np.meshgrid(r[1:-1], z[[0, -1]],
                                                indexing="ij"))
 
-    rhs = np.zeros((grid.nR - 2, grid.nZ - 2))
+    # the interior holds the right-hand side until the solve overwrites it
+    rhs = psi[1:-1, 1:-1]
     rhs[0, :] += psi[0, 1:-1] / hR ** 2
     rhs[-1, :] += psi[-1, 1:-1] / hR ** 2
     rhs[:, 0] += psi[1:-1, 0] / hZ ** 2
@@ -338,7 +344,7 @@ def _laplace_solve(grid: HalfPlaneGrid, boundary: Callable) -> np.ndarray:
     off = np.full(grid.nR - 3, -1.0 / hR ** 2)
     solver = KroneckerSolver(off, np.full(grid.nR - 2, 2.0 / hR ** 2), off,
                              grid.nZ - 2, hZ, "dirichlet")
-    psi[1:-1, 1:-1] = solver.solve(rhs)
+    solver.solve(rhs, out=rhs)
     return psi
 
 
@@ -363,24 +369,31 @@ def psi_endgame(omega_is_zero: bool, grid: HalfPlaneGrid,
             f"far-field data varies along R=0 (max |d_Z| ~ {bc_residual:.3e})")
 
     psi = _laplace_solve(grid, far_field)
-    lap = diff2(psi, grid.hR, 0) + diff2(psi, grid.hZ, 1)
-    solver_residual = float(np.max(np.abs(lap[1:-1, 1:-1])))
-
     # least squares of Psi ~ a R + b over every grid point: R is constant
     # along Z, so the fit of the Z-means on R gives the same a and b
     m = psi.mean(axis=1)
     dr = r - r.mean()
     a = float(dr @ (m - m.mean()) / (dr @ dr))
     b = float(m.mean() - a * r.mean())
-    fit_residual = float(np.max(np.abs(psi - (a * r + b)[:, None])))
+    fit = a * r + b
 
+    # both residuals over blocks of interior R rows with one row either side
+    res = []
+    for i in range(1, grid.nR - 1, ROWS):
+        rows = slice(i - 1, i + ROWS + 1)
+        lap = diff2(psi[rows], grid.hR, 0) + diff2(psi[rows], grid.hZ, 1)
+        res.append((np.max(np.abs(lap[1:-1, 1:-1])),
+                    np.max(np.abs(psi[rows] - fit[rows, None]))))
+    solver_residual, fit_residual = map(float, np.max(res, axis=0))
+
+    del psi
     decay = []
     for half in radii:
         sub = HalfPlaneGrid(-half, -half, half, grid.nR, grid.nZ)
-        psih = _laplace_solve(sub, far_field)
         rh, zh = sub.axes()
         # d_Z on the core |R|, |Z| <= half/4: the core rows, then columns
-        dZ = diff1(psih[np.abs(rh) <= half / 4], sub.hZ, 1)
+        dZ = diff1(_laplace_solve(sub, far_field)[np.abs(rh) <= half / 4],
+                   sub.hZ, 1)
         core = dZ[:, np.abs(zh) <= half / 4]
         decay.append((float(half), float(np.max(np.abs(core)))))
     return PsiEndgameReport(a, b, fit_residual, bc_residual,

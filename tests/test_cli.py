@@ -261,6 +261,24 @@ def test_verify_gamma_two(tmp_path):
         assert by[("U", k)]["case"] == "nonzero_coefficient"
 
 
+def test_verify_no_decay_concludes_by_the_sign_of_the_degree(tmp_path):
+    # at gamma = 2/5 the degrees are k - 2 (U) and k - 5/2 (Omega)
+    argv = ["verify", "--gamma", "2/5", "--kmax", "3"]
+    assert run([*argv, "--no-decay"], tmp_path) == 0
+    payload = json.loads((tmp_path / "triviality.json").read_text())
+    got = {(v["field"], v["k"]): v["conclusion"] for v in payload["verdicts"]}
+    assert got == {
+        ("U", 0): "trivial_by_continuity", ("U", 1): "trivial_by_continuity",
+        ("U", 2): "constant_by_continuity", ("U", 3): "inconclusive",
+        ("Omega", 0): "trivial_by_continuity",
+        ("Omega", 1): "trivial_by_continuity",
+        ("Omega", 2): "trivial_by_continuity", ("Omega", 3): "inconclusive"}
+    assert "witness |Y|^d Theta(phi)" in payload["no_decay_note"]
+    assert run(argv, tmp_path / "decay") == 0
+    payload = json.loads((tmp_path / "decay" / "triviality.json").read_text())
+    assert "no_decay_note" not in payload
+
+
 def test_verify_invalid_gamma(tmp_path):
     assert run(["verify", "--gamma", "0"], tmp_path) == 2
     assert run(["verify", "--gamma", "-1/2"], tmp_path) == 2
@@ -306,6 +324,26 @@ def test_identity_compact(tmp_path):
     payload = json.loads((tmp_path / "identity.json").read_text())
     assert payload["abs_error"] <= 1e-6 * max(abs(payload["lhs"]), 1.0)
     assert abs(payload["boundary_term"]) <= 1e-8
+
+
+#: lhs - rhs - boundary_term for gaussian at gamma = 2, as first recorded to
+#: two significant digits; the test allows half a unit of the last one
+CLOSURE = {"0": -4.3e-4, "1e-3": -4.3e-4, "1": -6.0e-4, "100": -1.7e-2}
+
+
+@pytest.mark.parametrize("epsilon", sorted(CLOSURE))
+def test_identity_closure_residual(epsilon, tmp_path):
+    assert run(["identity", "--preset", "gaussian", "--epsilon", epsilon],
+               tmp_path) == 0
+    payload = json.loads((tmp_path / "identity.json").read_text())
+    keys = list(payload)
+    assert keys.index("closure_residual") == keys.index("abs_error") + 1
+    closure = payload["closure_residual"]
+    assert closure == (payload["lhs"] - payload["rhs"]
+                       - payload["boundary_term"])
+    want = CLOSURE[epsilon]
+    assert abs(closure - want) <= 0.05 * 10 ** math.floor(
+        math.log10(abs(want)))
 
 
 def test_identity_builds_the_mesh_once(monkeypatch, tmp_path):

@@ -43,3 +43,25 @@ def test_dirichlet_solves_do_not_share_results():
     assert np.array_equal(x1, kept)
     assert np.array_equal(solver.solve(b1), kept)
     assert not np.shares_memory(x1, x2)
+
+
+@pytest.mark.parametrize("z_bc", ["periodic", "dirichlet"])
+def test_solve_into_out_keeps_the_bits(z_bc):
+    # out may be b itself or a strided interior view of a larger array,
+    # as the two callers pass it; either must give the bits of out=None
+    rng = np.random.default_rng(11)
+    nr, nz = 33, 64
+    solver = KroneckerSolver(-rng.uniform(0.5, 1.0, nr - 1),
+                             2.0 + rng.uniform(0.0, 1.0, nr),
+                             -rng.uniform(0.5, 1.0, nr - 1), nz, 0.3, z_bc)
+    big = rng.standard_normal((nr + 2, nz + 2))
+    b = big[1:-1, 1:-1].copy()
+    want = solver.solve(b.copy())
+    assert np.array_equal(solver.solve(b, out=b), want)
+    assert np.array_equal(b, want)
+    view = big[1:-1, 1:-1]
+    edges = big.copy()
+    assert solver.solve(view, out=view) is view
+    assert np.array_equal(view, want)
+    edges[1:-1, 1:-1] = want
+    assert np.array_equal(big, edges)

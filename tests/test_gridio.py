@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ssblow.cylsim import CylGrid
-from ssblow.gridio import ScalarField2D, diff1, diff2, trapezoid_2d
+from ssblow.gridio import ScalarField2D, diff1, diff2, trapezoid_weights
 from ssblow.sscalc import json_text
 
 
@@ -115,7 +115,8 @@ def test_trapezoid_exact_on_bilinear():
     x = np.linspace(0.0, 1.0, 11)
     y = np.linspace(0.0, 1.0, 21)
     X, Y = np.meshgrid(x, y, indexing="ij")
-    val = trapezoid_2d(2.0 + 3.0 * X + 4.0 * Y, x[1] - x[0], y[1] - y[0])
+    w1, w2 = trapezoid_weights(x.size), trapezoid_weights(y.size)
+    val = w1 @ (2.0 + 3.0 * X + 4.0 * Y) @ w2 * (x[1] - x[0]) * (y[1] - y[0])
     assert val == pytest.approx(2.0 + 1.5 + 2.0, rel=1e-13)
 
 

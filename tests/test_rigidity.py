@@ -2,13 +2,16 @@
 and the harmonic endgame."""
 
 import math
+import tracemalloc
+from dataclasses import asdict
 from fractions import Fraction
 
 import numpy as np
 import pytest
+import sympy as sp
 
-from ssblow import rigidity as rg
-from ssblow.gridio import diff1
+from ssblow import cli, rigidity as rg
+from ssblow.gridio import diff1, diff2, trapezoid_weights
 
 
 # -- homogeneity degrees and classification ---------------------------------
@@ -41,6 +44,44 @@ def test_classify_no_decay_inconclusive():
     for gamma in (Fraction(2), 1.3):
         v = rg.classify_triviality(gamma, 1, "Omega", decay_at_infinity=False)
         assert v.conclusion == "inconclusive"
+
+
+@pytest.mark.parametrize("gamma", [Fraction(2, 5), Fraction(1, 2), Fraction(2)],
+                         ids=["2/5", "1/2", "2"])
+def test_no_decay_concludes_by_the_sign_of_the_degree(gamma):
+    want = {-1: "trivial_by_continuity", 0: "constant_by_continuity",
+            1: "inconclusive"}
+    signs = set()
+    for k in range(6):
+        for field, half in (("U", Fraction(1, 2)), ("Omega", 0)):
+            d = k + half - 1 / gamma
+            sign = (d > 0) - (d < 0)
+            signs.add(sign)
+            v = rg.classify_triviality(gamma, k, field,
+                                       decay_at_infinity=False)
+            assert v.conclusion == want[sign], (field, k)
+            assert rg.classify_triviality(gamma, k, field).conclusion \
+                == "trivial_under_decay"
+    assert signs == {-1, 0, 1}
+
+
+@pytest.mark.parametrize("gamma", [Fraction(2, 5), Fraction(1, 2), Fraction(2)],
+                         ids=["2/5", "1/2", "2"])
+def test_no_decay_witness_solves_the_transport_equation(gamma):
+    # |Y|^d Theta(phi), phi the polar angle, solves c F + gamma Y.grad F = 0
+    # for any Theta: the witness that leaves d > 0 open without decay
+    R, Z = sp.symbols("R Z", real=True)
+    theta = sp.Function("Theta")
+    g = sp.Rational(gamma.numerator, gamma.denominator)
+    for k in range(4):
+        for field in ("U", "Omega"):
+            v = rg.classify_triviality(gamma, k, field)
+            c = sp.Rational(str(rg._coefficient(gamma, k, field)))
+            d = -c / g
+            assert float(d) == v.degree
+            F = (R ** 2 + Z ** 2) ** (d / 2) * theta(sp.atan2(Z, R))
+            assert sp.simplify(c * F + g * (R * F.diff(R) + Z * F.diff(Z))) \
+                == 0, (field, k)
 
 
 def test_classify_rejects_nonpositive_gamma():
@@ -280,3 +321,119 @@ def test_half_plane_grid_ends_on_the_boundary(grid):
     assert last == pytest.approx(0.0, abs=1e-12)
     with pytest.raises(TypeError):
         rg.HalfPlaneGrid(R_max=-2.0)
+
+
+# -- the row blocks against full-grid references ------------------------------
+
+
+def gaussian_bump(grid):
+    R, Z = grid.mesh()
+    U = np.exp(-((R + 4.0) ** 2 + Z ** 2) / 8.0)
+    return U, (-(R + 4.0) / 4.0 * U, -Z / 4.0 * U)
+
+
+def ibp_full_grid(grid, mesh, U, dU, dPsi, gamma, p=2, rho=10.0):
+    """The identity with every integrand on the full grid, as computed
+    before the row blocks: the reference for the blocked sums."""
+    R, Z = mesh
+    (psi_R, psi_Z), (U_R, U_Z) = dPsi, dU
+    w1, w2 = trapezoid_weights(grid.nR), trapezoid_weights(grid.nZ)
+
+    def integral(values):
+        return float(w1 @ values @ w2) * grid.hR * grid.hZ
+
+    rad = np.hypot(R, Z)
+    sigma = rg.smooth_cutoff(rad / rho)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        sfac = rg.smooth_cutoff_deriv(rad / rho) / (rho * rad)
+    sfac = np.nan_to_num(sfac, nan=0.0, posinf=0.0, neginf=0.0)
+    bR, bZ, Up = gamma * R - psi_Z, gamma * Z + psi_R, U ** p
+    lhs = 2.0 * gamma * integral(Up * sigma)
+    cutoff = -integral(Up * (sfac * R * bR + sfac * Z * bZ))
+    transport = integral(sigma * (bR * p * U ** (p - 1) * U_R
+                                  + bZ * p * U ** (p - 1) * U_Z))
+    flux = Up[-1] * sigma[-1] * (gamma * R[-1] - psi_Z[-1])
+    return rg.IbpResult(lhs, cutoff - transport,
+                        float(np.trapezoid(flux, dx=grid.hZ)), cutoff,
+                        -transport)
+
+
+@pytest.mark.parametrize("p", [2, 4])
+@pytest.mark.parametrize("eps", [0.0, 1.0])
+@pytest.mark.parametrize("bump", [compact_bump, gaussian_bump],
+                         ids=["compact", "gaussian"])
+@pytest.mark.parametrize("grid", [
+    rg.HalfPlaneGrid(),
+    # a last block of one row, the R = 0 boundary alone
+    rg.HalfPlaneGrid(-10.0, -10.0, 10.0, 2 * rg.ROWS + 1, 101),
+], ids=["default", "lone-last-row"])
+def test_ibp_blocks_match_the_full_grid_sums(grid, bump, eps, p):
+    U, dU = bump(grid)
+    args = (grid, grid.mesh(), U, dU, psi_even(grid, eps), 2.0)
+    got = asdict(rg.ibp_identity_check(*args, p=p))
+    want = asdict(ibp_full_grid(*args, p=p))
+    for name, value in want.items():
+        assert abs(got[name] - value) <= 1e-12 * max(abs(value), 1.0), name
+    # the flux is one row's sum either way
+    assert got["boundary_term"] == want["boundary_term"]
+
+
+@pytest.mark.parametrize("grid", [
+    rg.HalfPlaneGrid(),
+    rg.HalfPlaneGrid(-1.0, -1.0, 1.0, 3, 4),
+    rg.HalfPlaneGrid(-3.0, -2.0, 5.0, rg.ROWS + 2, 17),
+    rg.HalfPlaneGrid(-3.0, -2.0, 5.0, rg.ROWS + 3, 17),
+], ids=["default", "two-point", "one-block", "one-row-more"])
+def test_psi_endgame_residuals_match_the_full_grid(grid):
+    # the blocks take diff2 on each row block, so the maxima keep the bits
+    # of the full-grid arrays
+    def far_field(R, Z):
+        return 3.0 * R + 7.0 + R * Z + 0.01 * (R ** 3 - 3.0 * R * Z ** 2)
+
+    rep = rg.psi_endgame(True, grid, far_field)
+    psi = rg._laplace_solve(grid, far_field)
+    lap = diff2(psi, grid.hR, 0) + diff2(psi, grid.hZ, 1)
+    assert rep.solver_residual == float(np.max(np.abs(lap[1:-1, 1:-1])))
+    r, _ = grid.axes()
+    assert rep.fit_residual == float(
+        np.max(np.abs(psi - (rep.a * r + rep.b)[:, None])))
+
+
+# -- live-memory guards -------------------------------------------------------
+
+#: one float array on the default 401 x 801 grid, in MB: each guard below
+#: allows this much over the live peak measured when it was set
+GRID_MB = 401 * 801 * 8 / 1e6
+
+
+def live_peak_mb(fn):
+    """tracemalloc's peak of live allocations while fn runs, in MB."""
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    base = tracemalloc.get_traced_memory()[0]
+    tracemalloc.reset_peak()
+    try:
+        fn()
+        return (tracemalloc.get_traced_memory()[1] - base) / 1e6
+    finally:
+        if started:
+            tracemalloc.stop()
+
+
+def test_psi_endgame_live_peak():
+    # 15.4 MB measured (26.7 MB with the full-grid right-hand side, solve
+    # copy and residual arrays)
+    peak = live_peak_mb(lambda: rg.psi_endgame(
+        True, rg.HalfPlaneGrid(), lambda R, Z: 2.0 * R + 1.0,
+        radii=(10.0, 20.0)))
+    assert peak <= 15.4 + GRID_MB
+
+
+@pytest.mark.parametrize("preset", ["compact", "gaussian"])
+def test_identity_live_peak(preset, tmp_path):
+    # 21.1 MB measured (38.7 MB with full-grid integrands and the field
+    # temporaries kept to the end)
+    peak = live_peak_mb(lambda: cli.main(
+        ["identity", "--preset", preset, "--out", str(tmp_path)]))
+    assert peak <= 21.1 + GRID_MB
