@@ -253,23 +253,19 @@ def _identity_fields(preset: str, R, Z, epsilon: float):
     import numpy as np
 
     # the gradient of Psi = R^2 e + epsilon Z e, e = exp(-|Y|^2 / 50), the
-    # identity's only use of Psi, comes first; each full-grid temporary is
-    # dropped once consumed, so that few are alive at once
+    # identity's only use of Psi
     e = np.exp(-(R ** 2 + Z ** 2) / 50.0)
     dPsi = (
         (2.0 * R - R ** 2 * 2.0 * R / 50.0 - epsilon * Z * 2.0 * R / 50.0) * e,
         (-R ** 2 * 2.0 * Z / 50.0 + epsilon * (1.0 - 2.0 * Z ** 2 / 50.0)) * e,
     )
-    del e
     if preset == "compact":
         # compactly supported bump well inside the cutoff plateau
         rho2 = ((R + 5.0) ** 2 + Z ** 2) / 9.0
         inside = rho2 < 1.0
         denom = np.where(inside, 1.0 - rho2, 1.0)
-        del rho2
         U = np.where(inside, np.exp(-1.0 / denom), 0.0)
         chain = np.where(inside, U / denom ** 2, 0.0)
-        del inside, denom
         dU = (-2.0 * (R + 5.0) / 9.0 * chain, -2.0 * Z / 9.0 * chain)
     elif preset == "gaussian":
         U = np.exp(-((R + 4.0) ** 2 + Z ** 2) / 8.0)
@@ -289,10 +285,9 @@ def cmd_identity(args) -> int:
 
     started = time.monotonic()
     grid = rigidity.HalfPlaneGrid()
-    mesh = grid.mesh()
-    U, dU, dPsi = _identity_fields(args.preset, *mesh, args.epsilon)
-    result = rigidity.ibp_identity_check(grid, mesh, U, dU, dPsi, gamma,
-                                         p=args.p, rho=args.rho)
+    result = rigidity.ibp_identity_check(
+        grid, lambda R, Z: _identity_fields(args.preset, R, Z, args.epsilon),
+        gamma, p=args.p, rho=args.rho)
     out = _out_dir(args)
     payload = result.to_json()
     payload["preset"] = args.preset

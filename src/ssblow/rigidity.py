@@ -66,10 +66,6 @@ class HalfPlaneGrid:
             np.linspace(self.Z_min, self.Z_max, self.nZ),
         )
 
-    def mesh(self):
-        R, Z = self.axes()
-        return np.meshgrid(R, Z, indexing="ij")
-
 
 # ---------------------------------------------------------------------------
 # homogeneity / triviality classification
@@ -245,9 +241,8 @@ class IbpResult:
         return {"schema": SCHEMA, **asdict(self)}
 
 
-def ibp_identity_check(grid: HalfPlaneGrid, mesh, U: np.ndarray, dU, dPsi,
-                       gamma: float, p: int = 2,
-                       rho: float = 10.0) -> IbpResult:
+def ibp_identity_check(grid: HalfPlaneGrid, fields: Callable, gamma: float,
+                       p: int = 2, rho: float = 10.0) -> IbpResult:
     """Cutoff integration-by-parts identity on the half-plane.
 
     With b = gamma Y + perp-grad Psi and sigma_rho the scaled cutoff,
@@ -263,35 +258,34 @@ def ibp_identity_check(grid: HalfPlaneGrid, mesh, U: np.ndarray, dU, dPsi,
     is zero when d_Z Psi vanishes there: a boundary-condition violation
     shows as a nonzero flux, not as an error.
 
-    mesh is the (R, Z) pair of grid.mesh(), which the caller has built
-    for U anyway; U holds the values on it, and dU and dPsi are the
-    (d/dR, d/dZ) array pairs of U and Psi on the same mesh.  Psi itself
-    enters only through its gradient.
+    fields(R, Z) returns U, its gradient (U_R, U_Z) and the gradient
+    (Psi_R, Psi_Z) of Psi as arrays on the mesh R, Z it is given; Psi
+    itself enters only through its gradient.
     """
     if p < 2 or p % 2:
         raise ValueError("p must be a positive even integer")
-    R, Z = mesh
-    psi_R, psi_Z = dPsi
-    U_R, U_Z = dU
+    r, z = grid.axes()
     w1, w2 = trapezoid_weights(grid.nR), trapezoid_weights(grid.nZ)
     # the trapezoid weights are separable, so each integral is a sum over
-    # blocks of R rows: no integrand exists on the full grid
+    # blocks of R rows: no mesh, field or integrand exists on the full grid
     lhs = cutoff_term = transport_term = 0.0
     for i in range(0, grid.nR, ROWS):
         rows = slice(i, i + ROWS)
-        Rb, Zb, w = R[rows], Z[rows], w1[rows]
+        Rb, Zb = np.meshgrid(r[rows], z, indexing="ij")
+        U, (U_R, U_Z), (psi_R, psi_Z) = fields(Rb, Zb)
+        w = w1[rows]
         rad = np.hypot(Rb, Zb)
         sigma = smooth_cutoff(rad / rho)
         with np.errstate(invalid="ignore", divide="ignore"):
             sfac = smooth_cutoff_deriv(rad / rho) / (rho * rad)
         sfac = np.nan_to_num(sfac, nan=0.0, posinf=0.0, neginf=0.0)
-        bR = gamma * Rb - psi_Z[rows]
-        bZ = gamma * Zb + psi_R[rows]
-        Up = U[rows] ** p
+        bR = gamma * Rb - psi_Z
+        bZ = gamma * Zb + psi_R
+        Up = U ** p
         lhs += w @ (Up * sigma) @ w2
         cutoff_term += w @ (Up * (sfac * Rb * bR + sfac * Zb * bZ)) @ w2
-        gradUp_R = p * U[rows] ** (p - 1) * U_R[rows]
-        gradUp_Z = p * U[rows] ** (p - 1) * U_Z[rows]
+        gradUp_R = p * U ** (p - 1) * U_R
+        gradUp_Z = p * U ** (p - 1) * U_Z
         transport_term += w @ (sigma * (bR * gradUp_R + bZ * gradUp_Z)) @ w2
     lhs = 2.0 * gamma * (float(lhs) * grid.hR * grid.hZ)
     cutoff_term = -(float(cutoff_term) * grid.hR * grid.hZ)

@@ -124,34 +124,39 @@ def test_acceptance_3_triviality_sweep():
 def test_acceptance_4_ibp_identity():
     t0 = time.monotonic()
     grid = rg.HalfPlaneGrid(nR=401, nZ=801)
-    R, Z = grid.mesh()
 
-    # compactly supported bump with analytic gradient, inside sigma = 1
-    rho2 = ((R + 5.0) ** 2 + Z ** 2) / 9.0
-    inside = rho2 < 1.0
-    denom = np.where(inside, 1.0 - rho2, 1.0)
-    Uv = np.where(inside, np.exp(-1.0 / denom), 0.0)
-    chain = np.where(inside, Uv / denom ** 2, 0.0)
-    dU = (-2.0 * (R + 5.0) / 9.0 * chain, -2.0 * Z / 9.0 * chain)
+    def compact(R, Z):
+        # compactly supported bump with analytic gradient, inside sigma = 1
+        rho2 = ((R + 5.0) ** 2 + Z ** 2) / 9.0
+        inside = rho2 < 1.0
+        denom = np.where(inside, 1.0 - rho2, 1.0)
+        Uv = np.where(inside, np.exp(-1.0 / denom), 0.0)
+        chain = np.where(inside, Uv / denom ** 2, 0.0)
+        return Uv, (-2.0 * (R + 5.0) / 9.0 * chain, -2.0 * Z / 9.0 * chain)
 
-    def grad_psi(eps):
-        # the gradient of Psi = (R^2 + eps Z) exp(-|Y|^2 / 50)
-        e = np.exp(-(R ** 2 + Z ** 2) / 50.0)
-        return ((2.0 * R - (R ** 2 + eps * Z) * 2.0 * R / 50.0) * e,
-                (eps - (R ** 2 + eps * Z) * 2.0 * Z / 50.0) * e)
+    def gaussian(R, Z):
+        Ug = np.exp(-((R + 4.0) ** 2 + Z ** 2) / 8.0)
+        return Ug, (-(R + 4.0) / 4.0 * Ug, -Z / 4.0 * Ug)
 
-    res = rg.ibp_identity_check(grid, (R, Z), Uv, dU, grad_psi(0.0), 2.0)
+    def fields(bump, eps):
+        def on_mesh(R, Z):
+            # the gradient of Psi = (R^2 + eps Z) exp(-|Y|^2 / 50)
+            e = np.exp(-(R ** 2 + Z ** 2) / 50.0)
+            grad_psi = ((2.0 * R - (R ** 2 + eps * Z) * 2.0 * R / 50.0) * e,
+                        (eps - (R ** 2 + eps * Z) * 2.0 * Z / 50.0) * e)
+            return (*bump(R, Z), grad_psi)
+        return on_mesh
+
+    res = rg.ibp_identity_check(grid, fields(compact, 0.0), 2.0)
     err = abs(res.lhs - res.rhs)
     tol = 1e-6 * max(abs(res.lhs), 1.0)
     ok = err <= tol and abs(res.boundary_term) <= 1e-8
 
     # boundary-condition violation: the flux must scale linearly in eps
-    Ug = np.exp(-((R + 4.0) ** 2 + Z ** 2) / 8.0)
-    dUg = (-(R + 4.0) / 4.0 * Ug, -Z / 4.0 * Ug)
     flux = {}
     for eps in (1e-2, 1e-3):
-        flux[eps] = rg.ibp_identity_check(grid, (R, Z), Ug, dUg,
-                                          grad_psi(eps), 2.0).boundary_term
+        flux[eps] = rg.ibp_identity_check(grid, fields(gaussian, eps),
+                                          2.0).boundary_term
     ratio = flux[1e-2] / flux[1e-3]
     ok &= abs(ratio - 10.0) <= 2.0
     dt = time.monotonic() - t0

@@ -194,6 +194,46 @@ def test_large_outputs_are_pinned(name, tmp_path):
     assert hashlib.sha256(data).hexdigest() == digest
 
 
+#: sha256 of identity.json from `ssblow identity --preset P --epsilon E
+#: --p N` as the full-grid fields gave it: the per-block fields keep its bits
+IDENTITY_SHA256 = {
+    ("compact", "0", "2"):
+        "758e194684668f9e047212acd3cedd132faf4ce7caff4d79cc4116eb81094790",
+    ("compact", "0", "4"):
+        "ced15b127b983824335dd8e407769c608e251fb2e5402619ceae078ef14aff44",
+    ("compact", "1e-3", "2"):
+        "083735e9e6cb81500af316eb14994f5ffa5200a5d182d4bbfe61ba5800749c60",
+    ("compact", "1e-3", "4"):
+        "b69c8715ff68b37c42cc66cc48f9ff85c64f419821c6bd226442506b13b51c94",
+    ("compact", "100", "2"):
+        "d7bb3bfd8575c4da7c45472ac60570a7d0b6d5353822c29793f7dfd20325c14a",
+    ("compact", "100", "4"):
+        "184c574c800fad7dbc71fd0d2c403f6327dd10d4b535f86d973ed547bd5aa72e",
+    ("gaussian", "0", "2"):
+        "ab7d6636d02ddab41c87c135ed57388acc1929f1c62d7a65e6bc8f7e2924e960",
+    ("gaussian", "0", "4"):
+        "950ff1f57bdaee25f7c994006dd2736a1ae8aa080f0195572faf2deffdd28a9f",
+    ("gaussian", "1e-3", "2"):
+        "26240981a1b2f9934d896260c6429fe70a36d02128e938b24052bf45416ca72d",
+    ("gaussian", "1e-3", "4"):
+        "e815398e7618fa0fa40f52db5d8c8cfd3394cf1b08eaa2d8c766979457a9d7ab",
+    ("gaussian", "100", "2"):
+        "d2246e57992ea5b8f5b2744deb648218e0de579ec53626ea48d35a64b5371d97",
+    ("gaussian", "100", "4"):
+        "e5f2363979a0341c570f19398aa9b5b38b44bf10c4f07b7d2e6a6f8b68348610",
+}
+
+
+@pytest.mark.parametrize("case", sorted(IDENTITY_SHA256),
+                         ids="-".join)
+def test_identity_outputs_are_pinned(case, tmp_path):
+    preset, epsilon, p = case
+    argv = ["identity", "--preset", preset, "--epsilon", epsilon, "--p", p]
+    assert run(argv, tmp_path) == 0
+    data = (tmp_path / "identity.json").read_bytes()
+    assert hashlib.sha256(data).hexdigest() == IDENTITY_SHA256[case]
+
+
 # -- verify -----------------------------------------------------------------
 
 
@@ -347,17 +387,22 @@ def test_identity_closure_residual(epsilon, tmp_path):
 
 
 def test_identity_builds_the_mesh_once(monkeypatch, tmp_path):
-    # the fields and the check share one R, Z pair (2.6 MB each)
-    builds = []
-    mesh = rigidity.HalfPlaneGrid.mesh
+    # the check builds each R row of the mesh once, one block of
+    # rigidity.ROWS rows at a time: no full-grid mesh (2.6 MB) exists
+    shapes = []
+    meshgrid = np.meshgrid
 
-    def counted(grid):
-        builds.append(grid)
-        return mesh(grid)
+    def counted(*axes, **kwargs):
+        mesh = meshgrid(*axes, **kwargs)
+        shapes.append(mesh[0].shape)
+        return mesh
 
-    monkeypatch.setattr(rigidity.HalfPlaneGrid, "mesh", counted)
+    monkeypatch.setattr(np, "meshgrid", counted)
     assert run(["identity", "--preset", "gaussian"], tmp_path) == 0
-    assert len(builds) == 1
+    grid = rigidity.HalfPlaneGrid()
+    assert all(rows <= rigidity.ROWS and cols == grid.nZ
+               for rows, cols in shapes)
+    assert sum(rows for rows, _ in shapes) == grid.nR
 
 
 # -- simulate and fit -------------------------------------------------------

@@ -11,7 +11,7 @@ import pytest
 import sympy as sp
 
 from ssblow import cli, rigidity as rg
-from ssblow.gridio import diff1, diff2, trapezoid_weights
+from ssblow.gridio import diff2, trapezoid_weights
 
 
 # -- homogeneity degrees and classification ---------------------------------
@@ -126,8 +126,11 @@ def test_smooth_cutoff_shape():
 # -- integration by parts ---------------------------------------------------
 
 
-def compact_bump(grid):
-    R, Z = grid.mesh()
+def mesh(grid):
+    return np.meshgrid(*grid.axes(), indexing="ij")
+
+
+def compact_bump(R, Z):
     rho2 = ((R + 5.0) ** 2 + Z ** 2) / 9.0
     inside = rho2 < 1.0
     denom = np.where(inside, 1.0 - rho2, 1.0)
@@ -137,9 +140,13 @@ def compact_bump(grid):
     return U, dU
 
 
-def psi_even(grid, eps=0.0):
+def gaussian_bump(R, Z):
+    U = np.exp(-((R + 4.0) ** 2 + Z ** 2) / 8.0)
+    return U, (-(R + 4.0) / 4.0 * U, -Z / 4.0 * U)
+
+
+def psi_even(R, Z, eps=0.0):
     # the gradient of Psi = (R^2 + eps Z) exp(-|Y|^2 / 50)
-    R, Z = grid.mesh()
     e = np.exp(-(R ** 2 + Z ** 2) / 50.0)
     return (
         (2.0 * R - (R ** 2 + eps * Z) * 2.0 * R / 50.0) * e,
@@ -147,14 +154,23 @@ def psi_even(grid, eps=0.0):
     )
 
 
-def zero_gradient(grid):
-    return np.zeros((grid.nR, grid.nZ)), np.zeros((grid.nR, grid.nZ))
+def zero_gradient(R, Z):
+    return np.zeros_like(R), np.zeros_like(R)
+
+
+def identity_fields(bump, eps=0.0):
+    """The field function of the identity check: a bump U with its
+    gradient, and the gradient of psi_even."""
+    return lambda R, Z: (*bump(R, Z), psi_even(R, Z, eps))
+
+
+def zero_fields(R, Z):
+    return np.zeros_like(R), zero_gradient(R, Z), zero_gradient(R, Z)
 
 
 def test_ibp_compact_support():
     grid = rg.HalfPlaneGrid()
-    U, dU = compact_bump(grid)
-    res = rg.ibp_identity_check(grid, grid.mesh(), U, dU, psi_even(grid), 2.0)
+    res = rg.ibp_identity_check(grid, identity_fields(compact_bump), 2.0)
     assert res.boundary_term == 0.0
     assert res.cutoff_term == 0.0  # support inside the sigma = 1 plateau
     assert abs(res.lhs - res.rhs) <= 1e-6 * max(abs(res.lhs), 1.0)
@@ -162,33 +178,33 @@ def test_ibp_compact_support():
 
 def test_ibp_zero_field():
     grid = rg.HalfPlaneGrid(-10.0, -10.0, 10.0, 101, 201)
-    zero = np.zeros((grid.nR, grid.nZ))
-    res = rg.ibp_identity_check(grid, grid.mesh(), zero, zero_gradient(grid),
-                                zero_gradient(grid), 1.5)
+    res = rg.ibp_identity_check(grid, zero_fields, 1.5)
     assert (res.lhs, res.rhs, res.boundary_term) == (0.0, 0.0, 0.0)
 
 
 def test_ibp_rejects_odd_power():
     grid = rg.HalfPlaneGrid(-10.0, -10.0, 10.0, 51, 101)
-    zero = np.zeros((grid.nR, grid.nZ))
     with pytest.raises(ValueError):
-        rg.ibp_identity_check(grid, grid.mesh(), zero, zero_gradient(grid),
-                              zero_gradient(grid), 1.5, p=3)
+        rg.ibp_identity_check(grid, zero_fields, 1.5, p=3)
 
 
 def test_ibp_rho_sweep_constant_on_rays():
     # c = 0 ray solution with decaying trace: rhs -> 0 as rho grows
+    def ray_constant(R, Z):
+        # U = exp(-Z^2 / |Y|^2), 1 at the origin, with its analytic
+        # gradient U (2 R Z^2, -2 Z R^2) / |Y|^4 (0 at the origin)
+        rad = np.hypot(R, Z)
+        safe = np.maximum(rad, 1e-30)
+        with np.errstate(invalid="ignore"):
+            vals = np.where(rad > 0, np.exp(-(Z / safe) ** 2), 1.0)
+        fac = 2.0 * vals / safe ** 4
+        dU = (fac * R * Z ** 2, -fac * Z * R ** 2)
+        return vals, dU, zero_gradient(R, Z)
+
     grid = rg.HalfPlaneGrid()
-    R, Z = grid.mesh()
-    rad = np.hypot(R, Z)
-    with np.errstate(invalid="ignore"):
-        vals = np.where(rad > 0, np.exp(-(Z / np.maximum(rad, 1e-30)) ** 2),
-                        1.0)
-    dU = (diff1(vals, grid.hR, 0), diff1(vals, grid.hZ, 1))
     lhs = {}
     for rho in (5.0, 10.0, 15.0):
-        res = rg.ibp_identity_check(grid, (R, Z), vals, dU,
-                                    zero_gradient(grid), 2.0, rho=rho)
+        res = rg.ibp_identity_check(grid, ray_constant, 2.0, rho=rho)
         lhs[rho] = res.lhs
     # lhs grows ~ rho^2 for a non-decaying field: the identity forces the
     # contradiction used against non-decaying ray constants
@@ -197,12 +213,9 @@ def test_ibp_rho_sweep_constant_on_rays():
 
 def test_ibp_boundary_term_linear_in_epsilon():
     grid = rg.HalfPlaneGrid()
-    R, Z = grid.mesh()
-    U = np.exp(-((R + 4.0) ** 2 + Z ** 2) / 8.0)
-    dU = (-(R + 4.0) / 4.0 * U, -Z / 4.0 * U)
     terms = {}
     for eps in (1e-2, 1e-3):
-        res = rg.ibp_identity_check(grid, (R, Z), U, dU, psi_even(grid, eps),
+        res = rg.ibp_identity_check(grid, identity_fields(gaussian_bump, eps),
                                     2.0)
         terms[eps] = res.boundary_term
     assert terms[1e-2] / terms[1e-3] == pytest.approx(10.0, rel=0.2)
@@ -232,7 +245,7 @@ def test_psi_endgame_fit_matches_lstsq(grid, far_field):
     # reference: the least-squares fit over every grid point
     rep = rg.psi_endgame(True, grid, far_field)
     psi = rg._laplace_solve(grid, far_field)
-    R, _ = grid.mesh()
+    R, _ = mesh(grid)
     A = np.column_stack([R.ravel(), np.ones(R.size)])
     (a, b), *_ = np.linalg.lstsq(A, psi.ravel(), rcond=None)
     assert abs(rep.a - a) <= 1e-12 * max(1.0, abs(a))
@@ -253,7 +266,7 @@ def test_laplace_solve_reproduces_discrete_harmonic(grid):
         return R ** 2 - Z ** 2 + 2.0 * R + 1.0
 
     psi = rg._laplace_solve(grid, harmonic)
-    R, Z = grid.mesh()
+    R, Z = mesh(grid)
     want = harmonic(R, Z)
     # relative: |Psi| reaches 1600 on the default grid
     assert np.max(np.abs(psi - want)) <= 1e-12 * np.max(np.abs(want))
@@ -315,7 +328,7 @@ def test_half_plane_grid_validation():
 ], ids=["default", "uneven", "one-point"])
 def test_half_plane_grid_ends_on_the_boundary(grid):
     # psi_endgame checks d_Z Psi at R = 0, so that must be the last column
-    R, Z = grid.mesh()
+    R, Z = mesh(grid)
     assert np.all(R[-1] == 0.0) and R[0, 0] == grid.R_min
     last = grid.R_min + (grid.nR - 1) * grid.hR
     assert last == pytest.approx(0.0, abs=1e-12)
@@ -326,17 +339,11 @@ def test_half_plane_grid_ends_on_the_boundary(grid):
 # -- the row blocks against full-grid references ------------------------------
 
 
-def gaussian_bump(grid):
-    R, Z = grid.mesh()
-    U = np.exp(-((R + 4.0) ** 2 + Z ** 2) / 8.0)
-    return U, (-(R + 4.0) / 4.0 * U, -Z / 4.0 * U)
-
-
-def ibp_full_grid(grid, mesh, U, dU, dPsi, gamma, p=2, rho=10.0):
-    """The identity with every integrand on the full grid, as computed
-    before the row blocks: the reference for the blocked sums."""
-    R, Z = mesh
-    (psi_R, psi_Z), (U_R, U_Z) = dPsi, dU
+def ibp_full_grid(grid, fields, gamma, p=2, rho=10.0):
+    """The identity with every field and integrand on the full mesh, as
+    computed before the row blocks: the reference for the blocked sums."""
+    R, Z = mesh(grid)
+    U, (U_R, U_Z), (psi_R, psi_Z) = fields(R, Z)
     w1, w2 = trapezoid_weights(grid.nR), trapezoid_weights(grid.nZ)
 
     def integral(values):
@@ -368,8 +375,7 @@ def ibp_full_grid(grid, mesh, U, dU, dPsi, gamma, p=2, rho=10.0):
     rg.HalfPlaneGrid(-10.0, -10.0, 10.0, 2 * rg.ROWS + 1, 101),
 ], ids=["default", "lone-last-row"])
 def test_ibp_blocks_match_the_full_grid_sums(grid, bump, eps, p):
-    U, dU = bump(grid)
-    args = (grid, grid.mesh(), U, dU, psi_even(grid, eps), 2.0)
+    args = (grid, identity_fields(bump, eps), 2.0)
     got = asdict(rg.ibp_identity_check(*args, p=p))
     want = asdict(ibp_full_grid(*args, p=p))
     for name, value in want.items():
@@ -432,8 +438,9 @@ def test_psi_endgame_live_peak():
 
 @pytest.mark.parametrize("preset", ["compact", "gaussian"])
 def test_identity_live_peak(preset, tmp_path):
-    # 21.1 MB measured (38.7 MB with full-grid integrands and the field
-    # temporaries kept to the end)
+    # 5.2 MB measured with the fields built one row block at a time (20.9
+    # MB with the full-grid mesh and fields, 38.7 MB with full-grid
+    # integrands too)
     peak = live_peak_mb(lambda: cli.main(
         ["identity", "--preset", preset, "--out", str(tmp_path)]))
-    assert peak <= 21.1 + GRID_MB
+    assert peak <= 5.2 + GRID_MB
