@@ -210,15 +210,13 @@ def cmd_verify(args) -> int:
     decay = not args.no_decay
     # before the output directory exists: a gamma too large for --kmax
     # raises ValueError here
-    rows = []
-    for k in range(args.kmax + 1):
-        for field in ("U", "Omega"):
-            rows.append(rigidity.classify_triviality(
-                gamma, k, field, decay_at_infinity=decay))
+    rows = [rigidity.classify_triviality(gamma, k, field,
+                                         decay_at_infinity=decay)
+            for k in range(args.kmax + 1) for field in rigidity.TRANSPORTED]
     out = _out_dir(args)
-    # the degree -c/gamma is k + 1/2 - 1/gamma (U) and k - 1/gamma (Omega)
-    threshold = {"U": float(1 / gamma - Fraction(1, 2)),
-                 "Omega": float(1 / gamma)}
+    # the degree is k plus that of the index-0 profile
+    threshold = {field: float(-rigidity.profile_degree(gamma, 0, field))
+                 for field in rigidity.TRANSPORTED}
     payload = {
         "schema": rigidity.SCHEMA,
         "gamma": str(gamma),
@@ -281,20 +279,27 @@ def cmd_identity(args) -> int:
         raise UsageError(f"--rho must be finite and positive, got {args.rho}")
     if not math.isfinite(args.epsilon):
         raise UsageError(f"--epsilon must be finite, got {args.epsilon}")
+    import numpy as np
     from . import rigidity
 
     started = time.monotonic()
-    grid = rigidity.HalfPlaneGrid()
-    result = rigidity.ibp_identity_check(
-        grid, lambda R, Z: _identity_fields(args.preset, R, Z, args.epsilon),
-        gamma, p=args.p, rho=args.rho)
+    # an overflow shows as a non-finite term, rejected below
+    with np.errstate(all="ignore"):
+        result = rigidity.ibp_identity_check(
+            rigidity.HalfPlaneGrid(),
+            lambda R, Z: _identity_fields(args.preset, R, Z, args.epsilon),
+            gamma, p=args.p, rho=args.rho)
+    payload = {**result.to_json(), "preset": args.preset,
+               "epsilon": args.epsilon,
+               "abs_error": abs(result.lhs - result.rhs),
+               "closure_residual": (result.lhs - result.rhs
+                                    - result.boundary_term)}
+    bad = [key for key, value in payload.items()
+           if isinstance(value, float) and not math.isfinite(value)]
+    if bad:
+        raise UsageError(f"--gamma {args.gamma} and --epsilon {args.epsilon} "
+                         f"overflow the identity: {', '.join(bad)} not finite")
     out = _out_dir(args)
-    payload = result.to_json()
-    payload["preset"] = args.preset
-    payload["epsilon"] = args.epsilon
-    payload["abs_error"] = abs(result.lhs - result.rhs)
-    payload["closure_residual"] = (result.lhs - result.rhs
-                                   - result.boundary_term)
     manifest = RunManifest("identity", {
         "preset": args.preset, "gamma": gamma, "p": args.p,
         "rho": args.rho, "epsilon": args.epsilon})
@@ -600,13 +605,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _numeric_errors() -> tuple:
     """The exceptions main reports with exit code 3.  An except clause
-    evaluates its expression only when an exception reaches it, so the
-    numeric modules load here on the error path alone."""
-    from . import cylsim, rigidity
+    evaluates its expression only when an exception reaches it, so cylsim
+    loads here on the error path alone."""
+    from . import cylsim
 
     return (cylsim.CFLViolation, cylsim.NumericalBlowup, cylsim.FitRejected,
-            CommensurabilityError, rigidity.BoundaryViolation,
-            FileNotFoundError)
+            CommensurabilityError, FileNotFoundError)
 
 
 def _error_json(kind: str, exc: BaseException) -> None:

@@ -41,8 +41,8 @@ SCHEMA = "hierarchy/1"
 
 #: Luo-Hou's leading tau-exponents: u1 ~ tau^(-1+gamma/2),
 #: omega1 ~ tau^-1 and psi1 ~ tau^(-1+2 gamma)
-LEADING = (("U", exponent(-1, Fraction(1, 2))), ("Omega", exponent(-1)),
-           ("Psi", exponent(-1, 2)))
+LEADING = {"U": exponent(-1, Fraction(1, 2)), "Omega": exponent(-1),
+           "Psi": exponent(-1, 2)}
 
 
 @dataclass(frozen=True)
@@ -73,7 +73,7 @@ def _fields(indices) -> tuple:
         SymExpr.from_terms(SymTerm(1, factors=(ProfileRef(field, k),),
                                    tau=leading + exponent(0, k))
                            for k in indices)
-        for field, leading in LEADING)
+        for field, leading in LEADING.items())
 
 
 def _velocities(psi1: SymExpr):
@@ -222,15 +222,6 @@ def reference_equations(mode: str) -> dict:
         refs["psi", 1] += (-prof("Psi", 1, dR=2) - prof("Psi", 1, dZ=2)
                            - prof("Omega", 1))
     return refs
-
-
-def reference_induction(k: int) -> list:
-    """Decoupled reference system for the index-k profiles, k >= 1."""
-    return [
-        _scaling_part("U", k, _one_minus_half_gamma(k)),
-        _scaling_part("Omega", k, _one_minus_k_gamma(k)),
-        -prof("Psi", k, dR=2) - prof("Psi", k, dZ=2) - prof("Omega", k),
-    ]
 
 
 # ---------------------------------------------------------------------------

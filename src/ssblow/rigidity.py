@@ -10,7 +10,6 @@ The identity and the endgame are numerical diagnostics, not proofs.
 
 from __future__ import annotations
 
-import math
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
@@ -19,6 +18,7 @@ import numpy as np
 
 from .elliptic import KroneckerSolver
 from .gridio import diff1, diff2, trapezoid_weights
+from .hierarchy import LEADING
 
 SCHEMA = "rigidity/1"
 
@@ -71,16 +71,20 @@ class HalfPlaneGrid:
 # homogeneity / triviality classification
 
 
-def _coefficient(gamma, k: int, field: str):
-    """Transport coefficient c of the index-k profile: 1 - gamma/2 - k gamma
-    (U) or 1 - k gamma (Omega), exact for a Fraction gamma."""
-    if gamma <= 0:
+#: the fields whose profiles solve a transport equation
+TRANSPORTED = ("U", "Omega")
+
+
+def profile_degree(gamma, k: int, field: str) -> Fraction:
+    """Homogeneity degree (e + k gamma)/gamma of the index-k profile of
+    `field`, with tau^e its leading power in hierarchy.LEADING; exact in
+    Fraction(gamma).  A U or Omega profile solves c F + gamma Y.grad F = 0
+    with c = -(e + k gamma) = -gamma d."""
+    g = Fraction(gamma)
+    if g <= 0:
         raise ValueError("gamma must be positive")
-    if field == "U":
-        return 1 - gamma / 2 - k * gamma
-    if field == "Omega":
-        return 1 - k * gamma
-    raise ValueError(f"no transport coefficient for field {field!r}")
+    e = LEADING[field]
+    return (e.base + (e.gamma_coeff + k) * g) / g
 
 
 @dataclass(frozen=True)
@@ -110,16 +114,16 @@ def classify_triviality(gamma, k: int, field: str,
 
     Raises ValueError when c or d has no finite float.
     """
+    if field not in TRANSPORTED:
+        raise ValueError(f"no transport coefficient for field {field!r}")
     g = Fraction(gamma)
-    c = _coefficient(g, k, field)
-    d = -c / g
+    d = profile_degree(g, k, field)
+    c = -g * d
     try:
         c_f, d_f = float(c), float(d)
     except OverflowError:  # an exact c or d beyond the float range
-        c_f = d_f = math.inf
-    if not (math.isfinite(c_f) and math.isfinite(d_f)):
         raise ValueError(f"gamma={gamma}, k={k}: the coefficient or the "
-                         "degree is not a finite float")
+                         "degree is not a finite float") from None
     case = "zero_coefficient_ray_constant" if c == 0 else "nonzero_coefficient"
     conclusion = ("trivial_under_decay" if decay_at_infinity
                   else "trivial_by_continuity" if d < 0
@@ -147,10 +151,10 @@ NON_REPRODUCIBILITY_NOTE = (
 @dataclass(frozen=True)
 class ScalingReport:
     gamma: float
-    mean_swirl_exp: float       # 1 - 2/gamma
-    mean_gradpsi_exp: float     # 2 - 2/gamma
-    swirl_pointwise_exp: float  # 1/2 - 1/gamma
-    gradpsi_pointwise_exp: float  # 1 - 1/gamma
+    mean_swirl_exp: float       # twice swirl_pointwise_exp
+    mean_gradpsi_exp: float     # twice gradpsi_pointwise_exp
+    swirl_pointwise_exp: float  # the degree of U_0
+    gradpsi_pointwise_exp: float  # the degree of Psi_0, minus 1
     swirl_decay: str            # "decays" | "borderline" | "does_not_apply"
     gradpsi_sublinear: bool
     omega_info: str
@@ -187,25 +191,25 @@ def energy_scaling(gamma, L_values=()) -> ScalingReport:
     reported as their correctly rounded floats.
     """
     g = Fraction(gamma)
-    if g <= 0:
-        raise ValueError("gamma must be positive")
-    e_u = Fraction(1, 2) - 1 / g
-    if e_u < 0:
-        decay = "decays"
-    elif e_u == 0:
-        decay = "borderline"
-    else:
-        decay = "does_not_apply"
+    e_u = profile_degree(g, 0, "U")
+    e_psi = profile_degree(g, 0, "Psi") - 1
+    decay = ("decays" if e_u < 0 else "borderline" if e_u == 0
+             else "does_not_apply")
+    try:
+        bounds = tuple((float(L), float(L) ** float(e_u)) for L in L_values)
+    except OverflowError:
+        raise ValueError(f"a bound L^{float(e_u):g}, L in {list(L_values)}, "
+                         "is beyond the float range") from None
     return ScalingReport(
         gamma=float(g),
-        mean_swirl_exp=float(1 - 2 / g),
-        mean_gradpsi_exp=float(2 - 2 / g),
+        mean_swirl_exp=float(2 * e_u),
+        mean_gradpsi_exp=float(2 * e_psi),
         swirl_pointwise_exp=float(e_u),
-        gradpsi_pointwise_exp=float(1 - 1 / g),
+        gradpsi_pointwise_exp=float(e_psi),
         swirl_decay=decay,
         gradpsi_sublinear=True,
         omega_info="no information on the vorticity profile",
-        bounds=tuple((float(L), float(L) ** float(e_u)) for L in L_values),
+        bounds=bounds,
         note=NON_REPRODUCIBILITY_NOTE,
     )
 

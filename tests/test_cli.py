@@ -170,8 +170,9 @@ def test_derive_output_is_pinned(mode, fmt, tmp_path):
     assert hashlib.sha256(data).hexdigest() == DERIVE_SHA256[mode, fmt]
 
 
-#: sha256 of the depth-12 generalized derive outputs and of a kmax-50
-#: verify report; a change to the term algebra must keep them byte for byte
+#: sha256 of the depth-12 generalized derive outputs, of verify reports and
+#: of scaling reports; a change to the term algebra or to where the
+#: exponents come from must keep them byte for byte
 LARGE_OUTPUT_SHA256 = {
     "derive-generalized-d12-json": (
         ["derive", "--mode", "generalized", "--depth", "12"], "hierarchy.json",
@@ -183,6 +184,29 @@ LARGE_OUTPUT_SHA256 = {
     "verify-2_5-kmax50": (
         ["verify", "--gamma", "2/5", "--kmax", "50"], "triviality.json",
         "2d82f9e0727567416aede90c2bac9a9ef2c3fe940609adc44cd8e2926f9280ba"),
+    "verify-291_100-kmax12": (
+        ["verify", "--gamma", "291/100", "--kmax", "12"], "triviality.json",
+        "4f1662a86b9782b97c7057073af50f764eba455cd381e07a43f2e0d64430c41c"),
+    "verify-291_100-kmax12-no-decay": (
+        ["verify", "--gamma", "291/100", "--kmax", "12", "--no-decay"],
+        "triviality.json",
+        "82a46a1f41e589002b2e8859471e44b3cb22dbdaca2609a87b9869347021b455"),
+    "verify-1_2-kmax12": (
+        ["verify", "--gamma", "1/2", "--kmax", "12"], "triviality.json",
+        "beb936b478eae7ca165a80d9ac23623cb3aad3bdca38b0e8f19213262184fffe"),
+    "verify-1_2-kmax12-no-decay": (
+        ["verify", "--gamma", "1/2", "--kmax", "12", "--no-decay"],
+        "triviality.json",
+        "941544455682d13368b46767e73d40cae317c1459edc96a7ea628db583f48a2c"),
+    "scaling-2.91": (
+        ["scaling", "--gamma", "2.91"], "scaling.json",
+        "ff6e1990f8045de4b1de2fd2ded5aadfd9379b74d8dd5a67002f87427d6b97b2"),
+    "scaling-2": (
+        ["scaling", "--gamma", "2"], "scaling.json",
+        "bdd02ee06539c046a278c7a7a608754fa7115424e3aea78ce3d52bef2e0aba36"),
+    "scaling-1_2": (
+        ["scaling", "--gamma", "1/2"], "scaling.json",
+        "1426025b87cc52d3d83e0428bc8049e4aa4e8cebf6b80a5eb47cd3814a11613f"),
 }
 
 
@@ -726,6 +750,29 @@ def test_failing_command_leaves_no_output(argv, code, error, monkeypatch,
     assert cli.main([*argv, "--out", str(out)]) == code
     err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert err["error"] == error
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    # L^(1/2 - 1000) overflows at L = 1e-300
+    ["scaling", "--gamma", "1/1000", "--lengths", "1e-300"],
+    # the identity's terms overflow to inf and then to NaN
+    ["identity", "--epsilon", "1e308"],
+    ["identity", "--gamma", "1e307"],
+], ids="_".join)
+def test_overflowing_input_is_one_line_usage_error(argv, tmp_path):
+    # each exited 1 with a traceback or 0 with NaN in its JSON; a fresh
+    # process shows any warning numpy would print on stderr
+    env = {**os.environ,
+           "PYTHONPATH": str(Path(ssblow.__file__).resolve().parents[1])}
+    out = tmp_path / "out"
+    proc = subprocess.run(
+        [sys.executable, "-m", "ssblow.cli", *argv, "--out", str(out)],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    [line] = proc.stderr.splitlines()
+    assert json.loads(line)["error"] == "usage"
     assert not out.exists()
 
 

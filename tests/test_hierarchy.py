@@ -272,14 +272,6 @@ def induction(depth):
         hy.AnsatzSpec(mode="generalized", depth=depth)).induction
 
 
-def test_induction_matches_reference():
-    systems = induction(2)
-    for k in (1, 2):
-        refs = hy.reference_induction(k)
-        for d, r in zip(systems[k], refs):
-            assert d.lhs == r, (k, d.label)
-
-
 def test_induction_u1_coefficient():
     eq_u = induction(1)[1][0]
     coeff = {t.signature(): t.coeff for t in eq_u.lhs.terms}

@@ -119,8 +119,6 @@ REACHABILITY_ROOTS = {
     ("rigidity", "psi_endgame"):
         "the harmonic endgame step of the triviality argument; perfbench "
         "times it, and no command runs it yet",
-    ("hierarchy", "reference_induction"):
-        "the hand-entered reference that induction_system is tested against",
 }
 
 

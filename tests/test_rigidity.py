@@ -10,8 +10,9 @@ import numpy as np
 import pytest
 import sympy as sp
 
-from ssblow import cli, rigidity as rg
+from ssblow import cli, hierarchy as hy, rigidity as rg
 from ssblow.gridio import diff2, trapezoid_weights
+from ssblow.sscalc import ProfileRef
 
 
 # -- homogeneity degrees and classification ---------------------------------
@@ -76,8 +77,8 @@ def test_no_decay_witness_solves_the_transport_equation(gamma):
     for k in range(4):
         for field in ("U", "Omega"):
             v = rg.classify_triviality(gamma, k, field)
-            c = sp.Rational(str(rg._coefficient(gamma, k, field)))
-            d = -c / g
+            d = sp.Rational(str(rg.profile_degree(gamma, k, field)))
+            c = -g * d
             assert float(d) == v.degree
             F = (R ** 2 + Z ** 2) ** (d / 2) * theta(sp.atan2(Z, R))
             assert sp.simplify(c * F + g * (R * F.diff(R) + Z * F.diff(Z))) \
@@ -105,6 +106,40 @@ def test_classify_degenerate_omega_rates():
     for k in (1, 2, 3):
         v = rg.classify_triviality(Fraction(1, k), k, "Omega")
         assert v.case == "zero_coefficient_ray_constant"
+
+
+@pytest.fixture(scope="module")
+def derived_depth12():
+    return hy.derive_hierarchy(hy.AnsatzSpec(mode="generalized", depth=12))
+
+
+def transport_part(eq, field, k, gamma):
+    """(c, a_R, a_Z) of the linear terms c F + a_R R d_R F + a_Z Z d_Z F
+    of F = field_k in the derived equation eq, evaluated at gamma."""
+    def coeff(dR, dZ):
+        return sum(t.coeff * gamma ** t.g_pow for t in eq.lhs.terms
+                   if t.factors == (ProfileRef(field, k, dR, dZ),)
+                   and (t.r_pow, t.z_pow) == (dR, dZ))
+    return coeff(0, 0), coeff(1, 0), coeff(0, 1)
+
+
+@pytest.mark.parametrize("gamma", [Fraction(2, 5), Fraction(1, 2),
+                                   Fraction(1), Fraction(2),
+                                   Fraction(291, 100), Fraction(4)], ids=str)
+def test_verify_coefficients_are_the_derived_ones(derived_depth12, gamma):
+    # order 0 of the u and omega equations, then each decoupled index-k
+    # system of one generalized derivation, against c = -gamma d
+    report = derived_depth12
+    systems = {0: [report.orders["u"][0], report.orders["omega"][0]],
+               **report.induction}
+    assert sorted(systems) == list(range(13))
+    for k, eqs in systems.items():
+        for eq, field in zip(eqs, rg.TRANSPORTED):
+            c = -gamma * rg.profile_degree(gamma, k, field)
+            assert transport_part(eq, field, k, gamma) == (c, gamma, gamma), \
+                (field, k)
+            v = rg.classify_triviality(gamma, k, field)
+            assert (v.coefficient, v.degree) == (float(c), float(-c / gamma))
 
 
 # -- cutoff -----------------------------------------------------------------
