@@ -283,12 +283,19 @@ def cmd_identity(args) -> int:
     from . import rigidity
 
     started = time.monotonic()
+    grid = rigidity.HalfPlaneGrid()
+    rho_min = 4 * max(grid.hR, grid.hZ)  # the cutoff falls across [rho, 2rho]
+    if args.rho < rho_min:
+        raise UsageError(f"--rho {args.rho} is under 4 grid cells, {rho_min}")
     # an overflow shows as a non-finite term, rejected below
     with np.errstate(all="ignore"):
         result = rigidity.ibp_identity_check(
-            rigidity.HalfPlaneGrid(),
+            grid,
             lambda R, Z: _identity_fields(args.preset, R, Z, args.epsilon),
             gamma, p=args.p, rho=args.rho)
+    if result.lhs == 0:
+        raise UsageError(f"U^p sigma vanishes on the grid at --p {args.p}, "
+                         f"--rho {args.rho}: the identity holds vacuously")
     payload = {**result.to_json(), "preset": args.preset,
                "epsilon": args.epsilon,
                "abs_error": abs(result.lhs - result.rhs),
@@ -423,24 +430,18 @@ def _load_series(path) -> cylsim.BlowupSeries:
     rows = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
     if rows.shape[1] != 8:
         raise UsageError(f"{path}: expected 8 columns")
-    s = cylsim.BlowupSeries()
-    s.t = list(rows[:, 0])
-    s.max_omega1 = list(rows[:, 1])
-    s.max_u1 = list(rows[:, 2])
-    s.delta = list(rows[:, 3])
-    s.box = [tuple(r) for r in rows[:, 4:8]]
-    return s
+    t, max_omega1, max_u1, delta = map(list, rows[:, :4].T)
+    return cylsim.BlowupSeries(t, max_omega1, max_u1, delta,
+                               [tuple(r) for r in rows[:, 4:8]])
 
 
 def cmd_fit(args) -> int:
-    if not (math.isfinite(args.rate) and args.rate > 0):
-        raise UsageError(f"--rate must be finite and positive, got {args.rate}")
     import numpy as np
     from . import cylsim, rigidity
 
     started = time.monotonic()
     series = _load_series(args.series)
-    fit = cylsim.track_blowup(series, rate=args.rate)
+    fit = cylsim.track_blowup(series)
     out = _out_dir(args)
     payload = {
         "schema": rigidity.SCHEMA,
@@ -449,13 +450,12 @@ def cmd_fit(args) -> int:
         "amplitude": fit.amplitude,
         "window": {"schema": rigidity.SCHEMA, **asdict(fit.window)},
     }
-    manifest = RunManifest("fit", {"series": str(args.series),
-                                   "rate": args.rate})
+    manifest = RunManifest("fit", {"series": str(args.series)})
     _write_json(manifest.add(out / "fit.json", rigidity.SCHEMA), payload)
     ts = np.asarray(series.t)
     _write_csv(manifest.add(out / "fit_curve.csv"), "t,max_omega1,model",
                zip(ts, series.max_omega1,
-                   fit.amplitude * (fit.T_fit - ts) ** (-args.rate)))
+                   fit.amplitude * (fit.T_fit - ts) ** -fit.rate))
     manifest.write(out, started)
     print(f"T_fit={fit.T_fit:.9g} gamma_fit={fit.gamma_fit:.6g} "
           f"window={fit.window.tag}")
@@ -526,12 +526,19 @@ def cmd_scaling(args) -> int:
 # parser / entry point
 
 
+class _Parser(argparse.ArgumentParser):
+    """Its subparsers share the class: argparse errors are UsageErrors."""
+
+    def error(self, message):
+        raise UsageError(f"{self.prog}: {message}")
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     # built once per process: nothing it reads can change between calls;
     # the set_defaults below bind the cmd_* functions of the first build,
     # so a later rebinding of cli.cmd_* does not reach main
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="ssblow",
         description="order-by-order ansatz derivation, triviality "
                     "verification, and desk-scale cylinder-slab runs")
@@ -578,8 +585,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("fit", help="blow-up time/exponent fit of a series")
     sp.add_argument("--series", required=True, help="series CSV path")
-    sp.add_argument("--rate", type=float, default=1.0,
-                    help="assumed amplitude blow-up rate")
     common(sp)
     sp.set_defaults(func=cmd_fit)
 
@@ -613,28 +618,24 @@ def _numeric_errors() -> tuple:
             CommensurabilityError, FileNotFoundError)
 
 
-def _error_json(kind: str, exc: BaseException) -> None:
+def _fail(kind: str, exc: BaseException, code: int) -> int:
+    """Write the failure's one line of JSON on stderr; return its code."""
     print(json.dumps({"error": kind, "message": str(exc)}), file=sys.stderr)
+    return code
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        # argparse exits 2 on usage errors and 0 on --help/--version
-        return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
-    try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
+    except SystemExit as exc:  # --help and --version
+        return exc.code
     except UsageError as exc:
-        _error_json("usage", exc)
-        return EXIT_USAGE
+        return _fail("usage", exc, EXIT_USAGE)
     except _numeric_errors() as exc:
-        _error_json(type(exc).__name__, exc)
-        return EXIT_NUMERIC
+        return _fail(type(exc).__name__, exc, EXIT_NUMERIC)
     except ValueError as exc:
-        _error_json("usage", exc)
-        return EXIT_USAGE
+        return _fail("usage", exc, EXIT_USAGE)
 
 
 if __name__ == "__main__":

@@ -329,23 +329,26 @@ class BlowupFit:
     gamma_fit: float
     amplitude: float
     window: WindowVerdict
+    rate: float  # a in max|omega1| ~ amplitude (T-t)^-a
 
 
-def track_blowup(series: BlowupSeries, rate: float = 1.0) -> BlowupFit:
-    """Fit max|omega1| ~ C (T-t)^{-rate} and delta ~ c (T-t)^gamma.
+def track_blowup(series: BlowupSeries) -> BlowupFit:
+    """Fit max|omega1| ~ C (T-t)^-a and delta ~ c (T-t)^gamma.
 
-    T is found by golden-section search on the residual of the fixed-rate
-    log fit; gamma then comes from log-log regression of the window
-    width.  The window is classified against the gamma the swirl implies:
-    u1 ~ (T-t)^(-1 + gamma/2) (hierarchy.LEADING), so gamma_swirl =
-    2 (1 + s) with s the log-log slope of max|u1|, and the ratio
-    delta / (T-t)^gamma_swirl has the slope gamma_fit - gamma_swirl.
+    T is found by golden-section search on the residual of the log fit,
+    with a read off omega1 ~ (T-t)^-1 in hierarchy.LEADING.  gamma comes
+    from log-log regression of the window width.  LEADING's u1 ~
+    (T-t)^(base + gamma_coeff gamma) gives the gamma the swirl implies,
+    gamma_swirl = (s - base) / gamma_coeff with s the log-log slope of
+    max|u1|; delta / (T-t)^gamma_swirl has the slope gamma_fit - gamma_swirl.
     Fewer than 4 positive finite delta samples, or a max|u1| sample that
     is not positive and finite, leave the window indeterminate.  Needs at
     least 6 samples at finite, strictly increasing times with finite,
     strictly growing vorticity, and raises FitRejected when the search ends at
     t_last + 10 span, the far end of its bracket.
     """
+    from .hierarchy import LEADING
+
     t = np.asarray(series.t, dtype=float)
     M = np.asarray(series.max_omega1, dtype=float)
     if t.size < 6:
@@ -358,32 +361,33 @@ def track_blowup(series: BlowupSeries, rate: float = 1.0) -> BlowupFit:
     if np.any(np.diff(M) <= 0) or np.any(M <= 0):
         raise FitRejected("vorticity maximum must grow monotonically")
 
-    span = t[-1] - t[0]
+    rate = -float(LEADING["Omega"].base)  # its gamma part is zero
+    log_M = np.log(M)
     lo = t[-1] + 1e-12 * max(1.0, abs(t[-1]))
-    hi = t[-1] + 10.0 * span
+    hi = t[-1] + 10.0 * (t[-1] - t[0])
     # floored at a few float spacings, which large times make exceed 1e-9
     tol = max(1e-9, 4 * math.ulp(max(abs(lo), abs(hi))))
 
     def resid(T: float) -> float:
-        y = np.log(M) + rate * np.log(T - t)
-        return float(np.var(y))
+        return float(np.var(log_M + rate * np.log(T - t)))
 
     T_fit = _golden_min(resid, lo, hi, tol)
     if hi - T_fit <= tol:
         # the search never moved the upper end: T lies beyond the bracket
         raise FitRejected(f"blow-up time lies beyond t_last + 10*span = {hi}")
     x = np.log(T_fit - t)
-    amp = math.exp(float(np.mean(np.log(M) + rate * x)))
+    amp = math.exp(float(np.mean(log_M + rate * x)))
 
     d = np.asarray(series.delta, dtype=float)
     ok = np.isfinite(d) & (d > 0)
-    gamma_fit = math.nan
-    if ok.sum() >= 2:
-        gamma_fit = float(np.polyfit(x[ok], np.log(d[ok]), 1)[0])
+    gamma_fit = float(np.polyfit(x[ok], np.log(d[ok]), 1)[0]) \
+        if ok.sum() >= 2 else math.nan
     u = np.asarray(series.max_u1, dtype=float)
     window = WindowVerdict("indeterminate")
     if ok.sum() >= 4 and np.all(np.isfinite(u) & (u > 0)):
-        gamma_swirl = 2.0 * (1.0 + float(np.polyfit(x, np.log(u), 1)[0]))
+        e = LEADING["U"]
+        slope = float(np.polyfit(x, np.log(u), 1)[0])
+        gamma_swirl = (slope - float(e.base)) / float(e.gamma_coeff)
         ratio_slope = gamma_fit - gamma_swirl
         # log-log slopes within slope_tol of zero count as zero: the ratio
         # diverges below it, and delta ~ (T-t)^gamma_fit decays above it
@@ -391,7 +395,7 @@ def track_blowup(series: BlowupSeries, rate: float = 1.0) -> BlowupFit:
         tag = "wider_than_selfsimilar" if ratio_slope < -slope_tol \
             else "shrinks_selfsimilar"
         window = WindowVerdict(tag, ratio_slope, gamma_fit > slope_tol)
-    return BlowupFit(float(T_fit), gamma_fit, amp, window)
+    return BlowupFit(float(T_fit), gamma_fit, amp, window, rate)
 
 
 # ---------------------------------------------------------------------------

@@ -400,16 +400,13 @@ def emit(report: HierarchyReport, format: str = "json") -> str:
         for name in EQ_NAMES:
             by_k = report.orders.get(name, {})
             for k in sorted(by_k):
-                lines.append(f"% {name}-equation, order {k}")
-                lines.append("\\begin{equation}")
-                lines.append(equation_to_latex(by_k[k]))
-                lines.append("\\end{equation}")
+                lines += [f"% {name}-equation, order {k}", "\\begin{equation}",
+                          equation_to_latex(by_k[k]), "\\end{equation}"]
         for k in sorted(report.induction):
             lines.append(f"% decoupled induction system, index {k}")
             for eq in report.induction[k]:
-                lines.append("\\begin{equation}")
-                lines.append(equation_to_latex(eq))
-                lines.append("\\end{equation}")
+                lines += ["\\begin{equation}", equation_to_latex(eq),
+                          "\\end{equation}"]
         for v in report.verdicts:
             extra = ""
             if v.status == "equivalent_zero_set":

@@ -110,7 +110,9 @@ def classify_triviality(gamma, k: int, field: str,
     continuity forces F = 0.  Zero c: F is constant along rays and decay
     forces F = 0.  Without decay, continuity at Y = 0 (on the boundary R = 0)
     forces F = 0 for d < 0 and F constant for d = 0, as F(Y) = |Y|^d F(Y/|Y|);
-    d > 0 is open, with the witness |Y|^d Theta(phi).
+    d > 0 is open, with the witness |Y|^d Theta(phi).  The k = 0 rows are
+    not proved this way: the order-0 equations add the perp-grad Psi_0
+    drift, and their argument is the cutoff identity with div b = 2 gamma.
 
     Raises ValueError when c or d has no finite float.
     """
@@ -156,10 +158,10 @@ class ScalingReport:
     swirl_pointwise_exp: float  # the degree of U_0
     gradpsi_pointwise_exp: float  # the degree of Psi_0, minus 1
     swirl_decay: str            # "decays" | "borderline" | "does_not_apply"
-    gradpsi_sublinear: bool
-    omega_info: str
     bounds: tuple  # ((L, L^swirl_pointwise_exp), ...)
-    note: str
+    gradpsi_sublinear: bool = True
+    omega_info: str = "no information on the vorticity profile"
+    note: str = NON_REPRODUCIBILITY_NOTE
 
     def to_json(self) -> dict:
         return {
@@ -207,10 +209,7 @@ def energy_scaling(gamma, L_values=()) -> ScalingReport:
         swirl_pointwise_exp=float(e_u),
         gradpsi_pointwise_exp=float(e_psi),
         swirl_decay=decay,
-        gradpsi_sublinear=True,
-        omega_info="no information on the vorticity profile",
         bounds=bounds,
-        note=NON_REPRODUCIBILITY_NOTE,
     )
 
 
@@ -220,14 +219,12 @@ def energy_scaling(gamma, L_values=()) -> ScalingReport:
 
 def smooth_cutoff(t: np.ndarray) -> np.ndarray:
     """Quintic-smoothstep cutoff: 1 on [0,1], 0 on [2,inf), C^2 across."""
-    t = np.asarray(t, dtype=float)
-    s = np.clip(t - 1.0, 0.0, 1.0)
+    s = np.clip(np.asarray(t, dtype=float) - 1.0, 0.0, 1.0)
     return 1.0 - s ** 3 * (10.0 - 15.0 * s + 6.0 * s ** 2)
 
 
 def smooth_cutoff_deriv(t: np.ndarray) -> np.ndarray:
-    t = np.asarray(t, dtype=float)
-    s = t - 1.0
+    s = np.asarray(t, dtype=float) - 1.0
     inside = (s > 0.0) & (s < 1.0)
     s = np.clip(s, 0.0, 1.0)
     return np.where(inside, -30.0 * s ** 2 * (1.0 - s) ** 2, 0.0)

@@ -1,6 +1,7 @@
 """Command-line front end: manifests, exit codes, config parsing, and
 output files."""
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -732,11 +733,15 @@ def test_scaling_decision_is_exact(gamma, decision, tmp_path):
     (["identity", "--epsilon", "nan"], 2, "usage"),
     (["demo-1d", "--n", "32", "--t-end", "nan"], 2, "usage"),
     (["demo-1d", "--n", "32", "--amplitude", "inf"], 2, "usage"),
+    # the cutoff inside one cell, or U^p underflowing: lhs = rhs = 0 (or
+    # an unresolved cutoff) read as a passing identity
+    (["identity", "--rho", "1e-300"], 2, "usage"),
+    (["identity", "--rho", "0.05"], 2, "usage"),
+    (["identity", "--p", "1000000"], 2, "usage"),
+    (["identity", "--preset", "gaussian", "--rho", "1e-300"], 2, "usage"),
     (["fit", "--series", "missing.csv"], 3, "FileNotFoundError"),
-    (["fit", "--series", "missing.csv", "--rate", "nan"], 2, "usage"),
-    (["fit", "--series", "missing.csv", "--rate", "inf"], 2, "usage"),
-    (["fit", "--series", "missing.csv", "--rate", "-1"], 2, "usage"),
-    (["fit", "--series", "missing.csv", "--rate", "0"], 2, "usage"),
+    # the amplitude rate is the ansatz's, not an option
+    (["fit", "--series", "missing.csv", "--rate", "1"], 2, "usage"),
     (["scaling", "--gamma", "4", "--lengths", "1,-1"], 2, "usage"),
     (["scaling", "--gamma", "4", "--lengths", "1,nan"], 2, "usage"),
     (["scaling", "--gamma", "4", "--lengths", "abc"], 2, "usage"),
@@ -791,12 +796,42 @@ def test_help_lists_flags(capsys):
         assert flag in out
 
 
+def usage_line(capsys) -> dict:
+    # argparse printed only its usage text, with no JSON
+    captured = capsys.readouterr()
+    [line] = captured.err.splitlines()
+    assert captured.out == ""
+    err = json.loads(line)
+    assert err["error"] == "usage"
+    return err
+
+
 def test_unknown_flag_is_error(capsys):
     assert cli.main(["derive", "--bogus"]) == 2
+    assert "--bogus" in usage_line(capsys)["message"]
 
 
 def test_missing_subcommand_is_error(capsys):
     assert cli.main([]) == 2
+    usage_line(capsys)
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--kmax", "x", "--gamma", "1"],
+    ["verify"],
+    ["fit", "--series", "S", "--rate", "1"],
+], ids="_".join)
+def test_argparse_errors_are_one_json_line(argv, capsys):
+    assert cli.main(argv) == 2
+    assert usage_line(capsys)["message"].startswith("ssblow")
+
+
+def test_help_and_version_exit_zero(capsys):
+    assert cli.main(["--help"]) == 0
+    assert cli.main(["fit", "--help"]) == 0
+    assert "--rate" not in capsys.readouterr().out
+    assert cli.main(["--version"]) == 0
+    assert capsys.readouterr().out.strip() == __version__
 
 
 def test_out_dir_env_override(monkeypatch, tmp_path):
@@ -922,6 +957,31 @@ def test_simulate_and_endgame_leave_scipy_unloaded(tmp_path):
         "             for m in sys.modules))\n")
     assert subprocess.run([sys.executable, "-c", probe], env=env,
                           timeout=60).returncode == 0
+
+
+def test_simulate_leaves_hierarchy_unloaded(tmp_path):
+    # track_blowup imports hierarchy where it fits; a simulate run, which
+    # only samples the series, loads no symbolic module beyond sscalc
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("nr = 9\nnz = 8\nt_end = 0.01\n")
+    env = {**os.environ,
+           "PYTHONPATH": str(Path(ssblow.__file__).resolve().parents[1])}
+    argv = ["simulate", "--config", str(cfg), "--out", str(tmp_path / "out")]
+    probe = ("import sys\n"
+             "from ssblow import cli\n"
+             f"assert cli.main({argv!r}) == 0\n"
+             "sys.exit('ssblow.hierarchy' in sys.modules)\n")
+    assert subprocess.run([sys.executable, "-c", probe], env=env,
+                          timeout=60).returncode == 0
+
+
+def test_simulate_defaults_are_the_grid_defaults():
+    # perfbench's slab check rebuilds the grid as CylGrid(nr, nz, z_bc=...)
+    # and so relies on simulate's other grid defaults being CylGrid's
+    grid_defaults = {f.name: f.default for f in dataclasses.fields(
+        cylsim.CylGrid) if f.default is not dataclasses.MISSING}
+    assert grid_defaults == {key: cli.SIMULATE_DEFAULTS[key]
+                             for key in ("r_min", "z_len", "z_bc")}
 
 
 def test_one_process_runs_match_fresh_runs(monkeypatch, tmp_path, capsys):

@@ -2,13 +2,15 @@
 stepping, blow-up diagnostics, scaling arithmetic, and the 1D demo."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from ssblow import cli
+from ssblow import cli, hierarchy
 from ssblow import cylsim as cs
 from ssblow import rigidity as rg
+from ssblow.sscalc import exponent
 
 
 def manufactured_psi(grid):
@@ -489,6 +491,31 @@ def test_track_blowup_window_against_swirl_gamma(u_rate, delta, tag, slope,
     assert fit.window.tag == tag
     assert fit.window.ratio_slope == pytest.approx(slope, abs=1e-6)
     assert fit.window.delta_decays is decays
+
+
+@pytest.mark.parametrize("field, leading", [
+    ("U", (-1, Fraction(1, 3))), ("Omega", (-2, 0))], ids=["U", "Omega"])
+def test_track_blowup_reads_its_rates_off_the_ansatz(field, leading,
+                                                     monkeypatch):
+    # an exact series of a changed LEADING entry: u1 ~ tau^(-1 + gamma/3),
+    # which a hard-coded gamma_swirl = 2 (1 + s) would read as 2 gamma/3,
+    # or omega1 ~ tau^-2, which a hard-coded rate 1 would misplace T for
+    monkeypatch.setitem(hierarchy.LEADING, field, exponent(*leading))
+    gamma, T = 0.4, 1.0
+    s = synthetic_series(T, gamma)
+    tau = T - np.asarray(s.t)
+    e = hierarchy.LEADING[field]
+    power = list(tau ** float(e.base + e.gamma_coeff * Fraction(gamma)))
+    if field == "U":
+        s.max_u1 = power
+    else:
+        s.max_omega1 = power
+    fit = cs.track_blowup(s)
+    assert fit.rate == -e.base
+    assert abs(fit.T_fit - T) <= 1e-6
+    assert fit.amplitude == pytest.approx(1.0, rel=1e-6)
+    assert fit.window.tag == "shrinks_selfsimilar"
+    assert fit.window.ratio_slope == pytest.approx(0.0, abs=1e-6)
 
 
 def test_track_blowup_window_indeterminate_without_swirl():

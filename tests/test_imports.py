@@ -233,6 +233,9 @@ UNREAD_METHODS = {
     ("PoissonSolver", "residual"):
         "the elliptic residual: the tests' oracle for the solve, and the "
         "planned per-sample diagnostic of simulate (ROADMAP item 7)",
+    ("_Parser", "error"):
+        "overrides argparse.ArgumentParser.error, which argparse itself "
+        "calls on every usage error",
     ("ScalarField2D", "from_binary"):
         "the reader of the .bin snapshots that simulate writes; perfbench "
         "and the tests read them with it",
