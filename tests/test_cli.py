@@ -740,8 +740,13 @@ def test_scaling_decision_is_exact(gamma, decision, tmp_path):
     (["identity", "--p", "1000000"], 2, "usage"),
     (["identity", "--preset", "gaussian", "--rho", "1e-300"], 2, "usage"),
     (["fit", "--series", "missing.csv"], 3, "FileNotFoundError"),
-    # the amplitude rate is the ansatz's, not an option
+    # the amplitude rate is the ansatz's, not an option: any --rate,
+    # finite or not, is an unknown argument
     (["fit", "--series", "missing.csv", "--rate", "1"], 2, "usage"),
+    (["fit", "--series", "missing.csv", "--rate", "nan"], 2, "usage"),
+    (["fit", "--series", "missing.csv", "--rate", "inf"], 2, "usage"),
+    (["fit", "--series", "missing.csv", "--rate", "-1"], 2, "usage"),
+    (["fit", "--series", "missing.csv", "--rate", "0"], 2, "usage"),
     (["scaling", "--gamma", "4", "--lengths", "1,-1"], 2, "usage"),
     (["scaling", "--gamma", "4", "--lengths", "1,nan"], 2, "usage"),
     (["scaling", "--gamma", "4", "--lengths", "abc"], 2, "usage"),
