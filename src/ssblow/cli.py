@@ -427,7 +427,11 @@ def _load_series(path) -> cylsim.BlowupSeries:
     import numpy as np
     from . import cylsim
 
-    rows = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    lines = Path(path).read_text().splitlines()[1:]  # below the header
+    # loadtxt skips blank lines and '#' comments, and warns if that is all
+    if not any(line.split("#", 1)[0].strip() for line in lines):
+        raise UsageError(f"{path}: no data rows below the header")
+    rows = np.loadtxt(lines, delimiter=",", ndmin=2)
     if rows.shape[1] != 8:
         raise UsageError(f"{path}: expected 8 columns")
     t, max_omega1, max_u1, delta = map(list, rows[:, :4].T)
@@ -615,7 +619,7 @@ def _numeric_errors() -> tuple:
     from . import cylsim
 
     return (cylsim.CFLViolation, cylsim.NumericalBlowup, cylsim.FitRejected,
-            CommensurabilityError, FileNotFoundError)
+            CommensurabilityError, OSError)
 
 
 def _fail(kind: str, exc: BaseException, code: int) -> int:

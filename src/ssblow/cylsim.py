@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dc_field
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -297,25 +297,6 @@ class BlowupSeries:
         self.box.append(box)
 
 
-def _golden_min(f: Callable[[float], float], lo: float, hi: float,
-                tol: float) -> float:
-    phi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - phi * (b - a)
-    d = a + phi * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > tol:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - phi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + phi * (b - a)
-            fd = f(d)
-    return 0.5 * (a + b)
-
-
 @dataclass(frozen=True)
 class WindowVerdict:
     tag: str  # "shrinks_selfsimilar" | "wider_than_selfsimilar" | "indeterminate"
@@ -335,8 +316,9 @@ class BlowupFit:
 def track_blowup(series: BlowupSeries) -> BlowupFit:
     """Fit max|omega1| ~ C (T-t)^-a and delta ~ c (T-t)^gamma.
 
-    T is found by golden-section search on the residual of the log fit,
-    with a read off omega1 ~ (T-t)^-1 in hierarchy.LEADING.  gamma comes
+    With a read off omega1 ~ (T-t)^-1 in hierarchy.LEADING,
+    max|omega1|^(-1/a) = C^(-1/a) (T-t) is a line in t, and T is the root
+    of its least-squares fit on relative residuals.  gamma comes
     from log-log regression of the window width.  LEADING's u1 ~
     (T-t)^(base + gamma_coeff gamma) gives the gamma the swirl implies,
     gamma_swirl = (s - base) / gamma_coeff with s the log-log slope of
@@ -344,8 +326,8 @@ def track_blowup(series: BlowupSeries) -> BlowupFit:
     Fewer than 4 positive finite delta samples, or a max|u1| sample that
     is not positive and finite, leave the window indeterminate.  Needs at
     least 6 samples at finite, strictly increasing times with finite,
-    strictly growing vorticity, and raises FitRejected when the search ends at
-    t_last + 10 span, the far end of its bracket.
+    strictly growing vorticity, and raises FitRejected when the fitted T
+    is not after t_last or lies beyond t_last + 10 span.
     """
     from .hierarchy import LEADING
 
@@ -362,21 +344,21 @@ def track_blowup(series: BlowupSeries) -> BlowupFit:
         raise FitRejected("vorticity maximum must grow monotonically")
 
     rate = -float(LEADING["Omega"].base)  # its gamma part is zero
-    log_M = np.log(M)
-    lo = t[-1] + 1e-12 * max(1.0, abs(t[-1]))
+    # y = M^(-1/a) = C^(-1/a) (T - t) is a line in s = t - t_last, fitted
+    # on relative residuals: c0/y + c1 s/y ~ 1, with root s = -c0/c1
+    y = M ** (-1.0 / rate)
+    s = t - t[-1]
+    c0, c1 = np.linalg.lstsq(np.column_stack((1.0 / y, s / y)),
+                             np.ones_like(y), rcond=None)[0]
+    T_fit = float(t[-1] - c0 / c1) if c1 < 0 else math.nan
+    if not T_fit > t[-1]:
+        raise FitRejected("the line through max|omega1|^(-1/a) has no root "
+                          "after t_last")
     hi = t[-1] + 10.0 * (t[-1] - t[0])
-    # floored at a few float spacings, which large times make exceed 1e-9
-    tol = max(1e-9, 4 * math.ulp(max(abs(lo), abs(hi))))
-
-    def resid(T: float) -> float:
-        return float(np.var(log_M + rate * np.log(T - t)))
-
-    T_fit = _golden_min(resid, lo, hi, tol)
-    if hi - T_fit <= tol:
-        # the search never moved the upper end: T lies beyond the bracket
+    if T_fit > hi:
         raise FitRejected(f"blow-up time lies beyond t_last + 10*span = {hi}")
     x = np.log(T_fit - t)
-    amp = math.exp(float(np.mean(log_M + rate * x)))
+    amp = math.exp(float(np.mean(np.log(M) + rate * x)))
 
     d = np.asarray(series.delta, dtype=float)
     ok = np.isfinite(d) & (d > 0)
@@ -395,7 +377,7 @@ def track_blowup(series: BlowupSeries) -> BlowupFit:
         tag = "wider_than_selfsimilar" if ratio_slope < -slope_tol \
             else "shrinks_selfsimilar"
         window = WindowVerdict(tag, ratio_slope, gamma_fit > slope_tol)
-    return BlowupFit(float(T_fit), gamma_fit, amp, window, rate)
+    return BlowupFit(T_fit, gamma_fit, amp, window, rate)
 
 
 # ---------------------------------------------------------------------------

@@ -486,8 +486,8 @@ def test_fit_rejects_flat_series(tmp_path, capsys):
 
 
 def test_fit_rejects_blowup_time_beyond_bracket(tmp_path, capsys):
-    # max|omega1| = 1 + 0.001 t: the fitted T would sit on the far edge of
-    # the search bracket, t_last + 10 span = 11
+    # max|omega1| = 1 + 0.001 t: the fitted T lies near t = 1000, beyond
+    # t_last + 10 span = 11
     lines = ["t,max_omega1,max_u1,delta,box_rmin,box_rmax,box_zmin,box_zmax"]
     for ti in np.linspace(0.0, 1.0, 11):
         lines.append(",".join(repr(float(v)) for v in
@@ -740,6 +740,9 @@ def test_scaling_decision_is_exact(gamma, decision, tmp_path):
     (["identity", "--p", "1000000"], 2, "usage"),
     (["identity", "--preset", "gaussian", "--rho", "1e-300"], 2, "usage"),
     (["fit", "--series", "missing.csv"], 3, "FileNotFoundError"),
+    # a directory as an input file exited 1 with a traceback
+    (["fit", "--series", "."], 3, "IsADirectoryError"),
+    (["simulate", "--config", "."], 3, "IsADirectoryError"),
     # the amplitude rate is the ansatz's, not an option: any --rate,
     # finite or not, is an unknown argument
     (["fit", "--series", "missing.csv", "--rate", "1"], 2, "usage"),
@@ -783,6 +786,28 @@ def test_overflowing_input_is_one_line_usage_error(argv, tmp_path):
     assert proc.stdout == ""
     [line] = proc.stderr.splitlines()
     assert json.loads(line)["error"] == "usage"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("body", ["", "\n# a comment\n"],
+                         ids=["header-only", "comment-only"])
+def test_header_only_series_is_one_line_usage_error(body, tmp_path):
+    # numpy's "input contained no data" warning went to stderr ahead of an
+    # "expected 8 columns" error; a fresh process shows any such warning
+    sfile = tmp_path / "series.csv"
+    sfile.write_text(cli.SERIES_HEADER + "\n" + body)
+    env = {**os.environ,
+           "PYTHONPATH": str(Path(ssblow.__file__).resolve().parents[1])}
+    out = tmp_path / "out"
+    proc = subprocess.run(
+        [sys.executable, "-m", "ssblow.cli", "fit", "--series", str(sfile),
+         "--out", str(out)],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2
+    [line] = proc.stderr.splitlines()
+    err = json.loads(line)
+    assert err["error"] == "usage"
+    assert "no data rows" in err["message"]
     assert not out.exists()
 
 

@@ -560,8 +560,8 @@ def test_track_blowup_rejects_short():
 
 
 def edge_series():
-    # max|omega1| = 1 + 0.001 t grows so slowly that the residual keeps
-    # falling up to the far end of the search bracket, t_last + 10 span
+    # max|omega1| = 1 + 0.001 t grows so slowly that the line through
+    # 1/max|omega1| has its root near t = 1000, beyond t_last + 10 span
     s = synthetic_series(n=11)
     s.t = list(np.linspace(0.0, 1.0, 11))
     s.max_omega1 = [1.0 + 1e-3 * t for t in s.t]
@@ -573,25 +573,21 @@ def test_track_blowup_rejects_bracket_edge():
         cs.track_blowup(edge_series())
 
 
-def test_track_blowup_large_sample_times(monkeypatch):
-    # near t = 1e9 the float spacing (1.2e-7) is coarser than 1e-9, so a
-    # search that waits for a 1e-9 bracket never ends; 500 evaluations is
-    # ten times what a converging search needs
-    golden = cs._golden_min
+def test_track_blowup_rejects_root_at_last_sample():
+    # T - t_last = 1e-8 is below half the float spacing at t = 1e9, so the
+    # fitted T rounds to t_last, where log(T - t) is -inf; a bracketed
+    # search instead returned its lower end, t_last + 1e-3
+    s = synthetic_series(n=6)
+    k = np.arange(6.0)
+    s.t = list(1e9 + k)
+    s.max_omega1 = list(1.0 / (5.0 + 1e-8 - k))
+    with pytest.raises(cs.FitRejected, match="no root after t_last"):
+        cs.track_blowup(s)
 
-    def bounded(f, *args):
-        calls = 0
 
-        def counted(T):
-            nonlocal calls
-            calls += 1
-            if calls > 500:
-                raise RuntimeError("golden-section search does not converge")
-            return f(T)
-
-        return golden(counted, *args)
-
-    monkeypatch.setattr(cs, "_golden_min", bounded)
+def test_track_blowup_large_sample_times():
+    # near t = 1e9 the float spacing (1.2e-7) is coarser than 1e-9; the
+    # line is fitted in t - t_last, so T keeps that spacing's accuracy
     s = synthetic_series()
     s.t = [1e9 + t for t in s.t]
     fit = cs.track_blowup(s)
@@ -607,6 +603,29 @@ def test_track_blowup_noise_monte_carlo():
         fit = cs.track_blowup(s)
         worst = max(worst, abs(fit.gamma_fit - 0.4) / 0.4)
     assert worst <= 0.05, worst
+
+
+def test_track_blowup_line_fit_matches_log_residual_minimum():
+    # the line fit against a bounded scalar minimum of the log fit's
+    # residual Var(log M + a log(T - t)) over (t_last, t_last + 10 span),
+    # on the Monte Carlo's 100 noisy series
+    from scipy.optimize import minimize_scalar
+
+    rng = np.random.default_rng(101)
+    for _ in range(100):
+        s = synthetic_series(n=40, noise=0.01, rng=rng)
+        fit = cs.track_blowup(s)
+        t, log_M = np.asarray(s.t), np.log(s.max_omega1)
+
+        def resid(T):
+            return float(np.var(log_M + fit.rate * np.log(T - t)))
+
+        span = t[-1] - t[0]
+        oracle = minimize_scalar(resid, method="bounded",
+                                 bounds=(t[-1], t[-1] + 10 * span),
+                                 options={"xatol": 1e-10})
+        assert resid(fit.T_fit) <= 1.001 * oracle.fun
+        assert abs(fit.T_fit - oracle.x) <= 1e-5
 
 
 def test_series_strictly_increasing_times():
