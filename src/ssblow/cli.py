@@ -6,7 +6,8 @@ that records the command, the configuration snapshot, the toolkit
 version, the wall time, and the schema version of every file produced.
 
 Exit codes: 0 success, 1 verification mismatch, 2 usage error,
-3 numeric failure.  Failures emit machine-readable JSON on stderr.
+3 numeric failure (an unreadable input file and running out of memory
+included).  Failures emit machine-readable JSON on stderr.
 
 The module level imports only the standard library and `sscalc`; each
 command checks its arguments, then imports the package modules it calls.
@@ -17,6 +18,7 @@ command computes never load numpy.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import math
@@ -28,7 +30,7 @@ from pathlib import Path
 from typing import Optional
 
 from . import __version__
-from .sscalc import CommensurabilityError, json_text
+from .sscalc import CommensurabilityError, json_write
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -81,12 +83,28 @@ def _out_dir(args) -> Path:
     return path
 
 
+@contextlib.contextmanager
+def _open_output(path: Path):
+    """Open path for writing text; if the block (or closing the file)
+    raises, remove the partial file and re-raise, so no truncated output
+    is left behind."""
+    fh = open(path, "w")
+    try:
+        with fh:
+            yield fh
+    except BaseException:
+        path.unlink(missing_ok=True)
+        raise
+
+
 def _write_json(path: Path, payload) -> None:
-    path.write_text(json_text(payload) + "\n")
+    with _open_output(path) as fh:
+        json_write(payload, fh.write)
+        fh.write("\n")
 
 
 def _write_csv(path: Path, header: str, rows) -> None:
-    with open(path, "w") as fh:
+    with _open_output(path) as fh:
         fh.write(header + "\n")
         for row in rows:
             fh.write(",".join(repr(float(v)) for v in row) + "\n")
@@ -186,7 +204,8 @@ def cmd_derive(args) -> int:
         "mode": args.mode, "depth": args.depth, "format": args.format})
     ext = "json" if args.format == "json" else "tex"
     path = manifest.add(out / f"hierarchy.{ext}", hierarchy.SCHEMA)
-    path.write_text(hierarchy.emit(report, args.format))
+    with _open_output(path) as fh:
+        hierarchy.emit(report, args.format, fh.write)
     manifest.write(out, started)
     if not report.all_acceptable:
         bad = [v.to_json() for v in report.verdicts if not v.acceptable]
@@ -619,7 +638,7 @@ def _numeric_errors() -> tuple:
     from . import cylsim
 
     return (cylsim.CFLViolation, cylsim.NumericalBlowup, cylsim.FitRejected,
-            CommensurabilityError, OSError)
+            CommensurabilityError, OSError, MemoryError)
 
 
 def _fail(kind: str, exc: BaseException, code: int) -> int:

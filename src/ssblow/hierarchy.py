@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
-from typing import Optional
+from typing import Callable, Optional
 
 from .sscalc import (
     ProfileRef,
@@ -28,7 +28,7 @@ from .sscalc import (
     exponent,
     expr_to_latex,
     geometric_expand,
-    json_text,
+    json_write,
     lattice_base,
     product_terms,
     prof,
@@ -389,10 +389,16 @@ def report_to_json(report: HierarchyReport) -> dict:
     }
 
 
-def emit(report: HierarchyReport, format: str = "json") -> str:
+def emit(report: HierarchyReport, format: str = "json",
+         write: Optional[Callable[[str], object]] = None) -> Optional[str]:
+    """Write the report as JSON or LaTeX through write(str); with no
+    write, return its text.  JSON goes out in json_write's bounded
+    chunks."""
+    chunks = []
+    sink = chunks.append if write is None else write
     if format == "json":
-        return json_text(report_to_json(report), sort_keys=True)
-    if format == "latex":
+        json_write(report_to_json(report), sink, sort_keys=True)
+    elif format == "latex":
         lines = [
             "% order-by-order profile equations "
             f"({report.mode} ansatz, depth {report.depth})",
@@ -422,5 +428,7 @@ def emit(report: HierarchyReport, format: str = "json") -> str:
             lines.append(f"% verdict {v.equation}[{v.order}]: {v.status}{extra}")
         if report.truncation_note:
             lines.append(f"% {report.truncation_note}")
-        return "\n".join(lines) + "\n"
-    raise ValueError(f"unknown format {format!r}")
+        sink("\n".join(lines) + "\n")
+    else:
+        raise ValueError(f"unknown format {format!r}")
+    return "".join(chunks) if write is None else None

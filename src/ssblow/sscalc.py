@@ -12,8 +12,9 @@ a Fraction otherwise.  All values are immutable, so canonical forms are
 safe to share and hash: assigning to a field raises.
 
 The module imports only the standard library.  It also holds the JSON
-and LaTeX writers, `json_text` (the package's indented JSON writer)
-among them, so that the symbolic commands run without numpy.
+and LaTeX writers, `json_write` (the package's indented JSON writer,
+which writes through a sink in bounded chunks) and its string form
+`json_text` among them, so that the symbolic commands run without numpy.
 """
 
 from __future__ import annotations
@@ -45,6 +46,7 @@ __all__ = [
     "expr_to_latex",
     "equation_to_latex",
     "json_text",
+    "json_write",
 ]
 
 
@@ -531,16 +533,24 @@ def _float_text(x) -> str:
     return float.__repr__(x)
 
 
-def json_text(obj, sort_keys: bool = False) -> str:
-    """The bytes of json.dumps(obj, indent=2, sort_keys=sort_keys).
+#: parts the JSON writer holds before it hands them on, joined, to its sink
+_CHUNK = 4096
+
+
+def json_write(obj, write: Callable[[str], object],
+               sort_keys: bool = False) -> None:
+    """Write the text of json.dumps(obj, indent=2, sort_keys=sort_keys)
+    through write(str), in chunks of at most about _CHUNK parts.
 
     The stdlib encodes with an indent in pure Python, one generator per
-    container; this appends to one list of parts and joins it once.
-    Values are str-keyed dicts, lists, tuples, str, int, float (subclasses
-    such as np.float64 included), bool and None; anything else, and a
-    non-str key, raises TypeError.
+    container; this appends to one list of parts and hands the list on,
+    joined, once it holds _CHUNK parts, so a file writer holds a bounded
+    piece of the text and not all of it.  Values are str-keyed dicts,
+    lists, tuples, str, int, float (subclasses such as np.float64
+    included), bool and None; anything else, and a non-str key, raises
+    TypeError, possibly after part of the text has been written.
     """
-    escape, intstr = _ESCAPE, int.__repr__
+    escape, intstr, chunk = _ESCAPE, int.__repr__, _CHUNK
     parts = []
     put = parts.append
     # "\n" and ",\n" followed by the indent of each level reached so far
@@ -582,7 +592,7 @@ def json_text(obj, sort_keys: bool = False) -> str:
                             "is not JSON serializable")
 
     # the loops below dispatch the commonest types themselves, saving a
-    # call of value() per item
+    # call of value() per item, and hand on a full list after each item
     def sequence(seq, level):
         if not seq:
             put("[]")
@@ -605,6 +615,9 @@ def json_text(obj, sort_keys: bool = False) -> str:
                 put(intstr(item))
             else:
                 value(item, level)
+            if len(parts) >= chunk:
+                write("".join(parts))
+                parts.clear()
         put(newline[level - 1] + "]")
 
     def mapping(d, level):
@@ -636,10 +649,27 @@ def json_text(obj, sort_keys: bool = False) -> str:
                 sequence(item, level)
             else:
                 value(item, level)
+            if len(parts) >= chunk:
+                write("".join(parts))
+                parts.clear()
         put(newline[level - 1] + "}")
 
-    value(obj, 0)
-    return "".join(parts)
+    try:
+        value(obj, 0)
+    finally:
+        # the three closures hold each other: emptying their cells frees
+        # them, and the parts list, on return instead of at the next
+        # cyclic garbage collection
+        del value, sequence, mapping
+    write("".join(parts))
+
+
+def json_text(obj, sort_keys: bool = False) -> str:
+    """The text of json.dumps(obj, indent=2, sort_keys=sort_keys), as
+    json_write writes it."""
+    chunks = []
+    json_write(obj, chunks.append, sort_keys)
+    return "".join(chunks)
 
 
 def _rat_latex(q) -> str:

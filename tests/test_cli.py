@@ -766,6 +766,31 @@ def test_failing_command_leaves_no_output(argv, code, error, monkeypatch,
     assert not out.exists()
 
 
+class _ArrayMemoryError(MemoryError):
+    """Stands in for numpy's subclass, raised by a too-large np.empty."""
+
+
+@pytest.mark.parametrize("exc,kind", [
+    (MemoryError(), "MemoryError"),
+    (_ArrayMemoryError("Unable to allocate 745. GiB for an array"),
+     "_ArrayMemoryError"),
+])
+def test_out_of_memory_is_one_line_numeric_error(exc, kind, monkeypatch,
+                                                 tmp_path, capsys):
+    # demo-1d --n 100000000000 exited 1 with a traceback; the allocation
+    # is faked, since a real one can wake the host's OOM killer
+    def no_memory(*args):
+        raise exc
+
+    monkeypatch.setattr(cylsim, "demo_1d", no_memory)
+    out = tmp_path / "out"
+    assert cli.main(["demo-1d", "--n", "100000000000",
+                     "--out", str(out)]) == 3
+    [line] = capsys.readouterr().err.splitlines()
+    assert json.loads(line)["error"] == kind
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv", [
     # L^(1/2 - 1000) overflows at L = 1e-300
     ["scaling", "--gamma", "1/1000", "--lengths", "1e-300"],

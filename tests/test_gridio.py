@@ -1,5 +1,6 @@
 """Snapshot record and its binary interchange format, the difference
-stencils and quadrature, and the package's JSON writer `sscalc.json_text`."""
+stencils and quadrature, and the package's JSON writer `sscalc.json_write`
+with its string form `sscalc.json_text`."""
 
 import collections
 import enum
@@ -11,8 +12,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ssblow.cylsim import CylGrid
+from ssblow import sscalc
 from ssblow.gridio import ScalarField2D, diff1, diff2, trapezoid_weights
-from ssblow.sscalc import json_text
+from ssblow.sscalc import json_text, json_write
 
 
 def make_field(rng, n1=7, n2=9):
@@ -211,6 +213,17 @@ def test_json_text_matches_stdlib(obj, sort_keys):
                                                    sort_keys=sort_keys)
 
 
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(_trees, st.booleans())
+def test_json_text_matches_stdlib_in_one_part_chunks(obj, sort_keys):
+    # the writer hands on its parts after every item: each flush point in
+    # both loops is crossed
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sscalc, "_CHUNK", 1)
+        assert json_text(obj, sort_keys) == json.dumps(obj, indent=2,
+                                                       sort_keys=sort_keys)
+
+
 class _Level(enum.IntEnum):
     HIGH = 3
 
@@ -223,18 +236,41 @@ class _Dict(dict):
     pass
 
 
-@pytest.mark.parametrize("obj", [
+_CONTAINERS = [
     {}, [], (), [[]], {"a": {}}, [{}, [[], {}]], {"a": [(), {"b": []}]},
     {"b": 1, "a": [True, False, None, -0.0, float("nan")]}, "x", 7, None,
     # subclasses are written as their json base type
     _List([1, _Dict(b=2, a=_List())]), _Dict(x=[_Level.HIGH]),
     {"p": collections.namedtuple("Pair", "a b")(1, 2.5)}, _Level.HIGH,
     [np.float64(0.1), np.str_("s")],
-])
+]
+
+
+@pytest.mark.parametrize("obj", _CONTAINERS)
 @pytest.mark.parametrize("sort_keys", [False, True])
 def test_json_text_containers_and_subclasses(obj, sort_keys):
     assert json_text(obj, sort_keys) == json.dumps(obj, indent=2,
                                                    sort_keys=sort_keys)
+
+
+@pytest.mark.parametrize("obj", _CONTAINERS)
+@pytest.mark.parametrize("sort_keys", [False, True])
+def test_json_text_containers_and_subclasses_in_one_part_chunks(
+        obj, sort_keys, monkeypatch):
+    monkeypatch.setattr(sscalc, "_CHUNK", 1)
+    assert json_text(obj, sort_keys) == json.dumps(obj, indent=2,
+                                                   sort_keys=sort_keys)
+
+
+def test_json_write_hands_on_bounded_chunks():
+    # 10,000 numbers, each a separator and a digit string, are about
+    # 20,000 parts: at least four full chunks and a last one
+    obj = {"rows": [list(range(100))] * 100}
+    chunks = []
+    json_write(obj, chunks.append)
+    assert "".join(chunks) == json.dumps(obj, indent=2)
+    assert len(chunks) >= 5
+    assert max(map(len, chunks)) < len("".join(chunks)) / 4
 
 
 @pytest.mark.parametrize("obj", [
