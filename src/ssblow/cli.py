@@ -22,6 +22,7 @@ import contextlib
 import functools
 import json
 import math
+import os
 import sys
 import time
 from dataclasses import asdict, dataclass, field as dc_field
@@ -31,6 +32,9 @@ from typing import Optional
 
 from . import __version__
 from .sscalc import CommensurabilityError, json_write
+
+# OpenBLAS reads this on load: idle workers sleep, not spin 2^28 cycles
+os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "4")
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -396,9 +400,12 @@ def cmd_simulate(args) -> int:
             grid.field(vals).to_binary(path)
 
     hmin = min(grid.hr, grid.hz)
+    # the run ends within a relative 1e-12 of t_end, so that rounding in t
+    # adds no sliver of a step and a tiny t_end still takes its steps
+    t_stop = t_end - 1e-12 * t_end
     istep = 0
     nsnap = 0
-    while state.t < t_end - 1e-12:
+    while state.t < t_stop:
         if dt_cfg > 0:
             dt = dt_cfg
         else:
@@ -418,7 +425,7 @@ def cmd_simulate(args) -> int:
                 "step": istep + 1, "t": state.t})
             raise
         istep += 1
-        if istep % cadence == 0 or state.t >= t_end - 1e-12:
+        if istep % cadence == 0 or state.t >= t_stop:
             series.append_sample(state, grid)
         if snapshots and istep % snapshots == 0:
             nsnap += 1

@@ -239,24 +239,26 @@ def step(state: CylState, dt: float, grid: CylGrid, forcing=None, *,
         f0, f_half, f1 = ([fn(R, Zm, tt) for fn in forcing]
                           for tt in (t, t + 0.5 * dt, t + dt))
 
-    k1u, k1o, ur, uz = _rhs(u, om, state.psi1, grid, f0)
-    vmax = max(max_speed(ur, uz, u), 1e-12)
-    if dt > cfl * min(grid.hr, grid.hz) / vmax:
-        raise CFLViolation(
-            f"dt={dt:.3e} exceeds {cfl:.2f}*h/max|u| with max|u|={vmax:.3e}")
-    del ur, uz
-
     def rates(c, ku, ko, f):
         # the stage fields u + c k, om + c k and their stream function live
         # only while their rates are formed
         us, oms = u + c * ku, om + c * ko
         return _rhs(us, oms, solver.solve(oms), grid, f)[:2]
 
-    k2u, k2o = rates(0.5 * dt, k1u, k1o, f_half)
-    k3u, k3o = rates(0.5 * dt, k2u, k2o, f_half)
-    k4u, k4o = rates(dt, k3u, k3o, f1)
-    u_new = u + dt / 6.0 * (k1u + 2 * k2u + 2 * k3u + k4u)
-    om_new = om + dt / 6.0 * (k1o + 2 * k2o + 2 * k3o + k4o)
+    # a step may overflow; the finiteness check below raises NumericalBlowup
+    # for it, so numpy's overflow warnings would only repeat that on stderr
+    with np.errstate(over="ignore", invalid="ignore"):
+        k1u, k1o, ur, uz = _rhs(u, om, state.psi1, grid, f0)
+        vmax = max(max_speed(ur, uz, u), 1e-12)
+        if dt > cfl * min(grid.hr, grid.hz) / vmax:
+            raise CFLViolation(f"dt={dt:.3e} exceeds {cfl:.2f}*h/max|u| "
+                               f"with max|u|={vmax:.3e}")
+        del ur, uz
+        k2u, k2o = rates(0.5 * dt, k1u, k1o, f_half)
+        k3u, k3o = rates(0.5 * dt, k2u, k2o, f_half)
+        k4u, k4o = rates(dt, k3u, k3o, f1)
+        u_new = u + dt / 6.0 * (k1u + 2 * k2u + 2 * k3u + k4u)
+        om_new = om + dt / 6.0 * (k1o + 2 * k2o + 2 * k3o + k4o)
     if not (np.all(np.isfinite(u_new)) and np.all(np.isfinite(om_new))):
         raise NumericalBlowup(f"non-finite field at t={t:.6g}")
     psi_new = solver.solve(om_new)
@@ -412,12 +414,15 @@ def demo_1d(bc: str, n: int, t_end: Optional[float] = None,
     records the values the run used.
 
     The time step is the diffusive limit 0.4 h^2; the centered gradient
-    term then needs max|4 u_x^3| <~ 0.5 n to stay stable, which caps the
-    periodic amplitude usable at a given resolution.
+    term then needs max|4 u_x^3| <= 2 n to stay stable, which caps the
+    periodic amplitude usable at a given resolution.  Periodic data whose
+    initial discrete max|u_x| breaks that bound is rejected: a run from it
+    would report its numerical instability as blow-up.
 
     Raises ValueError unless n >= 2, t_end is finite and positive,
-    amplitude is finite, and u0 (when given) is finite with n points
-    (periodic) or n + 1 points (Dirichlet).
+    amplitude is finite, u0 (when given) is finite with n points
+    (periodic) or n + 1 points (Dirichlet), and periodic data satisfies
+    4 max|u_x|^3 h <= 2.
     """
     if bc not in ("periodic", "dirichlet"):
         raise ValueError(f"unknown boundary tag {bc!r}")
@@ -452,6 +457,17 @@ def demo_1d(bc: str, n: int, t_end: Optional[float] = None,
         w[1:-1] = amplitude * np.sin(2 * np.pi * x) if u0 is None else u0
         w[0], w[-1] = w[-2], w[1]
         nodes = w[:-1]
+        # the periodic gradient never exceeds its initial maximum, so the
+        # stability bound need only hold at t = 0
+        with np.errstate(over="ignore"):
+            g0 = float(np.max(np.abs(np.diff(nodes)))) / h
+        # 4 g^3 h <= 2 solved for g, since g^3 may overflow
+        bound = (0.5 / h) ** (1 / 3)
+        if g0 > bound:
+            raise ValueError(
+                f"periodic data with max|u_x| = {g0:.6g} is unstable at "
+                f"n = {n}: the explicit step needs max|u_x| <= {bound:.6g} "
+                "(4 max|u_x|^3 h <= 2); raise n or lower the amplitude")
     else:
         if u0 is None:
             x = np.linspace(0.0, 1.0, n + 1)

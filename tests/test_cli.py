@@ -19,6 +19,7 @@ from hypothesis import given, settings, strategies as st
 import ssblow
 from ssblow import __version__
 from ssblow import cli, cylsim, rigidity
+from ssblow.gridio import ScalarField2D
 
 
 def run(argv, tmp_path):
@@ -690,6 +691,17 @@ def test_demo_1d_bad_input_is_usage_error(flags, tmp_path, capsys):
     assert not (tmp_path / "manifest.json").exists()
 
 
+def test_unstable_periodic_demo_1d_is_usage_error(tmp_path, capsys):
+    # 4 max|u_x|^3 h is 7.75 > 2 here: the run would blow up numerically
+    # and report that as blow-up of a problem whose gradient is bounded
+    assert run(["demo-1d", "--bc", "periodic", "--n", "128",
+                "--amplitude", "1"], tmp_path) == 2
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["error"] == "usage"
+    assert "unstable" in err["message"]
+    assert not (tmp_path / "manifest.json").exists()
+
+
 def test_demo_1d_overflow_before_first_sample(tmp_path, capsys):
     code = run(["demo-1d", "--bc", "dirichlet", "--n", "32",
                 "--amplitude", "1e200"], tmp_path)
@@ -993,6 +1005,39 @@ def test_fresh_failing_simulate_reports_numeric_error(tmp_path):
     assert json.loads(line)["error"] == "CFLViolation"
 
 
+def test_fresh_overflowing_simulate_writes_one_stderr_line(tmp_path):
+    # the fields overflow inside the first step; the step's own
+    # finiteness check reports that, and numpy adds no warning lines
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("nr = 9\nnz = 9\nt_end = 0.01\namplitude = 1e200\n")
+    env = {**os.environ,
+           "PYTHONPATH": str(Path(ssblow.__file__).resolve().parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "ssblow.cli", "simulate", "--config",
+         str(cfg), "--out", str(tmp_path / "out")],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 3
+    [line] = proc.stderr.splitlines()
+    assert json.loads(line)["error"] == "NumericalBlowup"
+
+
+@pytest.mark.parametrize("t_end", [1e-14, 1e-300])
+def test_simulate_below_the_old_absolute_tolerance_takes_a_step(
+        t_end, tmp_path, capsys):
+    # the run stops within a relative 1e-12 of t_end, so a t_end below
+    # 1e-12 still steps to t_end instead of writing the t = 0 fields
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(f"nr = 9\nnz = 9\nt_end = {t_end!r}\n")
+    assert run(["simulate", "--config", str(cfg)], tmp_path) == 0
+    assert "in 1 steps" in capsys.readouterr().out
+    rows = np.loadtxt(tmp_path / "series.csv", delimiter=",", skiprows=1,
+                      ndmin=2)
+    assert rows[:, 0].tolist() == [0.0, t_end]
+    # swirl_bump starts with omega1 = 0, which one step makes nonzero
+    final = ScalarField2D.from_binary(tmp_path / "omega1_final.bin")
+    assert np.any(final.values != 0.0)
+
+
 def test_simulate_and_endgame_leave_scipy_unloaded(tmp_path):
     # the elliptic solver is numpy only: a Dirichlet run and the Laplace
     # endgame, its two callers, load no part of scipy
@@ -1028,6 +1073,57 @@ def test_simulate_leaves_hierarchy_unloaded(tmp_path):
              "sys.exit('ssblow.hierarchy' in sys.modules)\n")
     assert subprocess.run([sys.executable, "-c", probe], env=env,
                           timeout=60).returncode == 0
+
+
+def env_without_blas_timeout():
+    # importing ssblow.cli set the variable in this process too
+    env = {key: value for key, value in os.environ.items()
+           if key != "OPENBLAS_THREAD_TIMEOUT"}
+    env["PYTHONPATH"] = str(Path(ssblow.__file__).resolve().parents[1])
+    return env
+
+
+def test_cli_import_parks_idle_blas_workers():
+    # idle OpenBLAS workers sleep at once instead of spinning between calls:
+    # the import sets their timeout before any command loads numpy, and
+    # keeps a value the caller exported
+    env = env_without_blas_timeout()
+    probe = ("import os, sys\n"
+             "import ssblow.cli\n"
+             "print(os.environ['OPENBLAS_THREAD_TIMEOUT'],"
+             " 'numpy' in sys.modules)\n")
+    for preset, want in ((None, "4 False"), ("28", "28 False")):
+        child = env if preset is None else \
+            {**env, "OPENBLAS_THREAD_TIMEOUT": preset}
+        proc = subprocess.run([sys.executable, "-c", probe], env=child,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == want
+
+
+def test_parked_blas_workers_keep_simulate_outputs(tmp_path):
+    # both BLAS threads still split each modal-transform product, so a
+    # Dirichlet run writes the same bytes whether idle workers sleep at
+    # once or spin for the old 2^28 cycles
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("nr = 65\nnz = 128\nz_bc = dirichlet\npreset = parity\n"
+                   "t_end = 0.01\nsnapshot_every = 2\n")
+    env = env_without_blas_timeout()
+    outs = []
+    for preset in (None, "28"):
+        out = tmp_path / f"out{preset}"
+        child = env if preset is None else \
+            {**env, "OPENBLAS_THREAD_TIMEOUT": preset}
+        proc = subprocess.run(
+            [sys.executable, "-m", "ssblow.cli", "simulate", "--config",
+             str(cfg), "--out", str(out)],
+            env=child, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        outs.append(out)
+    names = sorted(p.name for p in outs[0].glob("*.bin"))
+    assert "omega1_final.bin" in names and len(names) > 3
+    for name in names + ["series.csv"]:
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
 
 def test_simulate_defaults_are_the_grid_defaults():

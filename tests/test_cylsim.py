@@ -703,6 +703,22 @@ def test_demo_1d_periodic_bounded():
     assert np.max(rep.max_ux) < 10.0
 
 
+@pytest.mark.parametrize("n", [8, 12, 16, 24, 32, 48, 64, 100, 128, 256])
+def test_demo_1d_periodic_stability_bound(n):
+    # sin data scaled to the bound 4 g0^3 h = 2 on the initial discrete
+    # max|u_x| g0: just below it the gradient never rises above its first
+    # sample; just above it the data is rejected
+    x = np.arange(n) / n
+    s = np.sin(2 * np.pi * x)
+    g1 = float(np.max(np.abs(np.diff(np.r_[s[-1], s])))) * n
+    edge = (0.5 * n) ** (1 / 3) / g1
+    rep = cs.demo_1d("periodic", n, 0.05, edge * (1 - 1e-9))
+    assert not rep.blowup_suspected
+    assert np.max(rep.max_ux) == rep.max_ux[0]
+    with pytest.raises(ValueError, match="unstable"):
+        cs.demo_1d("periodic", n, 0.05, edge * (1 + 1e-9))
+
+
 def test_demo_1d_constant_steady_state():
     n = 32
     rep = cs.demo_1d("periodic", n, 0.05, u0=np.full(n, 0.7))

@@ -290,12 +290,20 @@ def test_method_guard_flags_methods_read_nowhere():
 
 def environment_reads(tree: ast.Module) -> list:
     """Line of every read of the environment: os.environ, os.getenv, their
-    bytes forms, or a `from os import` of one of them."""
+    bytes forms, or a `from os import` of one of them.  A statement that is
+    only `os.environ.setdefault(...)` discards what it finds: it sets a
+    default for a library loaded later, and the program reads nothing."""
     names = {"environ", "environb", "getenv", "getenvb"}
+    defaults = {id(node.value.func.value) for node in ast.walk(tree)
+                if isinstance(node, ast.Expr)
+                and isinstance(node.value, ast.Call)
+                and isinstance(node.value.func, ast.Attribute)
+                and node.value.func.attr == "setdefault"}
     return sorted(
         node.lineno for node in ast.walk(tree)
         if (isinstance(node, ast.Attribute) and node.attr in names
-            and isinstance(node.value, ast.Name) and node.value.id == "os")
+            and isinstance(node.value, ast.Name) and node.value.id == "os"
+            and id(node) not in defaults)
         or (isinstance(node, ast.ImportFrom) and node.module == "os"
             and any(alias.name in names for alias in node.names)))
 
@@ -312,5 +320,8 @@ def test_no_module_reads_the_environment(path):
 def test_environment_guard_sees_every_spelling():
     tree = ast.parse("import os\nfrom os import getenv, path\n"
                      "d = os.environ.get('X')\ne = os.getenv('Y')\n"
-                     "f = os.path.join('a')\n")
-    assert environment_reads(tree) == [2, 3, 4]
+                     "f = os.path.join('a')\n"
+                     "os.environ.setdefault('Z', '1')\n"
+                     "g = os.environ.setdefault('Z', '1')\n"
+                     "os.environ['Z'].strip()\n")
+    assert environment_reads(tree) == [2, 3, 4, 7, 8]
