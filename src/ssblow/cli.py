@@ -473,12 +473,21 @@ def cmd_fit(args) -> int:
     series = _load_series(args.series)
     fit = cylsim.track_blowup(series)
     out = _out_dir(args)
+
+    def finite(value):
+        # NaN and Infinity are not JSON: a value that is not finite is null
+        if isinstance(value, float) and not math.isfinite(value):
+            return None
+        return value
+
     payload = {
         "schema": rigidity.SCHEMA,
-        "T_fit": fit.T_fit,
-        "gamma_fit": fit.gamma_fit,
-        "amplitude": fit.amplitude,
-        "window": {"schema": rigidity.SCHEMA, **asdict(fit.window)},
+        "T_fit": finite(fit.T_fit),
+        "gamma_fit": finite(fit.gamma_fit),
+        "amplitude": finite(fit.amplitude),
+        "window": {"schema": rigidity.SCHEMA,
+                   **{key: finite(value)
+                      for key, value in asdict(fit.window).items()}},
     }
     manifest = RunManifest("fit", {"series": str(args.series)})
     _write_json(manifest.add(out / "fit.json", rigidity.SCHEMA), payload)

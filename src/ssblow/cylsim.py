@@ -228,10 +228,13 @@ def step(state: CylState, dt: float, grid: CylGrid, forcing=None, *,
     Stage k1 takes state.psi1 as it is, so a step does 4 solves with the
     caller's solver: three substages and the new state's psi1.  The
     forcing is evaluated once per distinct stage time (t, t + dt/2,
-    t + dt).  dt above cfl * h_min / max|u| raises CFLViolation.
+    t + dt).  dt above cfl * h_min / max|u| raises CFLViolation, and a dt
+    too small to advance t raises NumericalBlowup.
     """
     u, om = state.u1, state.omega1
     t = state.t
+    if not t + dt > t:
+        raise NumericalBlowup(f"dt={dt:.3e} no longer advances t={t:.6g}")
     if forcing is None:
         f0 = f_half = f1 = None
     else:

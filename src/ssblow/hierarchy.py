@@ -389,15 +389,12 @@ def report_to_json(report: HierarchyReport) -> dict:
     }
 
 
-def emit(report: HierarchyReport, format: str = "json",
-         write: Optional[Callable[[str], object]] = None) -> Optional[str]:
-    """Write the report as JSON or LaTeX through write(str); with no
-    write, return its text.  JSON goes out in json_write's bounded
-    chunks."""
-    chunks = []
-    sink = chunks.append if write is None else write
+def emit(report: HierarchyReport, format: str,
+         write: Callable[[str], object]) -> None:
+    """Write the report as JSON or LaTeX through write(str).  JSON goes
+    out in json_write's bounded chunks."""
     if format == "json":
-        json_write(report_to_json(report), sink, sort_keys=True)
+        json_write(report_to_json(report), write, sort_keys=True)
     elif format == "latex":
         lines = [
             "% order-by-order profile equations "
@@ -428,7 +425,6 @@ def emit(report: HierarchyReport, format: str = "json",
             lines.append(f"% verdict {v.equation}[{v.order}]: {v.status}{extra}")
         if report.truncation_note:
             lines.append(f"% {report.truncation_note}")
-        sink("\n".join(lines) + "\n")
+        write("\n".join(lines) + "\n")
     else:
         raise ValueError(f"unknown format {format!r}")
-    return "".join(chunks) if write is None else None

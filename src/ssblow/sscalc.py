@@ -12,9 +12,9 @@ a Fraction otherwise.  All values are immutable, so canonical forms are
 safe to share and hash: assigning to a field raises.
 
 The module imports only the standard library.  It also holds the JSON
-and LaTeX writers, `json_write` (the package's indented JSON writer,
-which writes through a sink in bounded chunks) and its string form
-`json_text` among them, so that the symbolic commands run without numpy.
+and LaTeX writers, among them `json_write`, the package's indented JSON
+writer, which hands its text to a sink in bounded chunks, so that the
+symbolic commands run without numpy.
 """
 
 from __future__ import annotations
@@ -45,7 +45,6 @@ __all__ = [
     "equation_to_json",
     "expr_to_latex",
     "equation_to_latex",
-    "json_text",
     "json_write",
 ]
 
@@ -662,14 +661,6 @@ def json_write(obj, write: Callable[[str], object],
         # cyclic garbage collection
         del value, sequence, mapping
     write("".join(parts))
-
-
-def json_text(obj, sort_keys: bool = False) -> str:
-    """The text of json.dumps(obj, indent=2, sort_keys=sort_keys), as
-    json_write writes it."""
-    chunks = []
-    json_write(obj, chunks.append, sort_keys)
-    return "".join(chunks)
 
 
 def _rat_latex(q) -> str:

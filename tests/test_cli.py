@@ -26,8 +26,20 @@ def run(argv, tmp_path):
     return cli.main([*argv, "--out", str(tmp_path)])
 
 
+def strict_json(text):
+    """json.loads that rejects NaN and Infinity, which are not JSON: every
+    JSON file the CLI writes must parse with it."""
+    def reject(name):
+        raise ValueError(f"{name} is not JSON")
+    return json.loads(text, parse_constant=reject)
+
+
+def read_json(path):
+    return strict_json(path.read_text())
+
+
 def read_manifest(tmp_path):
-    return json.loads((tmp_path / "manifest.json").read_text())
+    return read_json(tmp_path / "manifest.json")
 
 
 # -- parsing helpers --------------------------------------------------------
@@ -109,7 +121,7 @@ def test_derive_single(tmp_path, capsys):
     assert man["wall_time"] >= 0
     for f in man["outputs"]:
         assert (tmp_path / f.split("/")[-1]).exists()
-    rep = json.loads((tmp_path / "hierarchy.json").read_text())
+    rep = read_json(tmp_path / "hierarchy.json")
     assert rep["schema"] == "hierarchy/1"
 
 
@@ -266,7 +278,7 @@ def test_identity_outputs_are_pinned(case, tmp_path):
 def test_verify_exact_gamma(tmp_path):
     code = run(["verify", "--gamma", "2/5", "--kmax", "5"], tmp_path)
     assert code == 0
-    payload = json.loads((tmp_path / "triviality.json").read_text())
+    payload = read_json(tmp_path / "triviality.json")
     assert payload["schema"] == "rigidity/1"
     # U_2 has degree 2 + 1/2 - 5/2 = 0: U's threshold is k >= 2
     assert payload["decay_threshold_k"] == {"U": 2.0, "Omega": 2.5}
@@ -278,7 +290,7 @@ def test_verify_exact_gamma(tmp_path):
     # each threshold is the correctly rounded 11/3 - 1/2 or 11/3, rounded
     # once
     assert run(["verify", "--gamma", "3/11", "--kmax", "1"], tmp_path) == 0
-    payload = json.loads((tmp_path / "triviality.json").read_text())
+    payload = read_json(tmp_path / "triviality.json")
     assert payload["decay_threshold_k"] == {"U": float(Fraction(19, 6)),
                                             "Omega": float(Fraction(11, 3))}
     assert payload["decay_threshold_note"].endswith(
@@ -290,7 +302,7 @@ def test_verify_threshold_is_where_the_degree_turns_nonnegative(tmp_path):
     # at gamma = 1/2, Omega_2 has degree 2 - 2 = 0 and U_1 has degree
     # 1 + 1/2 - 2 < 0 < 2 + 1/2 - 2
     assert run(["verify", "--gamma", "1/2", "--kmax", "3"], tmp_path) == 0
-    payload = json.loads((tmp_path / "triviality.json").read_text())
+    payload = read_json(tmp_path / "triviality.json")
     assert payload["decay_threshold_k"] == {"U": 1.5, "Omega": 2.0}
     degree = {(v["field"], v["k"]): v["degree"] for v in payload["verdicts"]}
     for field, k0 in payload["decay_threshold_k"].items():
@@ -311,7 +323,7 @@ def test_verify_decimal_gamma_is_exact(decimal, ratio, u2_case, tmp_path):
                    tmp_path / str(i)) == 0
         payloads.append((tmp_path / str(i) / "triviality.json").read_text())
     assert payloads[0] == payloads[1]
-    payload = json.loads(payloads[0])
+    payload = strict_json(payloads[0])
     assert payload["gamma"] == ratio
     by = {(v["field"], v["k"]): v for v in payload["verdicts"]}
     assert by[("U", 2)]["case"] == u2_case
@@ -320,7 +332,7 @@ def test_verify_decimal_gamma_is_exact(decimal, ratio, u2_case, tmp_path):
 def test_verify_gamma_two(tmp_path):
     code = run(["verify", "--gamma", "2", "--kmax", "3"], tmp_path)
     assert code == 0
-    payload = json.loads((tmp_path / "triviality.json").read_text())
+    payload = read_json(tmp_path / "triviality.json")
     by = {(v["field"], v["k"]): v for v in payload["verdicts"]}
     assert by[("U", 0)]["case"] == "zero_coefficient_ray_constant"
     for k in (1, 2, 3):
@@ -331,7 +343,7 @@ def test_verify_no_decay_concludes_by_the_sign_of_the_degree(tmp_path):
     # at gamma = 2/5 the degrees are k - 2 (U) and k - 5/2 (Omega)
     argv = ["verify", "--gamma", "2/5", "--kmax", "3"]
     assert run([*argv, "--no-decay"], tmp_path) == 0
-    payload = json.loads((tmp_path / "triviality.json").read_text())
+    payload = read_json(tmp_path / "triviality.json")
     got = {(v["field"], v["k"]): v["conclusion"] for v in payload["verdicts"]}
     assert got == {
         ("U", 0): "trivial_by_continuity", ("U", 1): "trivial_by_continuity",
@@ -341,7 +353,7 @@ def test_verify_no_decay_concludes_by_the_sign_of_the_degree(tmp_path):
         ("Omega", 2): "trivial_by_continuity", ("Omega", 3): "inconclusive"}
     assert "witness |Y|^d Theta(phi)" in payload["no_decay_note"]
     assert run(argv, tmp_path / "decay") == 0
-    payload = json.loads((tmp_path / "decay" / "triviality.json").read_text())
+    payload = read_json(tmp_path / "decay" / "triviality.json")
     assert "no_decay_note" not in payload
 
 
@@ -387,7 +399,7 @@ def test_verify_gamma_too_large_for_kmax_is_usage_error(tmp_path, capsys):
 def test_identity_compact(tmp_path):
     code = run(["identity", "--preset", "compact"], tmp_path)
     assert code == 0
-    payload = json.loads((tmp_path / "identity.json").read_text())
+    payload = read_json(tmp_path / "identity.json")
     assert payload["abs_error"] <= 1e-6 * max(abs(payload["lhs"]), 1.0)
     assert abs(payload["boundary_term"]) <= 1e-8
 
@@ -401,7 +413,7 @@ CLOSURE = {"0": -4.3e-4, "1e-3": -4.3e-4, "1": -6.0e-4, "100": -1.7e-2}
 def test_identity_closure_residual(epsilon, tmp_path):
     assert run(["identity", "--preset", "gaussian", "--epsilon", epsilon],
                tmp_path) == 0
-    payload = json.loads((tmp_path / "identity.json").read_text())
+    payload = read_json(tmp_path / "identity.json")
     keys = list(payload)
     assert keys.index("closure_residual") == keys.index("abs_error") + 1
     closure = payload["closure_residual"]
@@ -452,7 +464,7 @@ def test_simulate_and_fit(tmp_path):
     write_fit_series(sfile, np.linspace(0.2, 0.99, 12))
     code = run(["fit", "--series", str(sfile)], tmp_path)
     assert code == 0
-    fit = json.loads((tmp_path / "fit.json").read_text())
+    fit = read_json(tmp_path / "fit.json")
     assert fit["T_fit"] == pytest.approx(1.0, abs=1e-6)
     assert fit["gamma_fit"] == pytest.approx(0.4, abs=1e-3)
     # the swirl implies gamma = 0.4 as well; a window compared with its own
@@ -471,6 +483,30 @@ def write_fit_series(path, t, written_t=None):
         lines.append(",".join(repr(float(v))
                               for v in (wi, m, u, d, 0, d, 0, d)))
     path.write_text("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("finite_deltas", [0, 3])
+def test_fit_writes_null_for_values_that_are_not_finite(finite_deltas,
+                                                        tmp_path):
+    # with fewer than 4 finite delta samples the window is indeterminate
+    # and has no ratio slope, and with none gamma_fit is not finite either:
+    # fit.json holds null for each, since NaN is not JSON
+    sfile = tmp_path / "series.csv"
+    write_fit_series(sfile, np.linspace(0.2, 0.99, 12))
+    header, *rows = sfile.read_text().splitlines()
+    cells = [row.split(",") for row in rows]
+    for row in cells[finite_deltas:]:
+        row[3] = "nan"
+    sfile.write_text("\n".join([header, *map(",".join, cells)]) + "\n")
+    assert run(["fit", "--series", str(sfile)], tmp_path) == 0
+    fit = read_json(tmp_path / "fit.json")
+    assert fit["T_fit"] == pytest.approx(1.0, abs=1e-6)
+    assert fit["window"]["tag"] == "indeterminate"
+    assert fit["window"]["ratio_slope"] is None
+    if finite_deltas:
+        assert fit["gamma_fit"] == pytest.approx(0.4, abs=1e-3)
+    else:
+        assert fit["gamma_fit"] is None
 
 
 def test_fit_rejects_flat_series(tmp_path, capsys):
@@ -581,6 +617,26 @@ def test_cfl_failure_on_first_step_writes_manifest(tmp_path, capsys):
                                                      "series.csv"]
 
 
+def test_simulate_stall_writes_manifest(tmp_path, capsys):
+    # at amplitude 1e100 the automatic dt falls below the float spacing of
+    # t; the step that would not advance t fails like any other numerical
+    # blow-up: exit 3, with the manifest and the series so far
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("nr = 9\nnz = 9\nt_end = 0.01\namplitude = 1e100\n")
+    out = tmp_path / "out"
+    assert run(["simulate", "--config", str(cfg)], out) == 3
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "NumericalBlowup"
+    assert "no longer advances" in err["message"]
+    man = read_manifest(out)
+    assert man["outputs"] == [str(out / "series.csv")]
+    assert man["error"]["kind"] == "NumericalBlowup"
+    assert man["error"]["step"] > 1 and 0 < man["error"]["t"] < 0.01
+    assert sorted(p.name for p in out.iterdir()) == ["manifest.json",
+                                                     "series.csv"]
+    assert len((out / "series.csv").read_text().splitlines()) > 2
+
+
 def test_successful_manifest_has_no_error_key(tmp_path):
     cfg = tmp_path / "cfg.txt"
     cfg.write_text("nr = 9\nnz = 9\nt_end = 0.01\n")
@@ -665,7 +721,7 @@ def test_demo_1d_periodic(tmp_path):
     code = run(["demo-1d", "--bc", "periodic", "--n", "32",
                 "--t-end", "0.1"], tmp_path)
     assert code == 0
-    payload = json.loads((tmp_path / "demo1d.json").read_text())
+    payload = read_json(tmp_path / "demo1d.json")
     assert not payload["blowup_suspected"]
     rows = np.loadtxt(tmp_path / "demo1d.csv", delimiter=",", skiprows=1)
     assert rows.shape[1] == 2
@@ -706,7 +762,7 @@ def test_demo_1d_overflow_before_first_sample(tmp_path, capsys):
     code = run(["demo-1d", "--bc", "dirichlet", "--n", "32",
                 "--amplitude", "1e200"], tmp_path)
     assert code == 0
-    payload = json.loads((tmp_path / "demo1d.json").read_text())
+    payload = read_json(tmp_path / "demo1d.json")
     assert payload["aborted"] and payload["blowup_suspected"]
     assert payload["max_gradient"] is None
     assert "max|u_x|=none" in capsys.readouterr().out
@@ -718,7 +774,7 @@ def test_scaling_reference_gamma(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "0.156" in out
     assert "does_not_apply" in out
-    payload = json.loads((tmp_path / "scaling.json").read_text())
+    payload = read_json(tmp_path / "scaling.json")
     # the correctly rounded 1/2 - 100/291
     assert payload["exponents"]["swirl_pointwise"] == float(
         Fraction(1, 2) - Fraction(100, 291))
@@ -733,7 +789,7 @@ def test_scaling_reference_gamma(tmp_path, capsys):
 ])
 def test_scaling_decision_is_exact(gamma, decision, tmp_path):
     assert run(["scaling", "--gamma", gamma], tmp_path) == 0
-    payload = json.loads((tmp_path / "scaling.json").read_text())
+    payload = read_json(tmp_path / "scaling.json")
     assert payload["swirl_decay"] == decision
 
 
@@ -1163,7 +1219,7 @@ def test_one_process_runs_match_fresh_runs(monkeypatch, tmp_path, capsys):
             if path.is_file():
                 data = path.read_bytes()
                 if path.name == "manifest.json":
-                    man = json.loads(data)
+                    man = strict_json(data)
                     man.pop("wall_time")
                     data = man
                 files[str(path.relative_to(root))] = data

@@ -222,6 +222,15 @@ def test_cfl_violation_raises():
         cs.step(state, 1.0, grid, solver=solver, cfl=0.5)
 
 
+def test_step_that_does_not_advance_t_raises():
+    # at t = 1 a dt of 1e-20 is below the float spacing: t + dt == t
+    grid = cs.CylGrid(9, 9)
+    zeros = np.zeros((9, 9))
+    state = cs.CylState(zeros, zeros, zeros, 1.0)
+    with pytest.raises(cs.NumericalBlowup, match="no longer advances"):
+        cs.step(state, 1e-20, grid, solver=cs.PoissonSolver(grid), cfl=0.5)
+
+
 def test_cfl_check_counts_the_swirl():
     # swirl_bump starts with omega1 = psi1 = 0: no meridional velocity, so
     # only max|u1| bounds the first step

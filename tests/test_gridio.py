@@ -1,6 +1,6 @@
 """Snapshot record and its binary interchange format, the difference
-stencils and quadrature, and the package's JSON writer `sscalc.json_write`
-with its string form `sscalc.json_text`."""
+stencils and quadrature, and the package's JSON writer `sscalc.json_write`,
+whose text is gathered here from a list sink."""
 
 import collections
 import enum
@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 from ssblow.cylsim import CylGrid
 from ssblow import sscalc
 from ssblow.gridio import ScalarField2D, diff1, diff2, trapezoid_weights
-from ssblow.sscalc import json_text, json_write
+from ssblow.sscalc import json_write
 
 
 def make_field(rng, n1=7, n2=9):
@@ -187,6 +187,14 @@ def test_stencils_convert_integer_input_to_float(periodic):
 
 # -- JSON writer: the stdlib's json.dumps(indent=2) is the oracle ------------
 
+
+def written(obj, sort_keys):
+    """The text json_write writes for obj, gathered from its parts."""
+    parts = []
+    json_write(obj, parts.append, sort_keys)
+    return "".join(parts)
+
+
 _floats = st.one_of(
     st.floats(allow_nan=True, allow_infinity=True),
     st.sampled_from([float("nan"), float("inf"), -float("inf"), -0.0, 1e16,
@@ -209,8 +217,8 @@ _trees = st.recursive(
 @settings(max_examples=300, deadline=None, database=None, derandomize=True)
 @given(_trees, st.booleans())
 def test_json_text_matches_stdlib(obj, sort_keys):
-    assert json_text(obj, sort_keys) == json.dumps(obj, indent=2,
-                                                   sort_keys=sort_keys)
+    assert written(obj, sort_keys) == json.dumps(obj, indent=2,
+                                                 sort_keys=sort_keys)
 
 
 @settings(max_examples=300, deadline=None, database=None, derandomize=True)
@@ -220,8 +228,8 @@ def test_json_text_matches_stdlib_in_one_part_chunks(obj, sort_keys):
     # both loops is crossed
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(sscalc, "_CHUNK", 1)
-        assert json_text(obj, sort_keys) == json.dumps(obj, indent=2,
-                                                       sort_keys=sort_keys)
+        assert written(obj, sort_keys) == json.dumps(obj, indent=2,
+                                                     sort_keys=sort_keys)
 
 
 class _Level(enum.IntEnum):
@@ -249,8 +257,8 @@ _CONTAINERS = [
 @pytest.mark.parametrize("obj", _CONTAINERS)
 @pytest.mark.parametrize("sort_keys", [False, True])
 def test_json_text_containers_and_subclasses(obj, sort_keys):
-    assert json_text(obj, sort_keys) == json.dumps(obj, indent=2,
-                                                   sort_keys=sort_keys)
+    assert written(obj, sort_keys) == json.dumps(obj, indent=2,
+                                                 sort_keys=sort_keys)
 
 
 @pytest.mark.parametrize("obj", _CONTAINERS)
@@ -258,8 +266,8 @@ def test_json_text_containers_and_subclasses(obj, sort_keys):
 def test_json_text_containers_and_subclasses_in_one_part_chunks(
         obj, sort_keys, monkeypatch):
     monkeypatch.setattr(sscalc, "_CHUNK", 1)
-    assert json_text(obj, sort_keys) == json.dumps(obj, indent=2,
-                                                   sort_keys=sort_keys)
+    assert written(obj, sort_keys) == json.dumps(obj, indent=2,
+                                                 sort_keys=sort_keys)
 
 
 def test_json_write_hands_on_bounded_chunks():
@@ -282,4 +290,4 @@ def test_json_text_rejects_what_json_cannot_write(obj, sort_keys):
     # int keys: json.dumps would turn them into strings; ssblow never
     # writes them, so the writer refuses rather than guess
     with pytest.raises(TypeError):
-        json_text(obj, sort_keys)
+        written(obj, sort_keys)

@@ -119,9 +119,6 @@ REACHABILITY_ROOTS = {
     ("rigidity", "psi_endgame"):
         "the harmonic endgame step of the triviality argument; perfbench "
         "times it, and no command runs it yet",
-    ("sscalc", "json_text"):
-        "json_write's text as one string, for callers that want it; every "
-        "file the CLI writes streams through json_write instead",
 }
 
 

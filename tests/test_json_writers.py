@@ -1,7 +1,8 @@
 """Every indented JSON file goes through sscalc.json_write, straight to its
 open file: no module in the package calls json.dump or json.dumps with an
-indent, or writes the string form json_text itself.  One-line JSON, such
-as the stderr error records, stays with the stdlib."""
+indent, or hands json_write or hierarchy.emit a sink other than a write,
+so no module holds a whole report's text.  One-line JSON, such as the
+stderr error records, stays with the stdlib."""
 
 import ast
 import gc
@@ -12,7 +13,7 @@ from pathlib import Path
 import pytest
 
 from ssblow import cli, hierarchy, sscalc
-from ssblow.sscalc import json_text
+from ssblow.sscalc import json_write
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "ssblow"
 
@@ -31,12 +32,29 @@ def indented_json_calls(tree: ast.Module) -> list:
     return lines
 
 
-def json_text_calls(tree: ast.Module) -> list:
-    """Line numbers of calls of json_text, by name or as an attribute."""
-    return sorted(node.lineno for node in ast.walk(tree)
-                  if isinstance(node, ast.Call)
-                  and "json_text" in (getattr(node.func, "id", None),
-                                      getattr(node.func, "attr", None)))
+#: the writers that take a sink, and the position of the sink argument
+SINK_ARGS = {"json_write": 1, "emit": 2}
+
+
+def non_write_sinks(tree: ast.Module) -> list:
+    """Line numbers of json_write and emit calls, by name or as an
+    attribute, whose sink is not spelled `write` or `<x>.write`."""
+    lines = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        name = getattr(node.func, "id", None) or getattr(node.func, "attr",
+                                                         None)
+        if name not in SINK_ARGS:
+            continue
+        at = SINK_ARGS[name]
+        sink = (node.args[at] if len(node.args) > at else
+                next((kw.value for kw in node.keywords if kw.arg == "write"),
+                     None))
+        if not (isinstance(sink, ast.Name) and sink.id == "write"
+                or isinstance(sink, ast.Attribute) and sink.attr == "write"):
+            lines.append(node.lineno)
+    return sorted(lines)
 
 
 def test_guard_sees_an_indented_call():
@@ -45,11 +63,15 @@ def test_guard_sees_an_indented_call():
     assert indented_json_calls(tree) == [2]
 
 
-def test_guard_sees_a_json_text_call():
-    tree = ast.parse("path.write_text(json_text(payload) + '\\n')\n"
-                     "fh.write(sscalc.json_text(payload))\n"
-                     "json_write(payload, fh.write)\n")
-    assert json_text_calls(tree) == [1, 2]
+def test_guard_sees_a_sink_that_is_not_a_write():
+    tree = ast.parse("json_write(obj, parts.append)\n"
+                     "hierarchy.emit(report, 'json', chunks.append)\n"
+                     "sscalc.json_write(obj, sink, sort_keys=True)\n"
+                     "json_write(obj)\n"
+                     "json_write(payload, fh.write)\n"
+                     "json_write(obj, write, sort_keys=True)\n"
+                     "emit(report, fmt, write=fh.write)\n")
+    assert non_write_sinks(tree) == [1, 2, 3, 4]
 
 
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")),
@@ -64,21 +86,23 @@ def test_no_indented_json_dumps(path):
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")),
                          ids=lambda p: p.name)
 def test_no_module_writes_json_text(path):
-    # the whole text of a report in memory is what json_write avoids
+    # the whole text of a report in memory is what json_write avoids: every
+    # sink in the package is a file's write, or a write handed on to it
     tree = ast.parse(path.read_text(), filename=str(path))
-    lines = json_text_calls(tree)
-    assert not lines, (f"{path.name}: json_text on lines {lines}; write "
-                       "files through sscalc.json_write")
+    lines = non_write_sinks(tree)
+    assert not lines, (f"{path.name}: a sink that is not a write on lines "
+                       f"{lines}; write the text straight to its file")
 
 
-def test_json_text_leaves_no_garbage_cycle():
+def test_json_write_leaves_no_garbage_cycle():
     # the writer's nested closures used to hold each other, keeping the
     # list of parts alive until the cyclic collector ran
     obj = {"a": [1, {"b": [2.5, None, (True,)]}], "c": "x"}
+    parts = []
     gc.collect()
     gc.disable()
     try:
-        json_text(obj)
+        json_write(obj, parts.append)
         assert gc.collect() == 0
     finally:
         gc.enable()
