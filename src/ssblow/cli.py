@@ -379,12 +379,26 @@ def cmd_simulate(args) -> int:
 
     grid = cylsim.CylGrid(cfg["nr"], cfg["nz"], cfg["r_min"], cfg["z_len"],
                           cfg["z_bc"])
+    hmin = min(grid.hr, grid.hz)
+    # the run ends within a relative 1e-12 of t_end, so that rounding in t
+    # adds no sliver of a step and a tiny t_end still takes its steps
+    t_stop = t_end - 1e-12 * t_end
+    # no step exceeds dt_max (the automatic step divides by max|u| >= 1e-3);
+    # when t_stop + dt_max == t_stop, such steps stop advancing t short of
+    # t_stop, so the run would stall (or at best take 2^52 steps)
+    dt_max = dt_cfg if dt_cfg > 0 else 0.9 * cfl * hmin / 1e-3
+    if t_stop + dt_max == t_stop:
+        raise UsageError(f"dt or cfl allows steps of at most {dt_max:.3e}, "
+                         f"too small to advance t to t_end = {t_end}: the "
+                         "run would stall")
     u1, om = initial_data(cfg["preset"], grid, cfg["amplitude"])
 
     out = _out_dir(args)
     started = time.monotonic()
     solver = cylsim.PoissonSolver(grid)
+    # only the state holds the initial fields, so the first step frees them
     state = cylsim.CylState(u1, om, solver.solve(om), 0.0)
+    del u1, om
     series = cylsim.BlowupSeries()
     series.append_sample(state, grid)
 
@@ -399,18 +413,16 @@ def cmd_simulate(args) -> int:
             path = manifest.add(out / f"{name}_{suffix}.bin", "grid/bin")
             grid.field(vals).to_binary(path)
 
-    hmin = min(grid.hr, grid.hz)
-    # the run ends within a relative 1e-12 of t_end, so that rounding in t
-    # adds no sliver of a step and a tiny t_end still takes its steps
-    t_stop = t_end - 1e-12 * t_end
     istep = 0
     nsnap = 0
     while state.t < t_stop:
         if dt_cfg > 0:
             dt = dt_cfg
         else:
-            ur, uz = cylsim.reconstruct_velocity(state.psi1, grid)
-            vmax = max(cylsim.max_speed(ur, uz, state.u1), 1e-3)
+            # the velocity lives only while its speed is read
+            vmax = max(cylsim.max_speed(
+                *cylsim.reconstruct_velocity(state.psi1, grid), state.u1),
+                1e-3)
             dt = 0.9 * cfl * hmin / vmax
         dt = min(dt, t_end - state.t)
         try:

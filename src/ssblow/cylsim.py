@@ -10,6 +10,7 @@ the boundary circle exactly.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field as dc_field
 from typing import Optional
@@ -100,12 +101,12 @@ class CylState:
 # finite differences
 
 
-def d_r(f: np.ndarray, grid: CylGrid) -> np.ndarray:
-    return diff1(f, grid.hr, 0)
+def d_r(f: np.ndarray, grid: CylGrid, out=None) -> np.ndarray:
+    return diff1(f, grid.hr, 0, out=out)
 
 
-def d_z(f: np.ndarray, grid: CylGrid) -> np.ndarray:
-    return diff1(f, grid.hz, 1, grid.z_bc == "periodic")
+def d_z(f: np.ndarray, grid: CylGrid, out=None) -> np.ndarray:
+    return diff1(f, grid.hz, 1, grid.z_bc == "periodic", out)
 
 
 # ---------------------------------------------------------------------------
@@ -129,13 +130,22 @@ class PoissonSolver:
         self._solver = KroneckerSolver(lower, np.full(r.size, 2.0 / hr ** 2),
                                        upper, nz, grid.hz, grid.z_bc)
 
-    def solve(self, omega1: np.ndarray) -> np.ndarray:
-        psi = np.empty_like(omega1)
+    def solve(self, omega1: np.ndarray, out=None) -> np.ndarray:
+        """psi, written into `out` when given (a field that does not
+        overlap omega1), boundary zeros included."""
+        psi = np.empty_like(omega1) if out is None else out
         psi[[0, -1]] = 0.0
         if self.grid.z_bc == "dirichlet":
             psi[:, [0, -1]] = 0.0
         self._solver.solve(omega1[1:-1, self._z], out=psi[1:-1, self._z])
         return psi
+
+    @functools.cached_property
+    def work(self) -> np.ndarray:
+        """The nine scratch fields of `step` on this grid, made on the
+        first step and overwritten by each later one, so a solver serves
+        one step at a time."""
+        return np.empty((9, self.grid.nr, self.grid.nz))
 
     def residual(self, psi: np.ndarray, omega1: np.ndarray) -> float:
         lap = apply_operator(psi, self.grid)
@@ -159,16 +169,19 @@ def reconstruct_velocity(psi1: np.ndarray, grid: CylGrid):
 
     psi is identically zero along r = 1, so u^r vanishes there exactly.
     """
-    return _velocity(psi1, d_z(psi1, grid), grid)
+    ur = d_z(psi1, grid)
+    return _velocity(psi1, ur, grid, ur, np.empty_like(ur),
+                     np.empty_like(ur))
 
 
-def _velocity(psi1, dz_psi, grid: CylGrid):
-    # the velocity formula of reconstruct_velocity, from a given d_z psi
+def _velocity(psi1, dz_psi, grid: CylGrid, ur, uz, tmp):
+    # the velocity formula of reconstruct_velocity into ur (which may be
+    # dz_psi) and uz, from a given d_z psi; tmp is scratch
     r = grid.r()[:, None]
-    ur = -r * dz_psi
-    uz = d_r(psi1, grid)
+    np.multiply(-r, dz_psi, ur)
+    d_r(psi1, grid, uz)
     np.multiply(r, uz, uz)
-    np.add(2.0 * psi1, uz, uz)
+    np.add(np.multiply(2.0, psi1, tmp), uz, uz)
     return ur, uz
 
 
@@ -184,33 +197,36 @@ def max_speed(ur, uz, u1) -> float:
                float(np.max(np.abs(u1))))
 
 
-def _rhs(u1, omega1, psi, grid: CylGrid, forcing_values):
-    """d_t u1 and d_t omega1 of the transport equations, and the velocity.
+def _rhs(u1, omega1, psi, grid: CylGrid, forcing_values, out):
+    """d_t u1 and d_t omega1 of the transport equations, and the velocity,
+    written into the six fields out = (du, dom, ur, uz, w1, w2), of which
+    w1 and w2 are scratch; returns du, dom, ur, uz.  No field of out may
+    overlap u1, omega1 or psi.
 
     The products and sums are formed in place, in the order of
     du = (-ur d_r u1 - uz d_z u1) + (2 u1) d_z psi and
     dom = (-ur d_r om - uz d_z om) + d_z(u1^2), so the results carry the
     bits of those expressions; -(ur x) equals (-ur) x exactly.
     """
-    dz_psi = d_z(psi, grid)
-    ur, uz = _velocity(psi, dz_psi, grid)
+    du, dom, ur, uz, w1, w2 = out
+    dz_psi = d_z(psi, grid, w1)
+    _velocity(psi, dz_psi, grid, ur, uz, du)
 
-    def transport(f):
-        # -ur d_r f - uz d_z f, formed in the two derivative arrays
-        a, b = d_r(f, grid), d_z(f, grid)
+    def transport(f, a):
+        # -ur d_r f - uz d_z f, formed in a and w2
+        d_r(f, grid, a)
+        b = d_z(f, grid, w2)
         np.multiply(ur, a, a)
         np.negative(a, a)
         np.multiply(uz, b, b)
         return np.subtract(a, b, a)
 
-    du = transport(u1)
-    src = np.multiply(2.0, u1)
-    np.multiply(src, dz_psi, src)
-    del dz_psi
-    np.add(du, src, du)
-    del src
-    dom = transport(omega1)
-    np.add(dom, d_z(np.square(u1), grid), dom)
+    transport(u1, du)
+    np.multiply(2.0, u1, w2)
+    np.multiply(w2, dz_psi, w2)
+    np.add(du, w2, du)
+    transport(omega1, dom)
+    np.add(dom, d_z(np.square(u1, w1), grid, w2), dom)
     if forcing_values is not None:
         f_u, f_om = forcing_values
         np.add(du, f_u, du)
@@ -230,6 +246,10 @@ def step(state: CylState, dt: float, grid: CylGrid, forcing=None, *,
     forcing is evaluated once per distinct stage time (t, t + dt/2,
     t + dt).  dt above cfl * h_min / max|u| raises CFLViolation, and a dt
     too small to advance t raises NumericalBlowup.
+
+    The step reads state and never writes it.  The new state's three
+    fields are new arrays; the stage fields, their rates and the work
+    fields of _rhs live in solver.work.
     """
     u, om = state.u1, state.omega1
     t = state.t
@@ -242,26 +262,42 @@ def step(state: CylState, dt: float, grid: CylGrid, forcing=None, *,
         f0, f_half, f1 = ([fn(R, Zm, tt) for fn in forcing]
                           for tt in (t, t + 0.5 * dt, t + dt))
 
-    def rates(c, ku, ko, f):
-        # the stage fields u + c k, om + c k and their stream function live
-        # only while their rates are formed
-        us, oms = u + c * ku, om + c * ko
-        return _rhs(us, oms, solver.solve(oms), grid, f)[:2]
+    # the stage fields, their stream function, the later stages' rates and
+    # _rhs's velocity and scratch
+    us, oms, psi_s, ku, ko, *rhs_work = solver.work
+    # k1 + 2 k2 + 2 k3 + k4 is summed left to right as each stage's rates
+    # arrive, in the arrays that become the new state
+    u_new, om_new = np.empty_like(u), np.empty_like(om)
+
+    def stage_fields(c, k_u, k_o):
+        np.add(u, np.multiply(c, k_u, us), us)
+        np.add(om, np.multiply(c, k_o, oms), oms)
+
+    def stage_rates(f):
+        _rhs(us, oms, solver.solve(oms, out=psi_s), grid, f,
+             (ku, ko, *rhs_work))
 
     # a step may overflow; the finiteness check below raises NumericalBlowup
     # for it, so numpy's overflow warnings would only repeat that on stderr
     with np.errstate(over="ignore", invalid="ignore"):
-        k1u, k1o, ur, uz = _rhs(u, om, state.psi1, grid, f0)
+        _, _, ur, uz = _rhs(u, om, state.psi1, grid, f0,
+                            (u_new, om_new, *rhs_work))
         vmax = max(max_speed(ur, uz, u), 1e-12)
         if dt > cfl * min(grid.hr, grid.hz) / vmax:
             raise CFLViolation(f"dt={dt:.3e} exceeds {cfl:.2f}*h/max|u| "
                                f"with max|u|={vmax:.3e}")
-        del ur, uz
-        k2u, k2o = rates(0.5 * dt, k1u, k1o, f_half)
-        k3u, k3o = rates(0.5 * dt, k2u, k2o, f_half)
-        k4u, k4o = rates(dt, k3u, k3o, f1)
-        u_new = u + dt / 6.0 * (k1u + 2 * k2u + 2 * k3u + k4u)
-        om_new = om + dt / 6.0 * (k1o + 2 * k2o + 2 * k3o + k4o)
+        stage_fields(0.5 * dt, u_new, om_new)
+        stage_rates(f_half)
+        for c, f in ((0.5 * dt, f_half), (dt, f1)):
+            stage_fields(c, ku, ko)
+            # 2 k2, then 2 k3, joins the sums before the next stage's
+            # rates overwrite it; doubling is exact
+            for acc, k in ((u_new, ku), (om_new, ko)):
+                np.add(acc, np.multiply(2.0, k, k), acc)
+            stage_rates(f)
+        for acc, k, x in ((u_new, ku, u), (om_new, ko, om)):
+            np.add(acc, k, acc)
+            np.add(x, np.multiply(acc, dt / 6.0, acc), acc)
     if not (np.all(np.isfinite(u_new)) and np.all(np.isfinite(om_new))):
         raise NumericalBlowup(f"non-finite field at t={t:.6g}")
     psi_new = solver.solve(om_new)

@@ -50,23 +50,24 @@ class ScalarField2D:
         return ScalarField2D(data, h1, h2, x1_0, x2_0)
 
 
-def diff1(v: np.ndarray, h: float, axis: int,
-          periodic: bool = False) -> np.ndarray:
+def diff1(v: np.ndarray, h: float, axis: int, periodic: bool = False,
+          out: np.ndarray | None = None) -> np.ndarray:
     """Centered first difference along `axis` with spacing h: wrapped when
     periodic, otherwise second-order one-sided at the two ends.  Returns
-    floats for any real input."""
+    floats for any real input, written into `out` when given (a float
+    array of v's shape that does not overlap v)."""
     v = np.asarray(v, dtype=float)
-    d = np.empty_like(v)
-    v, out = np.moveaxis(v, axis, 0), np.moveaxis(d, axis, 0)
+    d = np.empty_like(v) if out is None else out
+    v, dv = np.moveaxis(v, axis, 0), np.moveaxis(d, axis, 0)
     # numerators in place, then one divide by 2h: a multiply by the
     # reciprocal would round differently unless h is a power of two
-    np.subtract(v[2:], v[:-2], out[1:-1])
+    np.subtract(v[2:], v[:-2], dv[1:-1])
     if periodic:
-        np.subtract(v[1], v[-1], out[0])
-        np.subtract(v[0], v[-2], out[-1])
+        np.subtract(v[1], v[-1], dv[0])
+        np.subtract(v[0], v[-2], dv[-1])
     else:
-        out[0] = -3 * v[0] + 4 * v[1] - v[2]
-        out[-1] = 3 * v[-1] - 4 * v[-2] + v[-3]
+        dv[0] = -3 * v[0] + 4 * v[1] - v[2]
+        dv[-1] = 3 * v[-1] - 4 * v[-2] + v[-3]
     np.divide(d, 2 * h, d)
     return d
 

@@ -664,6 +664,21 @@ def test_simulate_rejects_unstable_cfl(cfl, tmp_path, capsys):
     assert run(["simulate", "--config", str(cfg)], tmp_path) == 0
 
 
+@pytest.mark.parametrize("setting", ["cfl = 1e-300", "dt = 1e-300"])
+def test_simulate_rejects_a_step_that_can_only_stall(setting, tmp_path,
+                                                     capsys):
+    # no step exceeds the fixed dt, or 0.9 cfl h_min / 1e-3 for the
+    # automatic one; a bound that does not change t_stop when added to it
+    # made a run that never ended
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(f"nr = 9\nnz = 9\n{setting}\n")
+    out = tmp_path / "out"
+    assert run(["simulate", "--config", str(cfg)], out) == 2
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["error"] == "usage" and "stall" in err["message"]
+    assert not out.exists()
+
+
 #: a value for every simulate config key, in the order of the table
 EVERY_KEY = {"nr": 9, "nz": 8, "r_min": 0.4, "z_len": 1.5, "z_bc": "dirichlet",
              "t_end": 0.004, "dt": 0.001, "cfl": 0.3, "cadence": 2,

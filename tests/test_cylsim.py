@@ -2,6 +2,7 @@
 stepping, blow-up diagnostics, scaling arithmetic, and the 1D demo."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -38,6 +39,17 @@ def test_poisson_zero_data():
     grid = cs.CylGrid(17, 16)
     psi = cs.PoissonSolver(grid).solve(np.zeros((17, 16)))
     assert np.array_equal(psi, np.zeros((17, 16)))
+
+
+@pytest.mark.parametrize("z_bc", ["periodic", "dirichlet"])
+def test_poisson_solve_into_out_writes_every_entry(z_bc):
+    # the boundary zeros too: a NaN left in the buffer breaks the equality
+    grid = cs.CylGrid(17, 16, z_bc=z_bc)
+    solver = cs.PoissonSolver(grid)
+    om = np.random.default_rng(5).standard_normal((17, 16))
+    buf = np.full_like(om, np.nan)
+    assert solver.solve(om, out=buf) is buf
+    assert np.array_equal(buf, solver.solve(om))
 
 
 @pytest.mark.parametrize("z_bc", ["periodic", "dirichlet"])
@@ -339,13 +351,86 @@ def test_step_reuses_psi1_with_four_solves(z_bc, monkeypatch):
     calls = []
     solve = solver.solve
     monkeypatch.setattr(solver, "solve",
-                        lambda om: calls.append(1) or solve(om))
+                        lambda om, out=None: calls.append(1)
+                        or solve(om, out=out))
     carried = cs.step(state, 1e-3, grid, solver=solver, cfl=0.5)
     assert len(calls) == 4
     resolved = cs.step(fresh, 1e-3, grid, solver=solver, cfl=0.5)
     for name in ("u1", "omega1", "psi1"):
         assert np.array_equal(getattr(carried, name),
                               getattr(resolved, name)), name
+
+
+@pytest.mark.parametrize("z_bc", ["periodic", "dirichlet"])
+def test_step_neither_writes_nor_shares_a_state(z_bc):
+    # a step reads its state and returns new arrays; every other field it
+    # uses lives in the solver's scratch set, which no state may share
+    grid = cs.CylGrid(17, 16, z_bc=z_bc)
+    solver = cs.PoissonSolver(grid)
+    forcing = (lambda R, Z, t: t * R * np.cos(Z),
+               lambda R, Z, t: t * np.sin(Z))
+    s0 = parity_state(grid, solver)
+    fields = ("u1", "omega1", "psi1")
+    before0 = [getattr(s0, name).copy() for name in fields]
+    s1 = cs.step(s0, 1e-3, grid, forcing, solver=solver, cfl=0.5)
+    before1 = [getattr(s1, name).copy() for name in fields]
+    s2 = cs.step(s1, 1e-3, grid, forcing, solver=solver, cfl=0.5)
+    for state, before in ((s0, before0), (s1, before1)):
+        for name, want in zip(fields, before):
+            assert np.array_equal(getattr(state, name), want), name
+    arrays = [getattr(s, name) for s in (s0, s1, s2) for name in fields]
+    arrays += list(solver.work)
+    for i, a in enumerate(arrays):
+        for b in arrays[:i]:
+            assert not np.shares_memory(a, b)
+
+
+def live_peak_fields(fn, grid):
+    """tracemalloc's peak of live allocations while fn runs, in fields of
+    nr * nz doubles."""
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    base = tracemalloc.get_traced_memory()[0]
+    tracemalloc.reset_peak()
+    try:
+        fn()
+        return (tracemalloc.get_traced_memory()[1] - base) \
+            / (8 * grid.nr * grid.nz)
+    finally:
+        if started:
+            tracemalloc.stop()
+
+
+#: each memory bound allows this many fields over the peak measured when
+#: it was set
+FIELD_MARGIN = 2
+
+
+@pytest.mark.parametrize("z_bc,measured", [("periodic", 7.1),
+                                           ("dirichlet", 5.1)])
+def test_step_live_peak(z_bc, measured):
+    # after the first step has made the scratch set, a step allocates the
+    # new state's three fields and a few temporaries (18.1 fields measured
+    # when each stage and rate was a new array)
+    grid = cs.CylGrid(65, 128, z_bc=z_bc)
+    solver = cs.PoissonSolver(grid)
+    state = cs.step(parity_state(grid, solver), 1e-3, grid, solver=solver,
+                    cfl=0.5)
+    peak = live_peak_fields(
+        lambda: cs.step(state, 1e-3, grid, solver=solver, cfl=0.5), grid)
+    assert peak <= measured + FIELD_MARGIN
+
+
+def test_simulate_live_peak(tmp_path):
+    # the run holds two states, the scratch set and the solver's tables
+    # (21.3 fields measured; 29.3 with the initial fields, the dt velocity
+    # and every stage a new array)
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("nr = 65\nnz = 256\nz_bc = dirichlet\nt_end = 0.01\n")
+    argv = ["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]
+    peak = live_peak_fields(lambda: cli.main(argv), cs.CylGrid(65, 256))
+    assert peak <= 21.3 + FIELD_MARGIN
 
 
 def test_step_forcing_once_per_stage_time():
@@ -405,7 +490,9 @@ def test_rhs_bit_identical_to_formula(nr, nz, z_bc):
     grid = cs.CylGrid(nr, nz, r_min=0.3, z_len=1.3, z_bc=z_bc)
     u1, om, psi, forcing_values = random_fields(grid, nr * nz)
     for fv in (None, forcing_values):
-        got = cs._rhs(u1, om, psi, grid, fv)
+        # out starts as NaN, so the equalities show every entry written
+        got = cs._rhs(u1, om, psi, grid, fv,
+                      np.full((6, grid.nr, grid.nz), np.nan))
         want = formula_rhs(u1, om, psi, grid, fv)
         for name, g, w in zip(("du", "dom", "ur", "uz"), got, want):
             assert np.array_equal(g, w), (name, fv is None)

@@ -82,6 +82,17 @@ def test_diff1_exact_on_quadratics(axis):
                        atol=1e-12)
 
 
+@pytest.mark.parametrize("periodic", [False, True])
+@pytest.mark.parametrize("axis", [0, 1])
+def test_diff1_into_out_writes_every_entry(axis, periodic):
+    # a NaN left in the buffer would break the bitwise equality
+    v = np.random.default_rng(7).standard_normal((7, 9))
+    buf = np.full_like(v, np.nan)
+    got = diff1(v, 0.3, axis, periodic, out=buf)
+    assert got is buf
+    assert np.array_equal(buf, diff1(v, 0.3, axis, periodic))
+
+
 @pytest.mark.parametrize("axis", [0, 1])
 def test_diff2_exact_on_cubics_with_zero_ends(axis):
     x = -0.5 + 0.25 * np.arange(9)
