@@ -426,7 +426,7 @@ def cmd_simulate(args) -> int:
             dt = 0.9 * cfl * hmin / vmax
         dt = min(dt, t_end - state.t)
         try:
-            state = cylsim.step(state, dt, grid, solver=solver, cfl=cfl)
+            state = cylsim.step(state, dt, solver=solver, cfl=cfl)
         except (cylsim.CFLViolation, cylsim.NumericalBlowup) as exc:
             # the snapshots already written and the samples taken so far
             # stay listed, with the reason

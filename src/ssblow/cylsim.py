@@ -237,15 +237,15 @@ def _rhs(u1, omega1, psi, grid: CylGrid, forcing_values, out):
     return du, dom, ur, uz
 
 
-def step(state: CylState, dt: float, grid: CylGrid, forcing=None, *,
+def step(state: CylState, dt: float, forcing=None, *,
          solver: PoissonSolver, cfl: float) -> CylState:
     """One explicit RK4 step with an elliptic re-solve per later substage.
 
-    Stage k1 takes state.psi1 as it is, so a step does 4 solves with the
-    caller's solver: three substages and the new state's psi1.  The
-    forcing is evaluated once per distinct stage time (t, t + dt/2,
-    t + dt).  dt above cfl * h_min / max|u| raises CFLViolation, and a dt
-    too small to advance t raises NumericalBlowup.
+    The step runs on solver.grid.  Stage k1 takes state.psi1 as it is, so
+    a step does 4 solves with the caller's solver: three substages and the
+    new state's psi1.  The forcing is evaluated once per distinct stage
+    time (t, t + dt/2, t + dt).  dt above cfl * h_min / max|u| raises
+    CFLViolation, and a dt too small to advance t raises NumericalBlowup.
 
     The step reads state and never writes it.  The new state's three
     fields are new arrays; the stage fields, their rates and the work
@@ -253,6 +253,7 @@ def step(state: CylState, dt: float, grid: CylGrid, forcing=None, *,
     """
     u, om = state.u1, state.omega1
     t = state.t
+    grid = solver.grid
     if not t + dt > t:
         raise NumericalBlowup(f"dt={dt:.3e} no longer advances t={t:.6g}")
     if forcing is None:

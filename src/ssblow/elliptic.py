@@ -65,6 +65,9 @@ class KroneckerSolver:
             k = np.arange(nz // 2 + 1)
             lam_z = (2.0 * np.sin(np.pi * k / nz) / hz) ** 2
             self._denom = lam[:, None] + lam_z
+            # solve works in these two (modes, z) buffers
+            self._c = np.empty((lam.size, nz))
+            self._spec = np.empty(self._denom.shape, dtype=complex)
         elif z_bc == "dirichlet":
             # lam_i + Z = L D L^T per mode, with unit lower bidiagonal L:
             # pivots piv[j] = lam + 2/hz^2 - off^2 / piv[j-1] and, below
@@ -94,10 +97,11 @@ class KroneckerSolver:
         """x, written into `out` when given (it may be b itself or a view
         of a larger array: b is read only before out is written)."""
         if self.z_bc == "periodic":
-            c = self._to_modes @ b
-            y = np.fft.irfft(np.fft.rfft(c, axis=1) / self._denom,
-                             n=c.shape[1], axis=1)
-            return np.matmul(self._from_modes, y, out=out)
+            c = np.matmul(self._to_modes, b, out=self._c)
+            spec = np.fft.rfft(c, axis=1, out=self._spec)
+            np.divide(spec, self._denom, out=spec)
+            np.fft.irfft(spec, n=c.shape[1], axis=1, out=c)
+            return np.matmul(self._from_modes, c, out=out)
         # the coefficients as (nz, modes), so that each step of the sweeps
         # L y = c, D w = y, L^T x = w reads one contiguous row
         c = np.matmul(b.T, self._to_modes.T, out=self._c)

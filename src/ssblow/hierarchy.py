@@ -346,12 +346,10 @@ def derive_hierarchy(a: AnsatzSpec) -> HierarchyReport:
         base0[eq.label] = lattice_base(eq)
         orders[eq.label] = by_k = collect_orders(eq)
         for order in range(min(a.depth, 1) + 1):
-            ref = refs.get((eq.label, order))
-            if ref is None:
-                continue
             derived = by_k.get(order, SymEquation(SymExpr.zero())).lhs
             documented = a.mode == "generalized" and eq.label == "psi" and order == 1
-            verdicts.append(compare(derived, ref, eq.label, order, documented))
+            verdicts.append(compare(derived, refs[eq.label, order], eq.label,
+                                    order, documented))
 
     induction = {k: induction_system(orders, k)
                  for k in range(1, a.kmax + 1)}

@@ -303,28 +303,21 @@ class SymExpr:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def __add__(self, other) -> "SymExpr":
-        other = _as_expr(other)
+    def __add__(self, other: "SymExpr") -> "SymExpr":
         return SymExpr.from_terms(self.terms + other.terms)
-
-    def __radd__(self, other) -> "SymExpr":
-        return self.__add__(other)
 
     def __neg__(self) -> "SymExpr":
         return SymExpr(tuple(t.scaled(-1) for t in self.terms))
 
-    def __sub__(self, other) -> "SymExpr":
-        return self + (-_as_expr(other))
-
-    def __rsub__(self, other) -> "SymExpr":
-        return _as_expr(other) + (-self)
+    def __sub__(self, other: "SymExpr") -> "SymExpr":
+        return self + (-other)
 
     def __mul__(self, other) -> "SymExpr":
         if isinstance(other, (int, Fraction)):
             if other == 0:
                 return SymExpr.zero()
             return SymExpr(tuple(t.scaled(other) for t in self.terms))
-        return SymExpr.from_terms(product_terms(self, _as_expr(other)))
+        return SymExpr.from_terms(product_terms(self, other))
 
     def __rmul__(self, other) -> "SymExpr":
         return self.__mul__(other)
@@ -355,18 +348,6 @@ def _upto(by_gamma: list, cap):
         if t.tau.gamma_coeff > cap:
             return
         yield t
-
-
-def _as_expr(x) -> SymExpr:
-    if isinstance(x, SymExpr):
-        return x
-    if isinstance(x, SymTerm):
-        return SymExpr.from_terms([x])
-    if isinstance(x, (int, Fraction)):
-        if x == 0:
-            return SymExpr.zero()
-        return SymExpr((SymTerm(x),))
-    raise TypeError(f"cannot coerce {x!r} to SymExpr")
 
 
 @dataclass(frozen=True)

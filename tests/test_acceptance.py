@@ -219,7 +219,7 @@ def test_acceptance_5_solver_convergence():
             lambda R, Z, tt: -math.sin(tt) * om0
             + math.cos(tt) ** 2 * adv_om - math.sin(tt + 1) ** 2 * dz_v2)
         for _ in range(nsteps):
-            state = cs.step(state, dt_step, grid, forcing=forcing,
+            state = cs.step(state, dt_step, forcing=forcing,
                             solver=solver, cfl=0.5)
             ur, _ = cs.reconstruct_velocity(state.psi1, grid)
             wall_ok &= bool(np.all(ur[-1, :] == 0.0))

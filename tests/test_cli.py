@@ -1,13 +1,16 @@
 """Command-line front end: manifests, exit codes, config parsing, and
 output files."""
 
+import contextlib
 import dataclasses
 import hashlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
@@ -142,6 +145,31 @@ def test_derive_depth_zero_usage_error(tmp_path, capsys):
     assert code == 2
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "usage"
+
+
+def test_derive_mismatch_exits_one_with_its_outputs(monkeypatch, tmp_path,
+                                                   capsys):
+    # a reference the derivation disagrees with: exit 1, one JSON line
+    # naming the failing verdict, and the report and manifest still written
+    from ssblow import hierarchy
+    from ssblow.sscalc import prof
+
+    real = hierarchy.reference_equations
+
+    def perturbed(mode):
+        refs = real(mode)
+        refs["u", 0] += prof("U")
+        return refs
+
+    monkeypatch.setattr(hierarchy, "reference_equations", perturbed)
+    assert run(["derive", "--depth", "1"], tmp_path) == 1
+    [line] = capsys.readouterr().err.splitlines()
+    err = json.loads(line)
+    assert err["error"] == "hierarchy_mismatch"
+    assert [(v["equation"], v["order"]) for v in err["verdicts"]] == [
+        ("u", 0)]
+    assert (tmp_path / "hierarchy.json").exists()
+    assert (tmp_path / "manifest.json").exists()
 
 
 @pytest.mark.parametrize("order", ["-1", "1", "2"])
@@ -1243,3 +1271,76 @@ def test_one_process_runs_match_fresh_runs(monkeypatch, tmp_path, capsys):
     want = outputs(fresh)
     assert sorted({Path(name).parts[0] for name in want}) == ["run1", "run2"]
     assert outputs(inproc) == want
+
+
+# -- the README's CLI contract, over generated inputs ------------------------
+
+
+def _flag(name, values):
+    """[] or [name, value]: the flag left out or given one of values."""
+    return st.one_of(st.just([]), values.map(lambda v: [name, v]))
+
+
+def _command(name, *flags):
+    """argv of the subcommand with each flag drawn from its strategy."""
+    return st.builds(lambda *drawn: [name, *sum(drawn, [])], *flags)
+
+
+# valid values are drawn on their own as often as anything else, so that
+# runs which reach the computation are common
+_CONTRACT_GAMMAS = st.one_of(
+    st.sampled_from(["2/5", "2.91", "1/2", "2", "1e-300", "1e300"]),
+    st.builds("{}/{}".format, st.integers(1, 50), st.integers(1, 50)),
+    _GAMMA_TEXTS,
+    st.sampled_from(["inf", "nan", "-inf", "1e-999999999", "1/0", "junk",
+                     "", "2/-3"]))
+_VALID_LENGTHS = ["1", "2.5", "0.5", "1e-300", "1e300"]
+_CONTRACT_LENGTHS = st.one_of(
+    st.lists(st.sampled_from(_VALID_LENGTHS), min_size=1, max_size=4),
+    st.lists(st.sampled_from([*_VALID_LENGTHS, "0", "-1", "-1e-300", "inf",
+                              "nan", "junk", ""]), max_size=4),
+).map(",".join)
+_CONTRACT_ARGV = st.one_of(
+    _command("derive",
+             _flag("--depth", st.sampled_from(["-1", "0", "1", "2", "3",
+                                               "x"])),
+             _flag("--mode", st.sampled_from(["single", "generalized",
+                                              "bogus"])),
+             _flag("--format", st.sampled_from(["json", "latex", "xml"]))),
+    _command("verify",
+             _flag("--gamma", _CONTRACT_GAMMAS),
+             _flag("--kmax", st.one_of(st.integers(-3, 6).map(str),
+                                       st.just("x"))),
+             st.sampled_from([[], ["--no-decay"]])),
+    _command("scaling",
+             _flag("--gamma", _CONTRACT_GAMMAS),
+             _flag("--lengths", _CONTRACT_LENGTHS)),
+)
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@given(_CONTRACT_ARGV)
+def test_cli_contract_for_derive_verify_and_scaling(argv):
+    # README: exit 0, 1, 2 or 3; a failure is one JSON line on stderr with
+    # no traceback; a usage error leaves no output directory; a success
+    # lists only files it wrote, and every JSON file it wrote is JSON
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "out"
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), \
+                contextlib.redirect_stderr(stderr):
+            code = cli.main([*argv, "--out", str(out)])
+        err = stderr.getvalue()
+        assert code in (0, 1, 2, 3)
+        assert "Traceback" not in err
+        if code != 0:
+            [line] = err.splitlines()
+            assert isinstance(strict_json(line)["error"], str)
+        if code == 2:
+            assert not out.exists()
+        if code == 0:
+            assert err == ""
+            listed = read_manifest(out)["outputs"]
+            assert all(Path(f).is_file() for f in listed)
+            for path in out.glob("*.json"):
+                read_json(path)
