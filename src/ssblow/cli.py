@@ -393,14 +393,15 @@ def cmd_simulate(args) -> int:
                          "run would stall")
     u1, om = initial_data(cfg["preset"], grid, cfg["amplitude"])
 
-    out = _out_dir(args)
     started = time.monotonic()
+    # set-up fails (a grid too large for memory) before any output exists
     solver = cylsim.PoissonSolver(grid)
     # only the state holds the initial fields, so the first step frees them
     state = cylsim.CylState(u1, om, solver.solve(om), 0.0)
     del u1, om
     series = cylsim.BlowupSeries()
     series.append_sample(state, grid)
+    out = _out_dir(args)
 
     manifest = RunManifest("simulate", {
         **cfg,

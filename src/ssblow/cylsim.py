@@ -368,8 +368,9 @@ def track_blowup(series: BlowupSeries) -> BlowupFit:
     Fewer than 4 positive finite delta samples, or a max|u1| sample that
     is not positive and finite, leave the window indeterminate.  Needs at
     least 6 samples at finite, strictly increasing times with finite,
-    strictly growing vorticity, and raises FitRejected when the fitted T
-    is not after t_last or lies beyond t_last + 10 span.
+    strictly growing vorticity, and raises FitRejected when the fit's
+    columns overflow or the fitted T is not after t_last or lies beyond
+    t_last + 10 span.
     """
     from .hierarchy import LEADING
 
@@ -390,8 +391,12 @@ def track_blowup(series: BlowupSeries) -> BlowupFit:
     # on relative residuals: c0/y + c1 s/y ~ 1, with root s = -c0/c1
     y = M ** (-1.0 / rate)
     s = t - t[-1]
-    c0, c1 = np.linalg.lstsq(np.column_stack((1.0 / y, s / y)),
-                             np.ones_like(y), rcond=None)[0]
+    with np.errstate(all="ignore"):
+        A = np.column_stack((1.0 / y, s / y))
+    if not np.all(np.isfinite(A)):
+        raise FitRejected("the fit's columns 1/y and s/y, y = "
+                          "max|omega1|^(-1/a), overflow")
+    c0, c1 = np.linalg.lstsq(A, np.ones_like(y), rcond=None)[0]
     T_fit = float(t[-1] - c0 / c1) if c1 < 0 else math.nan
     if not T_fit > t[-1]:
         raise FitRejected("the line through max|omega1|^(-1/a) has no root "
@@ -440,18 +445,17 @@ class Demo1DReport:
 
 
 def demo_1d(bc: str, n: int, t_end: Optional[float] = None,
-            amplitude: Optional[float] = None,
-            u0: Optional[np.ndarray] = None) -> Demo1DReport:
+            amplitude: Optional[float] = None) -> Demo1DReport:
     """Explicit integration of u_t = u_xx - u_x^4 on the unit interval.
 
     Periodic runs stay bounded (the gradient obeys a maximum principle);
     the Dirichlet preset pins u(0)=0 and u(1)=amplitude, which admits no
     steady state once the amplitude exceeds the largest boundary-layer
-    profile, so the gradient at x=1 grows without bound.  Default
-    Dirichlet initial data is a smoothed square-root ramp; periodic
-    default is amplitude*sin(2 pi x).  t_end and amplitude default to
-    1.0 and 0.25 (periodic) or 0.05 and 2.0 (Dirichlet), and the report
-    records the values the run used.
+    profile, so the gradient at x=1 grows without bound.  Dirichlet
+    initial data is a smoothed square-root ramp, periodic data
+    amplitude*sin(2 pi x).  t_end and amplitude default to 1.0 and 0.25
+    (periodic) or 0.05 and 2.0 (Dirichlet), and the report records the
+    values the run used.
 
     The time step is the diffusive limit 0.4 h^2; the centered gradient
     term then needs max|4 u_x^3| <= 2 n to stay stable, which caps the
@@ -460,9 +464,7 @@ def demo_1d(bc: str, n: int, t_end: Optional[float] = None,
     would report its numerical instability as blow-up.
 
     Raises ValueError unless n >= 2, t_end is finite and positive,
-    amplitude is finite, u0 (when given) is finite with n points
-    (periodic) or n + 1 points (Dirichlet), and periodic data satisfies
-    4 max|u_x|^3 h <= 2.
+    amplitude is finite, and periodic data satisfies 4 max|u_x|^3 h <= 2.
     """
     if bc not in ("periodic", "dirichlet"):
         raise ValueError(f"unknown boundary tag {bc!r}")
@@ -478,14 +480,6 @@ def demo_1d(bc: str, n: int, t_end: Optional[float] = None,
     if not math.isfinite(amplitude):
         raise ValueError(f"amplitude must be finite, got {amplitude}")
     h = 1.0 / n
-    if u0 is not None:
-        u0 = np.asarray(u0, dtype=float)
-        size = n if periodic else n + 1
-        if u0.shape != (size,):
-            raise ValueError(f"u0 needs shape ({size},) for {bc} n={n}, "
-                             f"got {u0.shape}")
-        if not np.all(np.isfinite(u0)):
-            raise ValueError("u0 must be finite")
 
     # w holds the unknowns between two edge cells, so that every point sees
     # its neighbours through the shifted views w[:-2] and w[2:]: periodic
@@ -494,7 +488,7 @@ def demo_1d(bc: str, n: int, t_end: Optional[float] = None,
     if periodic:
         w = np.empty(n + 2)
         x = h * np.arange(n)
-        w[1:-1] = amplitude * np.sin(2 * np.pi * x) if u0 is None else u0
+        w[1:-1] = amplitude * np.sin(2 * np.pi * x)
         w[0], w[-1] = w[-2], w[1]
         nodes = w[:-1]
         # the periodic gradient never exceeds its initial maximum, so the
@@ -509,13 +503,10 @@ def demo_1d(bc: str, n: int, t_end: Optional[float] = None,
                 f"n = {n}: the explicit step needs max|u_x| <= {bound:.6g} "
                 "(4 max|u_x|^3 h <= 2); raise n or lower the amplitude")
     else:
-        if u0 is None:
-            x = np.linspace(0.0, 1.0, n + 1)
-            s = 0.05
-            w = amplitude * (np.sqrt(x + s) - math.sqrt(s)) \
-                / (math.sqrt(1 + s) - math.sqrt(s))
-        else:
-            w = u0.copy()
+        x = np.linspace(0.0, 1.0, n + 1)
+        s = 0.05
+        w = amplitude * (np.sqrt(x + s) - math.sqrt(s)) \
+            / (math.sqrt(1 + s) - math.sqrt(s))
         w[0], w[-1] = 0.0, amplitude
         nodes = w
     um, u, up = w[:-2], w[1:-1], w[2:]

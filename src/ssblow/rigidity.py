@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable, ClassVar, Sequence
 
 import numpy as np
 
@@ -159,9 +159,10 @@ class ScalingReport:
     gradpsi_pointwise_exp: float  # the degree of Psi_0, minus 1
     swirl_decay: str            # "decays" | "borderline" | "does_not_apply"
     bounds: tuple  # ((L, L^swirl_pointwise_exp), ...)
-    gradpsi_sublinear: bool = True
-    omega_info: str = "no information on the vorticity profile"
-    note: str = NON_REPRODUCIBILITY_NOTE
+    # the same for every gamma
+    gradpsi_sublinear: ClassVar[bool] = True
+    omega_info: ClassVar[str] = "no information on the vorticity profile"
+    note: ClassVar[str] = NON_REPRODUCIBILITY_NOTE
 
     def to_json(self) -> dict:
         return {
@@ -198,14 +199,16 @@ def energy_scaling(gamma, L_values=()) -> ScalingReport:
     decay = ("decays" if e_u < 0 else "borderline" if e_u == 0
              else "does_not_apply")
     try:
+        mean_swirl, mean_gradpsi = float(2 * e_u), float(2 * e_psi)
         bounds = tuple((float(L), float(L) ** float(e_u)) for L in L_values)
     except OverflowError:
-        raise ValueError(f"a bound L^{float(e_u):g}, L in {list(L_values)}, "
-                         "is beyond the float range") from None
+        raise ValueError(f"gamma={float(g):g}: a mean exponent, or a bound "
+                         f"L^{float(e_u):g} with L in {list(L_values)}, is "
+                         "beyond the float range") from None
     return ScalingReport(
         gamma=float(g),
-        mean_swirl_exp=float(2 * e_u),
-        mean_gradpsi_exp=float(2 * e_psi),
+        mean_swirl_exp=mean_swirl,
+        mean_gradpsi_exp=mean_gradpsi,
         swirl_pointwise_exp=float(e_u),
         gradpsi_pointwise_exp=float(e_psi),
         swirl_decay=decay,

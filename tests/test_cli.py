@@ -591,6 +591,43 @@ def test_fit_rejects_times_out_of_order(disorder, tmp_path, capsys):
     assert not out.exists()
 
 
+def test_fit_rejects_series_whose_fit_columns_overflow(tmp_path, capfd):
+    # max|omega1| = 1e307 * (1000 / (1000 - t)) peaks at 1e308: finite
+    # and growing, but (t - t_last) * max|omega1| is not a float.  The fit
+    # exited 2 as a usage error after a numpy warning, and LAPACK wrote
+    # its complaints on stdout
+    t = np.linspace(0, 900, 10)
+    m = 1e307 * (1000 / (1000 - t))
+    sfile = tmp_path / "series.csv"
+    sfile.write_text(cli.SERIES_HEADER + "\n" + "".join(
+        ",".join(repr(float(v)) for v in (ti, mi, mi, 0.1, 0.5, 0.6, 0, 0.1))
+        + "\n" for ti, mi in zip(t, m)))
+    out = tmp_path / "out"
+    assert cli.main(["fit", "--series", str(sfile), "--out", str(out)]) == 3
+    captured = capfd.readouterr()
+    assert captured.out == ""
+    [line] = captured.err.splitlines()
+    assert json.loads(line)["error"] == "FitRejected"
+    assert not out.exists()
+
+
+def test_simulate_set_up_failure_leaves_no_output(monkeypatch, tmp_path,
+                                                  capsys):
+    # the solver was built after the output directory: a grid too large
+    # for memory left an empty directory with no manifest
+    def no_memory(grid):
+        raise MemoryError()
+
+    monkeypatch.setattr(cylsim, "PoissonSolver", no_memory)
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("nr = 9\nnz = 9\nt_end = 0.01\n")
+    out = tmp_path / "out"
+    assert cli.main(["simulate", "--config", str(cfg), "--out", str(out)]) == 3
+    [line] = capsys.readouterr().err.splitlines()
+    assert json.loads(line)["error"] == "MemoryError"
+    assert not out.exists()
+
+
 def test_failed_simulate_writes_manifest_with_error(monkeypatch, tmp_path,
                                                    capsys):
     # step 3 fails: the two snapshot triples already written and the
@@ -905,6 +942,10 @@ def test_out_of_memory_is_one_line_numeric_error(exc, kind, monkeypatch,
 @pytest.mark.parametrize("argv", [
     # L^(1/2 - 1000) overflows at L = 1e-300
     ["scaling", "--gamma", "1/1000", "--lengths", "1e-300"],
+    # the mean exponent 1 - 2/gamma overflows, though gamma and 1/gamma
+    # are finite
+    ["scaling", "--gamma", "1e-308"],
+    ["scaling", "--gamma", "6e-309"],
     # the identity's terms overflow to inf and then to NaN
     ["identity", "--epsilon", "1e308"],
     ["identity", "--gamma", "1e307"],
@@ -1289,7 +1330,8 @@ def _command(name, *flags):
 # valid values are drawn on their own as often as anything else, so that
 # runs which reach the computation are common
 _CONTRACT_GAMMAS = st.one_of(
-    st.sampled_from(["2/5", "2.91", "1/2", "2", "1e-300", "1e300"]),
+    st.sampled_from(["2/5", "2.91", "1/2", "2", "1e-300", "1e300", "1e-308",
+                     "6e-309"]),
     st.builds("{}/{}".format, st.integers(1, 50), st.integers(1, 50)),
     _GAMMA_TEXTS,
     st.sampled_from(["inf", "nan", "-inf", "1e-999999999", "1/0", "junk",
@@ -1318,29 +1360,159 @@ _CONTRACT_ARGV = st.one_of(
 )
 
 
+def run_contract(argv, tmp):
+    """Run argv in process with its output directory under tmp, check the
+    README's contract and return the exit code and that directory: exit
+    0, 1, 2 or 3; a failure is one JSON line on stderr with no traceback;
+    a usage error leaves no output directory; a success writes nothing on
+    stderr; a manifest lists only files that exist, and every JSON file
+    written is JSON."""
+    out = Path(tmp) / "out"
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), \
+            contextlib.redirect_stderr(stderr):
+        code = cli.main([*argv, "--out", str(out)])
+    err = stderr.getvalue()
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err
+    if code != 0:
+        [line] = err.splitlines()
+        assert isinstance(strict_json(line)["error"], str)
+    if code == 2:
+        assert not out.exists()
+    if code == 0:
+        assert err == ""
+    if out.exists():
+        listed = read_manifest(out)["outputs"]
+        assert all(Path(f).is_file() for f in listed)
+        for path in out.glob("*.json"):
+            read_json(path)
+    return code, out
+
+
 @settings(max_examples=200, deadline=None, database=None, derandomize=True)
 @given(_CONTRACT_ARGV)
 def test_cli_contract_for_derive_verify_and_scaling(argv):
-    # README: exit 0, 1, 2 or 3; a failure is one JSON line on stderr with
-    # no traceback; a usage error leaves no output directory; a success
-    # lists only files it wrote, and every JSON file it wrote is JSON
     with tempfile.TemporaryDirectory() as tmp:
-        out = Path(tmp) / "out"
-        stdout, stderr = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(stdout), \
-                contextlib.redirect_stderr(stderr):
-            code = cli.main([*argv, "--out", str(out)])
-        err = stderr.getvalue()
-        assert code in (0, 1, 2, 3)
-        assert "Traceback" not in err
-        if code != 0:
-            [line] = err.splitlines()
-            assert isinstance(strict_json(line)["error"], str)
-        if code == 2:
-            assert not out.exists()
-        if code == 0:
-            assert err == ""
-            listed = read_manifest(out)["outputs"]
-            assert all(Path(f).is_file() for f in listed)
-            for path in out.glob("*.json"):
-                read_json(path)
+        run_contract(argv, tmp)
+
+
+def _line(key, values):
+    """[] or ["key = value"]: a config key left out or given a value."""
+    return st.one_of(st.just([]), values.map(lambda v: [f"{key} = {v}"]))
+
+
+def _fault(*faults):
+    """[] or one of faults: the valid draws fail at most one check."""
+    return st.one_of(st.just([]), st.sampled_from(faults))
+
+
+@st.composite
+def _fit_series(draw):
+    """series.csv text: rows of max|omega1| = big / tau, max|u1| =
+    big tau^-0.8 and delta = tau^0.4 at t = span (1 - tau), then cells
+    replaced by special values and rows repeated.  At span 1000 and big
+    1e306, (t - t_last) max|omega1| is beyond the float range."""
+    n = draw(st.sampled_from([0, 1, 5, 6, 9, 12]))
+    span = draw(st.sampled_from([1.0, 1e3]))
+    big = draw(st.sampled_from([1.0, 1e306]))
+    cells = []
+    for x in np.linspace(0.2, 0.99, n):
+        tau = 1.0 - x
+        d = tau ** 0.4
+        cells.append([repr(float(v)) for v in
+                      (span * x, big / tau, big * tau ** -0.8, d, 0, d, 0, d)])
+    if cells:
+        rows, columns = st.integers(0, n - 1), st.integers(0, 7)
+        for _ in range(draw(st.integers(0, 2))):
+            cells[draw(rows)][draw(columns)] = draw(st.sampled_from(
+                ["nan", "inf", "-inf", "-1", "0", "1e308", "1.7e308",
+                 "junk"]))
+        for _ in range(draw(st.integers(0, 1))):
+            i = draw(rows)
+            cells.insert(i, list(cells[i]))
+    return "\n".join([cli.SERIES_HEADER, *map(",".join, cells)]) + "\n"
+
+
+@st.composite
+def _simulate_config(draw):
+    """A 9x9 simulate config of valid values, then perhaps one fault
+    line, which overrides an earlier one.  t_end and a valid dt are
+    scaled by 1/max(1, |amplitude|), since the automatic step shrinks as
+    the amplitude grows: a run takes at most about 50 steps.  Amplitude
+    1e200 overflows on the first step."""
+    amplitude = draw(st.sampled_from(
+        [None, "0", "1", "-2.5", "100", "1e4", "1e6", "1e200"]))
+    scale = max(1.0, abs(float(amplitude or 1)))
+    lines = ["nr = 9", "nz = 9", "t_end = " + draw(st.sampled_from(
+        [1e-3, 0.1, 1.0]).map(lambda f: repr(f / scale)))]
+    for key, values in (
+            ("z_bc", st.sampled_from(["periodic", "dirichlet"])),
+            ("dt", st.sampled_from([repr(0.01 / scale), "0.5"])),
+            ("cfl", st.sampled_from(["0.4", "1"])),
+            ("cadence", st.sampled_from(["1", "3"])),
+            ("snapshot_every", st.sampled_from(["0", "1", "7"])),
+            ("preset", st.sampled_from(["swirl_bump", "parity"]))):
+        lines += draw(_line(key, values))
+    if amplitude is not None:
+        lines.append(f"amplitude = {amplitude}")
+    lines += draw(_fault(*([line] for line in (
+        "t_ned = 5", "no equals sign", "nr = 4", "nz = junk", "r_min = 1.5",
+        "z_len = -1", "z_bc = open", "t_end = 0", "t_end = nan", "dt = -1",
+        "dt = 1e-300", "cfl = 1.5", "cfl = 1e-300", "cadence = 0",
+        "snapshot_every = -1", "preset = vortex_ring", "amplitude = inf",
+        "amplitude = junk"))))
+    return "\n".join(lines) + "\n"
+
+
+#: (argv, name of the input file that ends argv or None, its text)
+_CONTRACT_RUNS = st.one_of(
+    _command(
+        "identity",
+        _flag("--preset", st.sampled_from(["compact", "gaussian"])),
+        _flag("--gamma", st.sampled_from(["2", "1/2", "2.91", "1e-300"])),
+        _flag("--p", st.sampled_from(["2", "4"])),
+        _flag("--rho", st.sampled_from(["10", "5", "0.4", "1e300"])),
+        _flag("--epsilon", st.sampled_from(["0", "1", "-100"])),
+        _fault(["--preset", "bogus"], ["--gamma", "1e307"],
+               ["--gamma", "0"], ["--p", "3"], ["--p", "-2"],
+               ["--p", "1000000"], ["--rho", "0.05"], ["--rho", "1e-300"],
+               ["--rho", "-5"], ["--rho", "nan"], ["--epsilon", "1e308"],
+               ["--epsilon", "inf"], ["--epsilon", "junk"]),
+    ).map(lambda argv: (argv, None, None)),
+    _command(
+        "demo-1d",
+        _flag("--bc", st.sampled_from(["periodic", "dirichlet"])),
+        st.integers(8, 64).map(lambda n: ["--n", str(n)]),
+        st.sampled_from(["0.001", "0.02", "1e-300"]).map(
+            lambda t: ["--t-end", t]),
+        _flag("--amplitude", st.sampled_from(["0", "0.25", "1", "2", "-3",
+                                              "1e6", "1e200"])),
+        _fault(["--bc", "open"], ["--n", "7"], ["--n", "-1"],
+               ["--n", "junk"], ["--t-end", "0"], ["--t-end", "-1"],
+               ["--t-end", "nan"], ["--t-end", "inf"],
+               ["--amplitude", "nan"], ["--amplitude", "inf"]),
+    ).map(lambda argv: (argv, None, None)),
+    _fit_series().map(lambda text: (["fit", "--series"], "series.csv", text)),
+    _simulate_config().map(
+        lambda text: (["simulate", "--config"], "config.txt", text)),
+)
+
+
+@settings(max_examples=150, deadline=None, database=None, derandomize=True)
+@given(_CONTRACT_RUNS)
+def test_cli_contract_for_identity_fit_demo_1d_and_simulate(case):
+    argv, name, text = case
+    with tempfile.TemporaryDirectory() as tmp:
+        if name is not None:
+            path = Path(tmp) / name
+            path.write_text(text)
+            argv = [*argv, str(path)]
+        code, out = run_contract(argv, tmp)
+        if code != 0 and out.exists():
+            # only a simulate run that fails mid-way leaves its outputs,
+            # with the reason and the samples taken so far
+            assert argv[0] == "simulate" and code == 3
+            manifest = read_manifest(out)
+            assert "error" in manifest
+            assert str(out / "series.csv") in manifest["outputs"]

@@ -1,6 +1,7 @@
 """Every module-level import in the package is used by its module, the
-symbolic modules import no numeric one when they load, and every
-definition and method is reached from the CLI or read in the package."""
+symbolic modules import no numeric one when they load, every definition
+and method is reached from the CLI or read in the package, and every
+optional input is set by some call in the package or perfbench."""
 
 import ast
 from pathlib import Path
@@ -283,6 +284,142 @@ def test_method_guard_flags_methods_read_nowhere():
     }
     assert unread_methods(trees) == [("Box", "_hidden"), ("Box", "unused"),
                                      ("Stored", "stored")]
+
+
+PERFBENCH = PACKAGE.parents[1] / "perfbench"
+
+#: optional inputs no package or perfbench call sets, each kept for a
+#: stated reason
+UNSET_INPUTS = {
+    ("cylsim", "step", "forcing"):
+        "the manufactured-solution hook: a forced run against an exact "
+        "solution is the planned convergence check (ROADMAP item 6)",
+}
+
+
+def _is_classvar(annotation) -> bool:
+    node = annotation.value if isinstance(annotation, ast.Subscript) \
+        else annotation
+    return (isinstance(node, ast.Name) and node.id == "ClassVar") or (
+        isinstance(node, ast.Attribute) and node.attr == "ClassVar")
+
+
+def _is_frozen_dataclass(cls: ast.ClassDef) -> bool:
+    return any(isinstance(d, ast.Call) and any(
+        k.arg == "frozen" and isinstance(k.value, ast.Constant)
+        and k.value.value is True for k in d.keywords)
+        for d in cls.decorator_list)
+
+
+def optional_inputs(trees: dict) -> dict:
+    """(module, name it is called by, input) -> position of every
+    defaulted parameter of a function or method (counted after self;
+    None for keyword-only) and every defaulted field of a frozen
+    dataclass that is not a ClassVar.  __init__ is called by its class's
+    name, a dataclass by its own."""
+    found = {}
+
+    def add_function(module, fn, cls=None):
+        a = fn.args
+        params = a.posonlyargs + a.args
+        if cls is not None and not any(
+                isinstance(d, ast.Name) and d.id == "staticmethod"
+                for d in fn.decorator_list):
+            params = params[1:]
+        name = cls.name if cls is not None and fn.name == "__init__" \
+            else fn.name
+        first = len(params) - len(a.defaults)
+        for i, p in enumerate(params[first:], first):
+            found[module, name, p.arg] = i
+        for p, default in zip(a.kwonlyargs, a.kw_defaults):
+            if default is not None:
+                found[module, name, p.arg] = None
+
+    for module, tree in trees.items():
+        classes = {id(fn): cls for cls in ast.walk(tree)
+                   if isinstance(cls, ast.ClassDef) for fn in cls.body}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                add_function(module, node, classes.get(id(node)))
+            elif isinstance(node, ast.ClassDef) and _is_frozen_dataclass(node):
+                fields = [s for s in node.body if isinstance(s, ast.AnnAssign)
+                          and not _is_classvar(s.annotation)]
+                for i, s in enumerate(fields):
+                    if s.value is not None:
+                        found[module, node.name, s.target.id] = i
+    return found
+
+
+def passed_inputs(trees: dict) -> dict:
+    """Call name -> [(positional count, starred, keywords, double star)]
+    of every call in the trees, the name being a called name or
+    attribute."""
+    calls = {}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else \
+                func.attr if isinstance(func, ast.Attribute) else None
+            starred = any(isinstance(a, ast.Starred) for a in node.args)
+            calls.setdefault(name, []).append((
+                len(node.args), starred,
+                {k.arg for k in node.keywords if k.arg is not None},
+                any(k.arg is None for k in node.keywords)))
+    return calls
+
+
+def unset_inputs(package: dict, callers: dict) -> list:
+    """The optional inputs of the package that no call in `callers` sets
+    by keyword, by position or through * or **."""
+    calls = passed_inputs(callers)
+
+    def passed(name, pos, param):
+        return any(param in keywords or double or (pos is not None and (
+            pos < npos or starred))
+            for npos, starred, keywords, double in calls.get(name, ()))
+
+    return sorted((module, name, param) for (module, name, param), pos
+                  in optional_inputs(package).items()
+                  if not passed(name, pos, param))
+
+
+def test_every_optional_input_has_a_caller():
+    # a default that no caller overrides is a constant: write it as one.
+    # Equality: an allowlisted input that a caller starts to set is no
+    # longer an exception
+    trees = package_trees()
+    perfbench = {p.stem: ast.parse(p.read_text(), filename=str(p))
+                 for p in sorted(PERFBENCH.glob("*.py"))}
+    assert unset_inputs(trees, {**trees, **{
+        f"perfbench.{m}": t for m, t in perfbench.items()}}) == sorted(
+        UNSET_INPUTS)
+
+
+def test_input_guard_counts_keywords_positions_and_stars():
+    lib = ast.parse(
+        "from dataclasses import dataclass\n"
+        "from typing import ClassVar\n"
+        "def f(a, b=1, c=2, *, d=3, e=4):\n    return a\n"
+        "def g(x=0):\n    return x\n"
+        "def h(y=0, z=0):\n    return y\n"
+        "class Box:\n"
+        "    def __init__(self, w=1, v=2):\n        self.w = w\n"
+        "    def get(self, k=0):\n        return k\n"
+        "    @staticmethod\n"
+        "    def make(s=0):\n        return s\n"
+        "@dataclass(frozen=True)\n"
+        "class Rec:\n"
+        "    p: int\n    q: int = 0\n    r: str = 'r'\n"
+        "    LABEL: ClassVar[str] = 'rec'\n"
+        "@dataclass\n"
+        "class Loose:\n    m: int = 0\n")
+    use = ast.parse("f(1, 2, e=5)\ng(*xs)\nh(**kw)\nBox(3).get(4)\n"
+                    "Box.make(1)\nRec(1, r='s')\n")
+    assert unset_inputs({"lib": lib}, {"lib": lib, "use": use}) == [
+        ("lib", "Box", "v"), ("lib", "Rec", "q"), ("lib", "f", "c"),
+        ("lib", "f", "d")]
 
 
 def environment_reads(tree: ast.Module) -> list:
