@@ -48,12 +48,14 @@ class CylGrid:
     def __post_init__(self):
         if not (0.0 < self.r_min < 1.0):
             raise ValueError("need 0 < r_min < 1")
-        if not (0.0 < self.z_len < math.inf):
-            raise ValueError("need a finite z_len > 0")
         if self.z_bc not in ("periodic", "dirichlet"):
             raise ValueError(f"unknown z boundary tag {self.z_bc!r}")
         if self.nr < 5 or self.nz < 5:
             raise ValueError("grid too small")
+        # 2 z_len overflows above about 9e307, and hz underflows to 0
+        if not (0.0 < self.hz < math.inf):
+            raise ValueError(f"need a z_len > 0 whose grid spacing hz is a "
+                             f"positive finite float, got {self.z_len}")
 
     @property
     def hr(self) -> float:
@@ -321,11 +323,9 @@ class BlowupSeries:
         if self.t and state.t <= self.t[-1]:
             raise ValueError("sample times must be strictly increasing")
         wmax = float(np.max(np.abs(state.omega1)))
-        mask = np.abs(state.omega1) >= 0.5 * wmax if wmax > 0 else \
-            np.zeros_like(state.omega1, dtype=bool)
-        r, z = grid.r(), grid.z()
-        if mask.any():
-            ri, zi = np.nonzero(mask)
+        if wmax > 0:  # a NaN maximum, like a zero one, has no box
+            ri, zi = np.nonzero(np.abs(state.omega1) >= 0.5 * wmax)
+            r, z = grid.r(), grid.z()
             box = (float(r[ri.min()]), float(r[ri.max()]),
                    float(z[zi.min()]), float(z[zi.max()]))
             delta = max(box[1] - box[0], box[3] - box[2])
@@ -572,7 +572,7 @@ def demo_1d(bc: str, n: int, t_end: Optional[float] = None,
         n=n,
         times=np.asarray(times),
         max_ux=np.asarray(history),
-        blowup_suspected=crossing is not None or aborted,
+        blowup_suspected=crossing is not None,
         crossing_time=crossing,
         aborted=aborted,
         t_end=t_end,

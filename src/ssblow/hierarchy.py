@@ -304,7 +304,7 @@ class HierarchyReport:
     orders: dict  # eq name -> {k: SymEquation}
     verdicts: list
     induction: dict  # k -> [SymEquation, SymEquation, SymEquation]
-    truncation_note: str = ""
+    truncation_note: str
 
     @property
     def all_acceptable(self) -> bool:
@@ -421,8 +421,7 @@ def emit(report: HierarchyReport, format: str,
                     + ")"
                 )
             lines.append(f"% verdict {v.equation}[{v.order}]: {v.status}{extra}")
-        if report.truncation_note:
-            lines.append(f"% {report.truncation_note}")
+        lines.append(f"% {report.truncation_note}")
         write("\n".join(lines) + "\n")
     else:
         raise ValueError(f"unknown format {format!r}")

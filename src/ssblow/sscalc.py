@@ -20,33 +20,11 @@ symbolic commands run without numpy.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
 from operator import attrgetter
 from typing import Callable, Iterable
-
-__all__ = [
-    "CommensurabilityError",
-    "SsExponent",
-    "ProfileRef",
-    "SymTerm",
-    "SymExpr",
-    "SymEquation",
-    "exponent",
-    "term",
-    "prof",
-    "diff_tau",
-    "diff_r",
-    "diff_z",
-    "geometric_expand",
-    "product_terms",
-    "collect_orders",
-    "expr_to_json",
-    "equation_to_json",
-    "expr_to_latex",
-    "equation_to_latex",
-    "json_write",
-]
 
 
 class CommensurabilityError(ValueError):
@@ -499,17 +477,11 @@ def lattice_base(eq: SymEquation) -> SsExponent:
 
 
 _ESCAPE = json.encoder.encode_basestring_ascii
-_INF = float("inf")
 
 
-def _float_text(x) -> str:
-    # json's spelling: repr, and JavaScript names for the non-finite values
-    if x != x:
-        return "NaN"
-    if x == _INF:
-        return "Infinity"
-    if x == -_INF:
-        return "-Infinity"
+def _float_text(x: float) -> str:
+    if not math.isfinite(x):  # as json.dumps(allow_nan=False) refuses it
+        raise ValueError(f"out of range float {x!r} is not JSON compliant")
     return float.__repr__(x)
 
 
@@ -526,9 +498,10 @@ def json_write(obj, write: Callable[[str], object],
     container; this appends to one list of parts and hands the list on,
     joined, once it holds _CHUNK parts, so a file writer holds a bounded
     piece of the text and not all of it.  Values are str-keyed dicts,
-    lists, tuples, str, int, float (subclasses such as np.float64
-    included), bool and None; anything else, and a non-str key, raises
-    TypeError, possibly after part of the text has been written.
+    lists, tuples, str, int, float, bool and None of exactly those types:
+    anything else (np.float64 and IntEnum too) and a non-str key raise
+    TypeError, and a NaN or infinite float raises ValueError, possibly
+    after part of the text has been written.
     """
     escape, intstr, chunk = _ESCAPE, int.__repr__, _CHUNK
     parts = []
@@ -556,17 +529,6 @@ def json_write(obj, write: Callable[[str], object],
             put("true")
         elif o is False:
             put("false")
-        # subclasses, in json's order of checks
-        elif isinstance(o, str):
-            put(escape(o))
-        elif isinstance(o, int):
-            put(intstr(o))
-        elif isinstance(o, float):
-            put(_float_text(o))
-        elif isinstance(o, (list, tuple)):
-            sequence(o, level)
-        elif isinstance(o, dict):
-            mapping(o, level)
         else:
             raise TypeError(f"Object of type {type(o).__name__} "
                             "is not JSON serializable")

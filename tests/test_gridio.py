@@ -206,11 +206,23 @@ def written(obj, sort_keys):
     return "".join(parts)
 
 
+def outcome(write, obj, sort_keys):
+    """The text write(obj, sort_keys) returns, or the type of what it
+    raises."""
+    try:
+        return write(obj, sort_keys)
+    except (TypeError, ValueError) as exc:
+        return type(exc)
+
+
+def stdlib(obj, sort_keys):
+    return json.dumps(obj, indent=2, sort_keys=sort_keys, allow_nan=False)
+
+
 _floats = st.one_of(
     st.floats(allow_nan=True, allow_infinity=True),
     st.sampled_from([float("nan"), float("inf"), -float("inf"), -0.0, 1e16,
                      5e-324, 0.1]),
-    st.floats(allow_nan=True, allow_infinity=True).map(np.float64),
 )
 _leaves = st.one_of(st.none(), st.booleans(), st.integers(), _floats,
                     st.text(),
@@ -225,11 +237,12 @@ _trees = st.recursive(
     max_leaves=30)
 
 
+# the text is the stdlib's, or both refuse a NaN or an infinity
 @settings(max_examples=300, deadline=None, database=None, derandomize=True)
 @given(_trees, st.booleans())
 def test_json_text_matches_stdlib(obj, sort_keys):
-    assert written(obj, sort_keys) == json.dumps(obj, indent=2,
-                                                 sort_keys=sort_keys)
+    assert outcome(written, obj, sort_keys) == outcome(stdlib, obj,
+                                                       sort_keys)
 
 
 @settings(max_examples=300, deadline=None, database=None, derandomize=True)
@@ -239,8 +252,8 @@ def test_json_text_matches_stdlib_in_one_part_chunks(obj, sort_keys):
     # both loops is crossed
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(sscalc, "_CHUNK", 1)
-        assert written(obj, sort_keys) == json.dumps(obj, indent=2,
-                                                     sort_keys=sort_keys)
+        assert outcome(written, obj, sort_keys) == outcome(stdlib, obj,
+                                                           sort_keys)
 
 
 class _Level(enum.IntEnum):
@@ -258,18 +271,34 @@ class _Dict(dict):
 _CONTAINERS = [
     {}, [], (), [[]], {"a": {}}, [{}, [[], {}]], {"a": [(), {"b": []}]},
     {"b": 1, "a": [True, False, None, -0.0, float("nan")]}, "x", 7, None,
-    # subclasses are written as their json base type
+    # subclasses, which json.dumps writes as their json base type
     _List([1, _Dict(b=2, a=_List())]), _Dict(x=[_Level.HIGH]),
     {"p": collections.namedtuple("Pair", "a b")(1, 2.5)}, _Level.HIGH,
     [np.float64(0.1), np.str_("s")],
 ]
 
+_JSON_TYPES = (dict, list, tuple, str, int, float, bool, type(None))
+
+
+def exact(obj) -> bool:
+    """Whether obj and everything in it is of a json type exactly."""
+    if type(obj) not in _JSON_TYPES:
+        return False
+    items = obj.values() if type(obj) is dict else \
+        obj if type(obj) in (list, tuple) else ()
+    return all(map(exact, items))
+
+
+def expected(obj, sort_keys):
+    # the stdlib's text, or its ValueError on NaN; json_write refuses a
+    # subclass with TypeError
+    return outcome(stdlib, obj, sort_keys) if exact(obj) else TypeError
+
 
 @pytest.mark.parametrize("obj", _CONTAINERS)
 @pytest.mark.parametrize("sort_keys", [False, True])
 def test_json_text_containers_and_subclasses(obj, sort_keys):
-    assert written(obj, sort_keys) == json.dumps(obj, indent=2,
-                                                 sort_keys=sort_keys)
+    assert outcome(written, obj, sort_keys) == expected(obj, sort_keys)
 
 
 @pytest.mark.parametrize("obj", _CONTAINERS)
@@ -277,8 +306,7 @@ def test_json_text_containers_and_subclasses(obj, sort_keys):
 def test_json_text_containers_and_subclasses_in_one_part_chunks(
         obj, sort_keys, monkeypatch):
     monkeypatch.setattr(sscalc, "_CHUNK", 1)
-    assert written(obj, sort_keys) == json.dumps(obj, indent=2,
-                                                 sort_keys=sort_keys)
+    assert outcome(written, obj, sort_keys) == expected(obj, sort_keys)
 
 
 def test_json_write_hands_on_bounded_chunks():
@@ -302,3 +330,12 @@ def test_json_text_rejects_what_json_cannot_write(obj, sort_keys):
     # writes them, so the writer refuses rather than guess
     with pytest.raises(TypeError):
         written(obj, sort_keys)
+
+
+@pytest.mark.parametrize("obj", [
+    float("nan"), -float("inf"), [1.0, float("inf")], {"a": float("nan")},
+])
+def test_json_text_rejects_nan_and_infinity(obj):
+    # JSON has no number for them; json.dumps(allow_nan=False) refuses too
+    with pytest.raises(ValueError):
+        written(obj, False)

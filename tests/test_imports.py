@@ -1,7 +1,8 @@
 """Every module-level import in the package is used by its module, the
 symbolic modules import no numeric one when they load, every definition
-and method is reached from the CLI or read in the package, and every
-optional input is set by some call in the package or perfbench."""
+and method is reached from the CLI or read in the package, every
+module-level name is read in the package, and every optional input is
+set by some call in the package or perfbench."""
 
 import ast
 from pathlib import Path
@@ -24,27 +25,29 @@ def imported_names(tree: ast.Module) -> dict:
     return names
 
 
-def used_names(tree: ast.Module) -> set:
-    """Names read anywhere in the module, in quoted annotations and in
-    __all__."""
+def quoted_annotations(node: ast.AST) -> list:
+    """The annotations of a def, an argument or an annotated assignment
+    that are written as strings, parsed."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        annotation = node.returns
+    elif isinstance(node, (ast.arg, ast.AnnAssign)):
+        annotation = node.annotation
+    else:
+        return []
+    if isinstance(annotation, ast.Constant) and isinstance(annotation.value,
+                                                            str):
+        return [ast.parse(annotation.value, mode="eval")]
+    return []
+
+
+def used_names(tree: ast.AST) -> set:
+    """Names read anywhere in the module and in quoted annotations."""
     used = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
             used.add(node.id)
-        annotations = []
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            annotations.append(node.returns)
-        elif isinstance(node, ast.arg):
-            annotations.append(node.annotation)
-        elif isinstance(node, ast.AnnAssign):
-            annotations.append(node.annotation)
-        for ann in annotations:
-            if isinstance(ann, ast.Constant) and isinstance(ann.value, str):
-                used |= used_names(ast.parse(ann.value, mode="eval"))
-        if isinstance(node, ast.Assign) and any(
-                isinstance(t, ast.Name) and t.id == "__all__"
-                for t in node.targets):
-            used |= set(ast.literal_eval(node.value))
+        for ann in quoted_annotations(node):
+            used |= used_names(ann)
     return used
 
 
@@ -284,6 +287,77 @@ def test_method_guard_flags_methods_read_nowhere():
     }
     assert unread_methods(trees) == [("Box", "_hidden"), ("Box", "unused"),
                                      ("Stored", "stored")]
+
+
+#: module-level names no package module reads, each kept for a stated
+#: reason
+UNREAD_NAMES = {
+    ("rigidity", "REFERENCE_GAMMA"):
+        "the reference gamma of the non-reproducibility statement, at "
+        "which the tests check the scaling arithmetic",
+}
+
+
+def bound_names(tree: ast.Module) -> set:
+    """Names the module binds by a top-level assignment.  Its functions
+    and classes are held by the reachability guard, and its imports by
+    the unused-import one."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, ast.AnnAssign):
+            targets = [node.target]
+        else:
+            continue
+        names |= {n.id for target in targets for n in ast.walk(target)
+                  if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)}
+    return names
+
+
+def read_names(tree: ast.AST) -> set:
+    """Names the module reads: a loaded name or attribute, a name it
+    imports from a module, and the names in quoted annotations."""
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx,
+                                                            ast.Load):
+            read.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            read |= {alias.name for alias in node.names}
+        for ann in quoted_annotations(node):
+            read |= read_names(ann)
+    return read
+
+
+def unread_module_names(trees: dict) -> list:
+    """(module, name) of every name assigned at top level that no module
+    reads."""
+    read = set().union(*map(read_names, trees.values()))
+    return sorted((m, name) for m, tree in trees.items()
+                  for name in bound_names(tree) if name not in read)
+
+
+def test_every_module_level_name_is_read():
+    # a name nothing reads is dead, or states what no code checks, as a
+    # stale __all__ did.  Equality: an allowlisted name that a module
+    # starts to read is no longer an exception
+    assert unread_module_names(package_trees()) == sorted(UNREAD_NAMES)
+
+
+def test_name_guard_flags_names_read_nowhere():
+    trees = {
+        "cli": ast.parse("from . import lib\nfrom .lib import LIMIT\n"
+                         "def main():\n    lib.UNUSED = 1\n"
+                         "    return LIMIT + lib.SCALE\n"),
+        "lib": ast.parse("LIMIT = 3\nSCALE: float = 2.0\nA, B = 1, 2\n"
+                         "Pair = tuple\nUNUSED = 0\n"
+                         "def helper(q: 'Pair'):\n    return A\n"),
+    }
+    assert unread_module_names(trees) == [
+        ("lib", "B"), ("lib", "UNUSED")]
 
 
 PERFBENCH = PACKAGE.parents[1] / "perfbench"
